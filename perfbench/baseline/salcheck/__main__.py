@@ -1,0 +1,8 @@
+"""Allow ``python -m salcheck`` as an alias for the console script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

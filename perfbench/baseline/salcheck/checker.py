@@ -1,0 +1,715 @@
+"""Property checking of replicated data types over generated histories.
+
+The checker turns replication-aware linearizability into a family of
+executable verification conditions:
+
+* merge laws (idempotence, commutativity, absorbing the common ancestor),
+* ``BottomUpStep`` — the inductive peel step: merging a branch whose last
+  event is ``e`` equals merging without ``e`` and then applying ``e`` on top,
+* ``RcPolicy`` — two-event conflict diamonds resolve exactly as the conflict
+  resolution relation dictates,
+* ``LinearizationExists`` — the semantic ground truth: some total order of
+  the history's events that respects happens-before and the conflict policy
+  replays, sequentially from the initial state, to the final merged state,
+* lattice laws for converged (two-way merge) types.
+
+A pass is bounded evidence over the generated histories, not a proof.  Every
+suite first sweeps all canonical recipes below ``exhaustive_below`` events and
+then tops up with seeded random recipes, so verdicts are deterministic and
+the first failure found is already event-minimal.
+"""
+
+from __future__ import annotations
+
+import enum
+import hashlib
+import random
+from dataclasses import dataclass, replace
+from typing import Any, Callable
+
+from .catalog import CatalogEntry, payload_pool
+from .history import (
+    ApplyOp, Execution, JoinOp, Recipe, build, enumerate_recipes, execute,
+    merge_with_lca, random_recipe,
+)
+from .model import (
+    Add, Delete, Event, Insert, MapSet, OpPayload, RcOrder, RdtSpec, Rem,
+    Write, conflicting, is_crdt, rc_order,
+)
+
+ORACLE_EVENT_CAP = 9
+
+
+class PropertyId(enum.Enum):
+    MERGE_IDEM = "MergeIdem"
+    MERGE_COMM = "MergeComm"
+    MERGE_WITH_LCA = "MergeWithLca"
+    BOTTOM_UP_STEP = "BottomUpStep"
+    RC_POLICY = "RcPolicy"
+    LINEARIZATION_EXISTS = "LinearizationExists"
+    LATTICE_COMM = "LatticeComm"
+    LATTICE_ASSOC = "LatticeAssoc"
+    LATTICE_IDEM = "LatticeIdem"
+
+
+MRDT_PROPERTIES = (
+    PropertyId.MERGE_IDEM,
+    PropertyId.MERGE_COMM,
+    PropertyId.MERGE_WITH_LCA,
+    PropertyId.BOTTOM_UP_STEP,
+    PropertyId.RC_POLICY,
+    PropertyId.LINEARIZATION_EXISTS,
+)
+
+CRDT_PROPERTIES = (
+    PropertyId.MERGE_IDEM,
+    PropertyId.MERGE_COMM,
+    PropertyId.BOTTOM_UP_STEP,
+    PropertyId.RC_POLICY,
+    PropertyId.LINEARIZATION_EXISTS,
+    PropertyId.LATTICE_COMM,
+    PropertyId.LATTICE_ASSOC,
+    PropertyId.LATTICE_IDEM,
+)
+
+
+def properties_for(spec: RdtSpec) -> tuple[PropertyId, ...]:
+    return CRDT_PROPERTIES if is_crdt(spec) else MRDT_PROPERTIES
+
+
+@dataclass(frozen=True)
+class CheckConfig:
+    tests_per_property: int = 1000
+    seed: int = 0
+    max_events: int = 8
+    replica_count: int = 2
+    exhaustive_below: int = 5
+    shrink_budget: int = 500
+    literal_pool: tuple[int, ...] = (1, 2, 3)
+    max_joins: int = 1  # interior joins per recipe in the exhaustive sweep
+
+    def validate(self) -> None:
+        bounds = {
+            "tests_per_property": self.tests_per_property,
+            "max_events": self.max_events,
+            "replica_count": self.replica_count,
+            "exhaustive_below": self.exhaustive_below,
+            "shrink_budget": self.shrink_budget,
+        }
+        for name, value in bounds.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ValueError("seed must be a natural number")
+        if self.exhaustive_below > self.max_events:
+            raise ValueError("exhaustive_below must not exceed max_events")
+
+
+@dataclass(frozen=True)
+class Violation:
+    property: PropertyId
+    recipe: Recipe
+    lhs: Any
+    rhs: Any
+    lhs_str: str
+    rhs_str: str
+    detail: str
+    node: int | None = None
+    event: Event | None = None
+    linearizations_tried: int | None = None
+
+
+@dataclass(frozen=True)
+class CounterexampleReport:
+    property: PropertyId
+    rdt_id: str
+    original: Execution
+    shrunk: Execution
+    lhs: Any
+    rhs: Any
+    lhs_str: str
+    rhs_str: str
+    linearizations_tried: int | None
+    seed: int
+    shrink_steps: int
+    minimal: bool
+    violation: Violation  # locates the offending node/event in the shrunk graph
+
+
+@dataclass(frozen=True)
+class Verdict:
+    property: PropertyId
+    status: str  # "pass" | "fail" | "vacuous"
+    tests: int
+    counterexample: CounterexampleReport | None = None
+
+
+@dataclass(frozen=True)
+class SuiteReport:
+    rdt_id: str
+    seed: int
+    config: CheckConfig
+    verdicts: tuple[Verdict, ...]
+
+    def verdict(self, prop: PropertyId) -> Verdict:
+        for v in self.verdicts:
+            if v.property is prop:
+                return v
+        raise KeyError(prop)
+
+    def first_failure(self) -> Verdict | None:
+        for v in self.verdicts:
+            if v.status == "fail":
+                return v
+        return None
+
+    def passed(self) -> bool:
+        return self.first_failure() is None
+
+
+class OracleScopeError(Exception):
+    """History too large for the exhaustive linearization oracle."""
+
+
+# ---------------------------------------------------------------------------
+# Linearization oracle.
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    witness: tuple[Event, ...] | None
+    orders_tried: int
+
+
+def linearization_oracle(spec: RdtSpec, graph) -> OracleResult:
+    """Search every admissible total order for one that explains the sink.
+
+    Admissible orders extend happens-before; additionally, a conflicting
+    concurrent pair may only appear in the direction the conflict relation
+    allows whenever both events are peeled from the same frontier (peeling an
+    event last is forbidden while a concurrent conflict loser is still
+    unpeeled).  Replay is replication-aware: a spec may declare a
+    ``replay_apply`` through which each event acts only on entries created by
+    events it observed in the original execution (its causal past), matching
+    the sequential-explanation reading where an update cannot affect state it
+    never saw.  The first order whose replay from the initial state
+    reproduces the final merged state is returned; ``None`` means every
+    admissible order was tried and none matched.
+    """
+    events = graph.all_events()
+    if len(events) > ORACLE_EVENT_CAP:
+        raise OracleScopeError(
+            f"{len(events)} events exceed the oracle cap of {ORACLE_EVENT_CAP}"
+        )
+    target = execute(spec, graph).sink_state()
+    preds: dict[Event, frozenset[Event]] = {
+        e: frozenset(o for o in events if graph.happens_before(o, e)) for e in events
+    }
+    tried = 0
+
+    if spec.replay_apply is not None:
+        observed = {e: frozenset(o.ts for o in preds[e]) for e in events}
+
+        def step(s, ev: Event):
+            return spec.replay_apply(s, ev, observed[ev])
+    else:
+        def step(s, ev: Event):
+            return spec.apply(s, ev)
+
+    def replay(order: tuple[Event, ...]):
+        s = spec.initial
+        for ev in order:
+            s = step(s, ev)
+        return s
+
+    def dfs(remaining: tuple[Event, ...], suffix: tuple[Event, ...]):
+        nonlocal tried
+        if not remaining:
+            tried += 1
+            order = tuple(reversed(suffix))
+            return order if replay(order) == target else None
+        maximal = [e for e in remaining if not any(o is not e and e in preds[o] for o in remaining)]
+        for e in sorted(maximal, key=lambda ev: ev.ts):
+            # e may not be ordered last while a concurrent event it must
+            # precede (per rc) is still on the frontier.
+            if any(o is not e and spec.rc(e.op, o.op) for o in maximal):
+                continue
+            rest = tuple(x for x in remaining if x is not e)
+            found = dfs(rest, suffix + (e,))
+            if found is not None:
+                return found
+        return None
+
+    witness = dfs(tuple(sorted(events, key=lambda ev: ev.ts)), ())
+    return OracleResult(witness, tried)
+
+
+# ---------------------------------------------------------------------------
+# Per-history property evaluators.  Each returns the first violation or None.
+
+
+def _viol(spec: RdtSpec, prop: PropertyId, ex: Execution, lhs, rhs, detail: str,
+          node: int | None = None, event: Event | None = None,
+          tried: int | None = None) -> Violation:
+    return Violation(prop, ex.graph.recipe, lhs, rhs,
+                     spec.format_state(lhs), spec.format_state(rhs),
+                     detail, node, event, tried)
+
+
+def eval_merge_idem(spec: RdtSpec, ex: Execution) -> Violation | None:
+    for n, s in enumerate(ex.states):
+        merged = merge_with_lca(spec, s, s, s)
+        if merged != s:
+            return _viol(spec, PropertyId.MERGE_IDEM, ex, merged, s,
+                         f"merge of v{n} with itself diverges", node=n)
+    return None
+
+
+def eval_merge_comm(spec: RdtSpec, ex: Execution) -> Violation | None:
+    g = ex.graph
+    for m in g.merge_nodes():
+        _, left, right, lca = g.nodes[m]
+        ab = merge_with_lca(spec, ex.states[lca], ex.states[left], ex.states[right])
+        ba = merge_with_lca(spec, ex.states[lca], ex.states[right], ex.states[left])
+        if ab != ba:
+            return _viol(spec, PropertyId.MERGE_COMM, ex, ab, ba,
+                         f"merge at v{m} depends on argument order", node=m)
+    return None
+
+
+def eval_merge_with_lca(spec: RdtSpec, ex: Execution) -> Violation | None:
+    g = ex.graph
+    for m in g.merge_nodes():
+        _, left, right, lca = g.nodes[m]
+        l = ex.states[lca]
+        for branch in (left, right):
+            kept = merge_with_lca(spec, l, l, ex.states[branch])
+            if kept != ex.states[branch]:
+                return _viol(spec, PropertyId.MERGE_WITH_LCA, ex, kept, ex.states[branch],
+                             f"merging v{branch} with its own ancestor does not return it",
+                             node=m)
+            kept = merge_with_lca(spec, l, ex.states[branch], l)
+            if kept != ex.states[branch]:
+                return _viol(spec, PropertyId.MERGE_WITH_LCA, ex, kept, ex.states[branch],
+                             f"merging v{branch} with its own ancestor does not return it",
+                             node=m)
+    return None
+
+
+@dataclass(frozen=True)
+class BottomUpInstance:
+    merge_node: int
+    event: Event
+    a_prime: int  # node holding the branch state with the event peeled off
+    b_node: int
+    lhs: Any
+    rhs: Any
+    lhs_str: str
+    rhs_str: str
+    holds: bool
+
+
+def _commute_on_probes(spec: RdtSpec, e1: Event, e2: Event, probes) -> bool:
+    for s in probes:
+        if spec.apply(spec.apply(s, e1), e2) != spec.apply(spec.apply(s, e2), e1):
+            return False
+    return True
+
+
+def bottom_up_instances(spec: RdtSpec, ex: Execution) -> list[BottomUpInstance]:
+    """All peelable instances of the bottom-up verification condition.
+
+    At a merge of branches a and b over ancestor l, the final event ``e`` of
+    branch a may be peeled when its effect is independent of b's concurrent
+    events: every concurrent b-event that ``e`` must precede per the conflict
+    relation has itself been overridden later on b's branch (a conflicting
+    successor observed and resolved it), and every concurrent non-conflicting
+    b-event commutes with ``e`` on the states at hand.  Without the override
+    rule the condition would flag correct types for peeling a conflict winner
+    past a live loser; with it, resurrecting a dead loser is still caught.
+    """
+    g = ex.graph
+    out: list[BottomUpInstance] = []
+    for m in g.merge_nodes():
+        _, left, right, lca = g.nodes[m]
+        hist_l = g.events_of(lca)
+        for a_node, b_node in ((left, right), (right, left)):
+            if g.kind(a_node) != "apply":
+                continue
+            _, a_prime, e = g.nodes[a_node]
+            hist_b = g.events_of(b_node)
+            if e in hist_b:
+                continue
+            l_state = ex.states[lca]
+            probes = (spec.initial, l_state, ex.states[a_prime])
+            ok = True
+            for o in hist_b:
+                if not g.concurrent(e, o):
+                    continue
+                if conflicting(spec.rc, e.op, o.op):
+                    if spec.rc(e.op, o.op):
+                        screened = any(
+                            o2 != o and o2 not in hist_l and g.happens_before(o, o2)
+                            and conflicting(spec.rc, o.op, o2.op)
+                            for o2 in hist_b
+                        )
+                        if not screened:
+                            ok = False
+                            break
+                elif not _commute_on_probes(spec, e, o, probes):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            lhs = merge_with_lca(spec, l_state, ex.states[a_node], ex.states[b_node])
+            rhs = spec.apply(merge_with_lca(spec, l_state, ex.states[a_prime],
+                                            ex.states[b_node]), e)
+            out.append(BottomUpInstance(
+                m, e, a_prime, b_node, lhs, rhs,
+                spec.format_state(lhs), spec.format_state(rhs), lhs == rhs))
+    return out
+
+
+def eval_bottom_up_step(spec: RdtSpec, ex: Execution) -> Violation | None:
+    for inst in bottom_up_instances(spec, ex):
+        if not inst.holds:
+            return _viol(spec, PropertyId.BOTTOM_UP_STEP, ex, inst.lhs, inst.rhs,
+                         f"peeling {inst.event.op.label()} at v{inst.merge_node} "
+                         f"changes the merge result",
+                         node=inst.merge_node, event=inst.event)
+    return None
+
+
+def _conflict_diamonds(spec: RdtSpec, ex: Execution):
+    """Merges whose two branches are single events applied directly to the
+    LCA version.  Only there does replaying both events from the LCA state
+    reproduce exactly what each event observed; an event forked elsewhere may
+    have seen a different past, so the sequential comparison would be unfair.
+    """
+    g = ex.graph
+    for m in g.merge_nodes():
+        _, left, right, lca = g.nodes[m]
+        if g.kind(left) != "apply" or g.kind(right) != "apply":
+            continue
+        if g.nodes[left][1] != lca or g.nodes[right][1] != lca:
+            continue
+        ea, eb = g.nodes[left][2], g.nodes[right][2]
+        if conflicting(spec.rc, ea.op, eb.op):
+            yield m, lca, ea, eb
+
+
+def eval_rc_policy(spec: RdtSpec, ex: Execution) -> Violation | None:
+    for m, lca, ea, eb in _conflict_diamonds(spec, ex):
+        first, second = (ea, eb) if rc_order(spec.rc, ea.op, eb.op) is RcOrder.FIRST else (eb, ea)
+        expected = spec.apply(spec.apply(ex.states[lca], first), second)
+        if ex.states[m] != expected:
+            return _viol(spec, PropertyId.RC_POLICY, ex, ex.states[m], expected,
+                         f"conflict at v{m} not resolved as "
+                         f"{first.op.label()} then {second.op.label()}", node=m)
+    return None
+
+
+def rc_policy_instances(spec: RdtSpec, ex: Execution) -> int:
+    """Count of one-conflict diamonds the rc-policy check applies to."""
+    return sum(1 for _ in _conflict_diamonds(spec, ex))
+
+
+def eval_linearization_exists(spec: RdtSpec, ex: Execution) -> Violation | None:
+    if len(ex.graph.all_events()) > ORACLE_EVENT_CAP:
+        return None  # out of oracle scope; covered only by smaller histories
+    result = linearization_oracle(spec, ex.graph)
+    if result.witness is None:
+        final = ex.sink_state()
+        return Violation(
+            PropertyId.LINEARIZATION_EXISTS, ex.graph.recipe, final, None,
+            spec.format_state(final),
+            f"no admissible order (tried {result.orders_tried})",
+            "no admissible order of the events replays to the final state",
+            node=ex.graph.sink, linearizations_tried=result.orders_tried)
+    return None
+
+
+def eval_lattice_comm(spec: RdtSpec, ex: Execution) -> Violation | None:
+    g = ex.graph
+    for m in g.merge_nodes():
+        _, left, right, _ = g.nodes[m]
+        ab = spec.merge2(ex.states[left], ex.states[right])
+        ba = spec.merge2(ex.states[right], ex.states[left])
+        if ab != ba:
+            return _viol(spec, PropertyId.LATTICE_COMM, ex, ab, ba,
+                         f"join at v{m} is not commutative", node=m)
+    return None
+
+
+def eval_lattice_assoc(spec: RdtSpec, ex: Execution) -> Violation | None:
+    g = ex.graph
+    for m in g.merge_nodes():
+        _, left, right, lca = g.nodes[m]
+        a, b = ex.states[left], ex.states[right]
+        for c in (ex.states[lca], spec.initial):
+            nested = spec.merge2(a, spec.merge2(b, c))
+            flat = spec.merge2(spec.merge2(a, b), c)
+            if nested != flat:
+                return _viol(spec, PropertyId.LATTICE_ASSOC, ex, nested, flat,
+                             f"join at v{m} is not associative", node=m)
+    return None
+
+
+def eval_lattice_idem(spec: RdtSpec, ex: Execution) -> Violation | None:
+    for n, s in enumerate(ex.states):
+        joined = spec.merge2(s, s)
+        if joined != s:
+            return _viol(spec, PropertyId.LATTICE_IDEM, ex, joined, s,
+                         f"join of v{n} with itself diverges", node=n)
+    return None
+
+
+EVALUATORS: dict[PropertyId, Callable[[RdtSpec, Execution], Violation | None]] = {
+    PropertyId.MERGE_IDEM: eval_merge_idem,
+    PropertyId.MERGE_COMM: eval_merge_comm,
+    PropertyId.MERGE_WITH_LCA: eval_merge_with_lca,
+    PropertyId.BOTTOM_UP_STEP: eval_bottom_up_step,
+    PropertyId.RC_POLICY: eval_rc_policy,
+    PropertyId.LINEARIZATION_EXISTS: eval_linearization_exists,
+    PropertyId.LATTICE_COMM: eval_lattice_comm,
+    PropertyId.LATTICE_ASSOC: eval_lattice_assoc,
+    PropertyId.LATTICE_IDEM: eval_lattice_idem,
+}
+
+
+def rc_is_vacuous(spec: RdtSpec, literals: tuple[int, ...]) -> bool:
+    pool = payload_pool(spec, literals)
+    return not any(conflicting(spec.rc, p1, p2) for p1 in pool for p2 in pool)
+
+
+# ---------------------------------------------------------------------------
+# Suite runner.
+
+
+def _stream_seed(seed: int, rdt_id: str, prop: PropertyId, index: int) -> int:
+    digest = hashlib.sha256(f"{seed}:{rdt_id}:{prop.value}:{index}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _as_entry(target: CatalogEntry | RdtSpec) -> CatalogEntry:
+    if isinstance(target, CatalogEntry):
+        return target
+    return CatalogEntry(target.name, "crdt" if is_crdt(target) else "mrdt",
+                        target, False, "ad-hoc")
+
+
+def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
+              properties: tuple[PropertyId, ...] | None = None) -> SuiteReport:
+    """Check every applicable property; deterministic for a given config."""
+    cfg.validate()
+    entry = _as_entry(target)
+    spec = entry.spec
+    props = tuple(properties) if properties else properties_for(spec)
+    pool = payload_pool(spec, cfg.literal_pool)
+    vacuous_rc = rc_is_vacuous(spec, cfg.literal_pool)
+
+    tests = {p: 0 for p in props}
+    found: dict[PropertyId, Violation | None] = {p: None for p in props}
+
+    def live_props():
+        return [p for p in props if found[p] is None
+                and not (p is PropertyId.RC_POLICY and vacuous_rc)]
+
+    def consider(ex: Execution, only: PropertyId | None = None) -> None:
+        for p in (live_props() if only is None else [only]):
+            v = EVALUATORS[p](spec, ex)
+            tests[p] += 1
+            if v is not None:
+                found[p] = v
+
+    for recipe in enumerate_recipes(pool, cfg.exhaustive_below - 1,
+                                    cfg.replica_count, cfg.max_joins):
+        if not live_props():
+            break
+        consider(execute(spec, build(recipe)))
+
+    for p in props:
+        if found[p] is not None or (p is PropertyId.RC_POLICY and vacuous_rc):
+            continue
+        index = 0
+        while tests[p] < cfg.tests_per_property and found[p] is None:
+            rng = random.Random(_stream_seed(cfg.seed, entry.id, p, index))
+            recipe = random_recipe(rng, pool, cfg.max_events, cfg.replica_count,
+                                   max_joins=cfg.max_joins + 1)
+            consider(execute(spec, build(recipe)), only=p)
+            index += 1
+
+    verdicts = []
+    for p in props:
+        if p is PropertyId.RC_POLICY and vacuous_rc:
+            verdicts.append(Verdict(p, "vacuous", 0))
+        elif found[p] is None:
+            verdicts.append(Verdict(p, "pass", tests[p]))
+        else:
+            report = shrink(entry, p, found[p].recipe, cfg)
+            verdicts.append(Verdict(p, "fail", tests[p], report))
+    return SuiteReport(entry.id, cfg.seed, cfg, tuple(verdicts))
+
+
+# Single-property entry points.
+
+def check_merge_idem(target, cfg: CheckConfig) -> Verdict:
+    return run_suite(target, cfg, (PropertyId.MERGE_IDEM,)).verdicts[0]
+
+
+def check_merge_comm(target, cfg: CheckConfig) -> Verdict:
+    return run_suite(target, cfg, (PropertyId.MERGE_COMM,)).verdicts[0]
+
+
+def check_bottom_up_step(target, cfg: CheckConfig) -> Verdict:
+    return run_suite(target, cfg, (PropertyId.BOTTOM_UP_STEP,)).verdicts[0]
+
+
+def check_rc_policy(target, cfg: CheckConfig) -> Verdict:
+    return run_suite(target, cfg, (PropertyId.RC_POLICY,)).verdicts[0]
+
+
+def check_linearization_exists(target, cfg: CheckConfig) -> Verdict:
+    return run_suite(target, cfg, (PropertyId.LINEARIZATION_EXISTS,)).verdicts[0]
+
+
+def check_lattice_laws(target, cfg: CheckConfig) -> tuple[Verdict, ...]:
+    lattice = (PropertyId.LATTICE_COMM, PropertyId.LATTICE_ASSOC, PropertyId.LATTICE_IDEM)
+    return run_suite(target, cfg, lattice).verdicts
+
+
+# ---------------------------------------------------------------------------
+# Shrinking.
+
+
+def _fails(spec: RdtSpec, prop: PropertyId, recipe: Recipe) -> Violation | None:
+    try:
+        ex = execute(spec, build(recipe))
+    except Exception:
+        return None  # a reduction that breaks the recipe is not a failure
+    return EVALUATORS[prop](spec, ex)
+
+
+def _reductions(recipe: Recipe):
+    steps = recipe.steps
+    apply_idx = [i for i, s in enumerate(steps) if isinstance(s, ApplyOp)]
+    join_idx = [i for i, s in enumerate(steps) if isinstance(s, JoinOp)]
+    for i in reversed(apply_idx):
+        yield replace(recipe, steps=steps[:i] + steps[i + 1:])
+    for i in reversed(join_idx):
+        yield replace(recipe, steps=steps[:i] + steps[i + 1:])
+    collapsed = tuple(ApplyOp(0, s.payload) for s in steps if isinstance(s, ApplyOp))
+    if collapsed != steps:
+        yield replace(recipe, steps=collapsed)
+    for i in apply_idx:
+        payload = steps[i].payload
+        for smaller in _smaller_payloads(payload):
+            yield replace(recipe, steps=steps[:i] + (ApplyOp(steps[i].replica, smaller),)
+                          + steps[i + 1:])
+
+
+def _smaller_payloads(op: OpPayload):
+    if isinstance(op, (Add, Rem, Insert, Delete)) and op.elem > 1:
+        yield op.__class__(op.elem - 1)
+    elif isinstance(op, Write) and op.value > 1:
+        yield Write(op.value - 1)
+    elif isinstance(op, MapSet):
+        if op.key > 1:
+            yield MapSet(op.key - 1, op.op)
+        for smaller in _smaller_payloads(op.op):
+            yield MapSet(op.key, smaller)
+
+
+def shrink(target: CatalogEntry | RdtSpec, prop: PropertyId, recipe: Recipe,
+           cfg: CheckConfig) -> CounterexampleReport:
+    """Greedy reduction: fewer events first, then fewer joins, then smaller
+    literals; each candidate is re-executed and must still fail the same
+    property.  Stops at a local minimum or when the budget runs out."""
+    entry = _as_entry(target)
+    spec = entry.spec
+    first = _fails(spec, prop, recipe)
+    if first is None:
+        raise ValueError("shrink called on a recipe that does not fail the property")
+    original = execute(spec, build(recipe))
+    current, current_viol = recipe, first
+    budget = cfg.shrink_budget
+    steps_taken = 0
+    minimal = False
+    improved = True
+    while improved:
+        improved = False
+        for candidate in _reductions(current):
+            if budget <= 0:
+                break
+            budget -= 1
+            v = _fails(spec, prop, candidate)
+            if v is not None:
+                current, current_viol = candidate, v
+                steps_taken += 1
+                improved = True
+                break
+        else:
+            minimal = True
+    shrunk = execute(spec, build(current))
+    assert EVALUATORS[prop](spec, shrunk) is not None, "shrunk counterexample must re-fail"
+    return CounterexampleReport(
+        property=prop,
+        rdt_id=entry.id,
+        original=original,
+        shrunk=shrunk,
+        lhs=current_viol.lhs,
+        rhs=current_viol.rhs,
+        lhs_str=current_viol.lhs_str,
+        rhs_str=current_viol.rhs_str,
+        linearizations_tried=current_viol.linearizations_tried,
+        seed=cfg.seed,
+        shrink_steps=steps_taken,
+        minimal=minimal,
+        violation=current_viol,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive linearizability sweep (the CLI oracle command and soundness
+# acceptance check drive this directly).
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    histories: int
+    witnesses: int
+    failure: Execution | None  # first history with no admissible order
+
+    def passed(self) -> bool:
+        return self.failure is None
+
+
+def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
+                 literals: tuple[int, ...] = (1, 2, 3), replicas: int = 2,
+                 max_joins: int = 1) -> SweepResult:
+    if max_events > ORACLE_EVENT_CAP:
+        raise OracleScopeError(
+            f"max_events {max_events} exceeds the oracle cap of {ORACLE_EVENT_CAP}")
+    entry = _as_entry(target)
+    pool = payload_pool(entry.spec, literals)
+    histories = witnesses = 0
+    for recipe in enumerate_recipes(pool, max_events, replicas, max_joins):
+        graph = build(recipe)
+        histories += 1
+        if linearization_oracle(entry.spec, graph).witness is not None:
+            witnesses += 1
+        else:
+            return SweepResult(histories, witnesses, execute(entry.spec, graph))
+    return SweepResult(histories, witnesses, None)
+
+
+__all__ = [
+    "PropertyId", "MRDT_PROPERTIES", "CRDT_PROPERTIES", "properties_for",
+    "CheckConfig", "Violation", "CounterexampleReport", "Verdict", "SuiteReport",
+    "OracleScopeError", "OracleResult", "linearization_oracle",
+    "BottomUpInstance", "bottom_up_instances", "rc_policy_instances",
+    "run_suite", "shrink", "check_merge_idem", "check_merge_comm",
+    "check_bottom_up_step", "check_rc_policy", "check_linearization_exists",
+    "check_lattice_laws", "EVALUATORS", "ORACLE_EVENT_CAP",
+    "SweepResult", "oracle_sweep",
+]

@@ -1,0 +1,650 @@
+"""Rendering of executions, suite reports, and counterexamples.
+
+All renderers are pure string builders over a ``RenderModel`` that already
+contains every display string (node states come from the execution's trace,
+never recomputed here), so identical models give byte-identical text, DOT,
+HTML, and JSON.  The JSON format is versioned as ``salcheck/1`` and round-trips
+losslessly through :func:`parse_report`.
+"""
+
+from __future__ import annotations
+
+import html as _html
+import json
+from dataclasses import dataclass
+
+from .checker import CheckConfig, CounterexampleReport, PropertyId, SuiteReport
+from .history import ApplyOp, Execution, JoinOp, Recipe
+from .model import (
+    Add, Dec, Delete, Disable, Enable, Event, Inc, Insert, MapSet, OpPayload,
+    Rem, Write, event_label,
+)
+
+
+class ReportFormatError(ValueError):
+    """A report document does not match the salcheck/1 schema."""
+
+
+SCHEMA = "salcheck/1"
+EDGE_KINDS = ("apply", "merge-left", "merge-right", "lca")
+
+
+# ---------------------------------------------------------------------------
+# Render model.
+
+
+@dataclass(frozen=True)
+class RenderNode:
+    label: str
+    state: str
+
+
+@dataclass(frozen=True)
+class RenderEdge:
+    src: str
+    dst: str
+    kind: str  # one of EDGE_KINDS
+    op: str | None = None
+
+
+@dataclass(frozen=True)
+class RenderStep:
+    pre: str | None
+    op: str | None
+    post: str
+
+    def text(self) -> str:
+        if self.pre is None:
+            return self.post
+        if self.op is None:
+            return f"{self.pre} --> {self.post}"
+        return f"{self.pre} --{self.op}--> {self.post}"
+
+
+@dataclass(frozen=True)
+class Panel:
+    title: str
+    steps: tuple[RenderStep, ...]
+    final: str
+
+
+@dataclass(frozen=True)
+class RenderModel:
+    title: str
+    nodes: tuple[RenderNode, ...]
+    edges: tuple[RenderEdge, ...]
+    lca_panel: Panel | None
+    panels: tuple[Panel, ...]
+    mismatch: bool
+
+
+# ---------------------------------------------------------------------------
+# Builders from live objects.
+
+
+def _tag(graph, states, spec, n: int) -> str:
+    return f"v{n} [{spec.format_state(states[n])}]"
+
+
+def trace_steps(ex: Execution) -> tuple[RenderStep, ...]:
+    g, spec = ex.graph, ex.spec
+    steps: list[RenderStep] = []
+    if len(g.nodes) == 1:
+        return (RenderStep(None, None, _tag(g, ex.states, spec, 0)),)
+    for n, info in enumerate(g.nodes):
+        if info[0] == "apply":
+            _, parent, ev = info
+            steps.append(RenderStep(_tag(g, ex.states, spec, parent),
+                                    event_label(ev),
+                                    _tag(g, ex.states, spec, n)))
+        elif info[0] == "merge":
+            _, left, right, lca = info
+            steps.append(RenderStep(f"merge(v{left}, v{right} | lca=v{lca})",
+                                    None, _tag(g, ex.states, spec, n)))
+    return tuple(steps)
+
+
+def trace_panel(ex: Execution, title: str = "Trace") -> Panel:
+    spec = ex.spec
+    return Panel(title, trace_steps(ex), spec.format_state(ex.sink_state()))
+
+
+def graph_render_parts(ex: Execution) -> tuple[tuple[RenderNode, ...], tuple[RenderEdge, ...]]:
+    g, spec = ex.graph, ex.spec
+    nodes = tuple(RenderNode(f"v{n}", spec.format_state(ex.states[n]))
+                  for n in range(len(g.nodes)))
+    edges: list[RenderEdge] = []
+    for n, info in enumerate(g.nodes):
+        if info[0] == "apply":
+            _, parent, ev = info
+            edges.append(RenderEdge(f"v{parent}", f"v{n}", "apply", event_label(ev)))
+        elif info[0] == "merge":
+            _, left, right, lca = info
+            edges.append(RenderEdge(f"v{left}", f"v{n}", "merge-left"))
+            edges.append(RenderEdge(f"v{right}", f"v{n}", "merge-right"))
+            edges.append(RenderEdge(f"v{lca}", f"v{n}", "lca"))
+    return nodes, tuple(edges)
+
+
+def model_from_execution(ex: Execution, title: str | None = None) -> RenderModel:
+    nodes, edges = graph_render_parts(ex)
+    name = title if title is not None else f"{ex.spec.name}: execution trace"
+    return RenderModel(name, nodes, edges, None, (trace_panel(ex),), False)
+
+
+def _equation_panels(cr: CounterexampleReport) -> tuple[Panel, Panel]:
+    v = cr.violation
+    g = cr.shrunk.graph
+    if cr.property is PropertyId.BOTTOM_UP_STEP and v.node is not None and v.event is not None:
+        _, left, right, lca = g.nodes[v.node]
+        if g.kind(left) == "apply" and g.event_at(left) == v.event:
+            a_node, b_node = left, right
+        else:
+            a_node, b_node = right, left
+        a_prime = g.nodes[a_node][1]
+        lhs = Panel("LHS", (RenderStep(f"merge(v{a_node}, v{b_node} | lca=v{lca})",
+                                       None, f"v{v.node} [{cr.lhs_str}]"),), cr.lhs_str)
+        rhs = Panel("RHS", (RenderStep(f"merge(v{a_prime}, v{b_node} | lca=v{lca})",
+                                       event_label(v.event), f"[{cr.rhs_str}]"),), cr.rhs_str)
+        return lhs, rhs
+    where = f" at v{v.node}" if v.node is not None else ""
+    lhs = Panel("LHS", (RenderStep(None, None, f"computed{where}: [{cr.lhs_str}]"),), cr.lhs_str)
+    rhs = Panel("RHS", (RenderStep(None, None, f"expected{where}: [{cr.rhs_str}]"),), cr.rhs_str)
+    return lhs, rhs
+
+
+def model_from_counterexample(cr: CounterexampleReport) -> RenderModel:
+    ex = cr.shrunk
+    nodes, edges = graph_render_parts(ex)
+    events = ex.graph.recipe.event_count()
+    title = (f"{cr.rdt_id}: {cr.property.value} violation "
+             f"(shrunk to {events} events in {cr.shrink_steps} steps)")
+    history = trace_panel(ex, "History")
+    if cr.property is PropertyId.LINEARIZATION_EXISTS:
+        note = RenderStep(None, None,
+                          f"!! no admissible order replays to [{cr.lhs_str}] "
+                          f"(tried {cr.linearizations_tried})")
+        panel = Panel("Trace", history.steps + (note,), history.final)
+        return RenderModel(title, nodes, edges, None, (panel,), True)
+    lhs, rhs = _equation_panels(cr)
+    return RenderModel(title, nodes, edges, history, (lhs, rhs), True)
+
+
+def model_from_suite(sr: SuiteReport) -> RenderModel:
+    failing = sr.first_failure()
+    if failing is not None and failing.counterexample is not None:
+        return model_from_counterexample(failing.counterexample)
+    steps = tuple(RenderStep(None, None, f"{v.property.value}: {v.status} ({v.tests} tests)")
+                  for v in sr.verdicts)
+    status = "suite passed" if failing is None else f"{failing.property.value} failed"
+    panel = Panel("Verdicts", steps, status)
+    return RenderModel(f"{sr.rdt_id}: {status} (seed {sr.seed})",
+                       (), (), None, (panel,), False)
+
+
+# ---------------------------------------------------------------------------
+# Text renderer.
+
+
+def render_text(model: RenderModel) -> str:
+    out = [model.title, "=" * len(model.title)]
+    sections = ([] if model.lca_panel is None else [model.lca_panel]) + list(model.panels)
+    for panel in sections:
+        out.append("")
+        out.append(f"{panel.title}:")
+        for step in panel.steps:
+            out.append(f"  {step.text()}")
+    if model.mismatch and len(model.panels) == 2:
+        a, b = model.panels
+        out.append("")
+        out.append(f"mismatch: {a.final} != {b.final}")
+    return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# DOT renderer.
+
+
+def _dot_quote(s: str) -> str:
+    # Display strings never contain backslashes, so only quotes need escaping;
+    # literal \n sequences pass through as DOT line breaks.
+    return '"' + s.replace('"', "'") + '"'
+
+
+def render_dot(model: RenderModel) -> str:
+    lines = [
+        "digraph salcheck {",
+        "  rankdir=TB;",
+        "  node [shape=box, style=filled, fillcolor=lightblue, fontname=\"monospace\"];",
+    ]
+    for node in model.nodes:
+        label = _dot_quote(node.label + "\\n" + node.state)
+        lines.append(f"  {_dot_quote(node.label)} [label={label}];")
+    if model.nodes:
+        lines.append(f"  {{ rank=min; {_dot_quote(model.nodes[0].label)}; }}")
+    for i, edge in enumerate(model.edges):
+        if edge.kind == "apply":
+            op_id = f"op{i}"
+            lines.append(f"  {_dot_quote(op_id)} [shape=box, fillcolor=yellow, "
+                         f"label={_dot_quote(edge.op or '')}];")
+            lines.append(f"  {_dot_quote(edge.src)} -> {_dot_quote(op_id)} [arrowhead=none];")
+            lines.append(f"  {_dot_quote(op_id)} -> {_dot_quote(edge.dst)};")
+        elif edge.kind == "lca":
+            lines.append(f"  {_dot_quote(edge.src)} -> {_dot_quote(edge.dst)} "
+                         f"[style=dashed, label=\"lca\"];")
+        else:
+            side = "L" if edge.kind == "merge-left" else "R"
+            lines.append(f"  {_dot_quote(edge.src)} -> {_dot_quote(edge.dst)} "
+                         f"[label=\"{side}\"];")
+    if len(model.panels) == 2:
+        for ci, panel in enumerate(model.panels):
+            color = "mistyrose" if model.mismatch else "lightgrey"
+            body = "\\n".join(step.text().replace('"', "'") for step in panel.steps)
+            lines.append(f"  subgraph cluster_{ci} {{")
+            lines.append(f"    label={_dot_quote(panel.title)};")
+            lines.append(f"    {_dot_quote(panel.title + '_body')} "
+                         f"[fillcolor={color}, label={_dot_quote(body)}];")
+            lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# HTML renderer.
+
+
+_CSS = """
+body { font-family: monospace; background: #fafafa; margin: 1.5em; }
+h1 { font-size: 1.2em; }
+.trace { margin: 0.8em 0; }
+.step { margin: 0.25em 0; }
+.state { background: #cfe5ff; border: 1px solid #5b8bbf; padding: 2px 6px;
+         border-radius: 3px; display: inline-block; }
+.op { background: #fff3b0; border: 1px solid #c2a83a; padding: 2px 6px;
+      border-radius: 3px; display: inline-block; margin: 0 0.4em; }
+.arrow { color: #555; margin: 0 0.3em; }
+.panels { display: flex; gap: 1.5em; align-items: flex-start; }
+.panel { border: 1px solid #bbb; background: #fff; padding: 0.8em 1em; }
+.panel h2 { font-size: 1em; margin: 0 0 0.6em 0; }
+.final { margin-top: 0.6em; font-weight: bold; }
+.bad { background: #ffd3d6; border: 1px solid #c04a52; padding: 2px 6px;
+       border-radius: 3px; display: inline-block; }
+.note { color: #a33; margin-top: 0.6em; }
+""".strip()
+
+
+def _esc(s: str) -> str:
+    return _html.escape(s, quote=True)
+
+
+def _html_step(step: RenderStep, bad_final: bool = False) -> str:
+    post_cls = "bad" if bad_final else "state"
+    if step.pre is None:
+        return f'<div class="step"><span class="{post_cls}">{_esc(step.post)}</span></div>'
+    parts = [f'<span class="state">{_esc(step.pre)}</span>']
+    if step.op is not None:
+        parts.append(f'<span class="op">{_esc(step.op)}</span>')
+    parts.append('<span class="arrow">&rarr;</span>')
+    parts.append(f'<span class="{post_cls}">{_esc(step.post)}</span>')
+    return f'<div class="step">{"".join(parts)}</div>'
+
+
+def render_html(model: RenderModel) -> str:
+    out = [
+        "<!DOCTYPE html>",
+        '<html><head><meta charset="utf-8">',
+        f"<title>{_esc(model.title)}</title>",
+        f"<style>{_CSS}</style>",
+        "</head><body>",
+        f"<h1>{_esc(model.title)}</h1>",
+    ]
+    if model.lca_panel is not None:
+        out.append(f"<h2>{_esc(model.lca_panel.title)}</h2>")
+        out.append('<div class="trace">')
+        out.extend(_html_step(s) for s in model.lca_panel.steps)
+        out.append("</div>")
+    out.append('<div class="panels">')
+    for panel in model.panels:
+        out.append('<div class="panel">')
+        out.append(f"<h2>{_esc(panel.title)}</h2>")
+        last = len(panel.steps) - 1
+        for i, step in enumerate(panel.steps):
+            out.append(_html_step(step, bad_final=model.mismatch and i == last))
+        cls = "bad" if model.mismatch else "state"
+        out.append(f'<div class="final">final: <span class="{cls}">'
+                   f"{_esc(panel.final)}</span></div>")
+        out.append("</div>")
+    out.append("</div>")
+    if model.mismatch and len(model.panels) == 2:
+        a, b = model.panels
+        out.append(f'<div class="note">mismatch: {_esc(a.final)} &ne; {_esc(b.final)}</div>')
+    out.append("</body></html>")
+    return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON: payload/event/recipe/config serialization.
+
+
+_PAYLOAD_KINDS: dict[str, type] = {
+    "inc": Inc, "dec": Dec, "enable": Enable, "disable": Disable,
+    "add": Add, "rem": Rem, "insert": Insert, "delete": Delete,
+    "write": Write, "set": MapSet,
+}
+_KIND_OF_TYPE = {t: k for k, t in _PAYLOAD_KINDS.items()}
+
+
+def payload_to_dict(op: OpPayload) -> dict:
+    kind = _KIND_OF_TYPE[type(op)]
+    if isinstance(op, (Add, Rem, Insert, Delete)):
+        return {"kind": kind, "elem": op.elem}
+    if isinstance(op, Write):
+        return {"kind": kind, "value": op.value}
+    if isinstance(op, MapSet):
+        return {"kind": kind, "key": op.key, "op": payload_to_dict(op.op)}
+    return {"kind": kind}
+
+
+def payload_from_dict(d: dict, path: str = "op") -> OpPayload:
+    kind = _require(d, "kind", str, path)
+    cls = _PAYLOAD_KINDS.get(kind)
+    if cls is None:
+        raise ReportFormatError(f"{path}.kind: unknown payload kind {kind!r}")
+    if cls in (Add, Rem, Insert, Delete):
+        return cls(_require(d, "elem", int, path))
+    if cls is Write:
+        return Write(_require(d, "value", int, path))
+    if cls is MapSet:
+        return MapSet(_require(d, "key", int, path),
+                      payload_from_dict(_require(d, "op", dict, path), f"{path}.op"))
+    return cls()
+
+
+def event_to_dict(ev: Event) -> dict:
+    return {"ts": ev.ts, "replica": ev.replica, "op": payload_to_dict(ev.op)}
+
+
+def event_from_dict(d: dict, path: str = "event") -> Event:
+    return Event(_require(d, "ts", int, path), _require(d, "replica", int, path),
+                 payload_from_dict(_require(d, "op", dict, path), f"{path}.op"))
+
+
+def recipe_to_dict(recipe: Recipe) -> dict:
+    steps = []
+    for s in recipe.steps:
+        if isinstance(s, ApplyOp):
+            steps.append({"type": "apply", "replica": s.replica,
+                          "op": payload_to_dict(s.payload)})
+        else:
+            steps.append({"type": "join", "target": s.target, "source": s.source})
+    return {"replicas": recipe.replicas, "steps": steps}
+
+
+def recipe_from_dict(d: dict, path: str = "recipe") -> Recipe:
+    replicas = _require(d, "replicas", int, path)
+    raw = _require(d, "steps", list, path)
+    steps: list = []
+    for i, sd in enumerate(raw):
+        spath = f"{path}.steps[{i}]"
+        if not isinstance(sd, dict):
+            raise ReportFormatError(f"{spath}: expected object")
+        stype = _require(sd, "type", str, spath)
+        if stype == "apply":
+            steps.append(ApplyOp(_require(sd, "replica", int, spath),
+                                 payload_from_dict(_require(sd, "op", dict, spath),
+                                                   f"{spath}.op")))
+        elif stype == "join":
+            steps.append(JoinOp(_require(sd, "target", int, spath),
+                                _require(sd, "source", int, spath)))
+        else:
+            raise ReportFormatError(f"{spath}.type: unknown step type {stype!r}")
+    return Recipe(tuple(steps), replicas)
+
+
+def config_to_dict(cfg: CheckConfig) -> dict:
+    return {
+        "tests_per_property": cfg.tests_per_property,
+        "seed": cfg.seed,
+        "max_events": cfg.max_events,
+        "replica_count": cfg.replica_count,
+        "exhaustive_below": cfg.exhaustive_below,
+        "shrink_budget": cfg.shrink_budget,
+        "literal_pool": list(cfg.literal_pool),
+        "max_joins": cfg.max_joins,
+    }
+
+
+def config_from_dict(d: dict, path: str = "config") -> CheckConfig:
+    pool = _require(d, "literal_pool", list, path)
+    for i, lit in enumerate(pool):
+        if not isinstance(lit, int) or isinstance(lit, bool):
+            raise ReportFormatError(f"{path}.literal_pool[{i}]: expected int")
+    ints = {k: _require(d, k, int, path)
+            for k in ("tests_per_property", "seed", "max_events", "replica_count",
+                      "exhaustive_below", "shrink_budget", "max_joins")}
+    return CheckConfig(literal_pool=tuple(pool), **ints)
+
+
+def counterexample_to_dict(cr: CounterexampleReport) -> dict:
+    ex = cr.shrunk
+    node_objs = [{"id": n, "label": f"v{n}", "state": ex.spec.format_state(ex.states[n])}
+                 for n in range(len(ex.graph.nodes))]
+    edge_objs = []
+    for n, info in enumerate(ex.graph.nodes):
+        if info[0] == "apply":
+            _, parent, ev = info
+            edge_objs.append({"from": parent, "to": n, "kind": "apply",
+                              "event": event_to_dict(ev)})
+        elif info[0] == "merge":
+            _, left, right, lca = info
+            edge_objs.append({"from": left, "to": n, "kind": "merge-left"})
+            edge_objs.append({"from": right, "to": n, "kind": "merge-right"})
+            edge_objs.append({"from": lca, "to": n, "kind": "lca"})
+    out = {
+        "recipe": recipe_to_dict(ex.graph.recipe),
+        "nodes": node_objs,
+        "edges": edge_objs,
+        "lhs": cr.lhs_str,
+        "rhs": cr.rhs_str,
+        "shrink_steps": cr.shrink_steps,
+    }
+    if cr.linearizations_tried is not None:
+        out["linearizations_tried"] = cr.linearizations_tried
+    return out
+
+
+def suite_report_to_dict(sr: SuiteReport) -> dict:
+    verdicts = []
+    for v in sr.verdicts:
+        vd = {"property": v.property.value, "status": v.status, "tests": v.tests}
+        if v.counterexample is not None:
+            vd["counterexample"] = counterexample_to_dict(v.counterexample)
+        verdicts.append(vd)
+    failing = sr.first_failure()
+    out = {
+        "schema": SCHEMA,
+        "rdt": sr.rdt_id,
+        "property": failing.property.value if failing else None,
+        "seed": sr.seed,
+        "config": config_to_dict(sr.config),
+        "verdicts": verdicts,
+    }
+    if failing is not None and failing.counterexample is not None:
+        out["counterexample"] = counterexample_to_dict(failing.counterexample)
+    return out
+
+
+def render_json(report: SuiteReport | dict) -> str:
+    if isinstance(report, SuiteReport):
+        doc = suite_report_to_dict(report)
+    else:
+        validate_report(report)
+        doc = report
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# Parsing and validation with field-path errors.
+
+
+def _require(d: dict, key: str, typ, path: str):
+    if not isinstance(d, dict):
+        raise ReportFormatError(f"{path}: expected object")
+    if key not in d:
+        raise ReportFormatError(f"{path}.{key}: missing")
+    val = d[key]
+    if typ is int and isinstance(val, bool):
+        raise ReportFormatError(f"{path}.{key}: expected {typ.__name__}")
+    if not isinstance(val, typ):
+        raise ReportFormatError(f"{path}.{key}: expected {typ.__name__}")
+    return val
+
+
+_PROPERTY_NAMES = {p.value for p in PropertyId}
+_STATUSES = {"pass", "fail", "vacuous"}
+
+
+def _validate_counterexample(d: dict, path: str) -> None:
+    recipe_from_dict(_require(d, "recipe", dict, path), f"{path}.recipe")
+    nodes = _require(d, "nodes", list, path)
+    ids = set()
+    for i, nd in enumerate(nodes):
+        npath = f"{path}.nodes[{i}]"
+        ids.add(_require(nd, "id", int, npath))
+        _require(nd, "label", str, npath)
+        _require(nd, "state", str, npath)
+    edges = _require(d, "edges", list, path)
+    for i, edge in enumerate(edges):
+        epath = f"{path}.edges[{i}]"
+        src = _require(edge, "from", int, epath)
+        dst = _require(edge, "to", int, epath)
+        kind = _require(edge, "kind", str, epath)
+        if kind not in EDGE_KINDS:
+            raise ReportFormatError(f"{epath}.kind: expected one of {EDGE_KINDS}")
+        if src not in ids or dst not in ids:
+            raise ReportFormatError(f"{epath}: endpoint not among node ids")
+        if kind == "apply":
+            event_from_dict(_require(edge, "event", dict, epath), f"{epath}.event")
+        elif "event" in edge:
+            raise ReportFormatError(f"{epath}.event: only apply edges carry events")
+    _require(d, "lhs", str, path)
+    _require(d, "rhs", str, path)
+    _require(d, "shrink_steps", int, path)
+    if "linearizations_tried" in d and not isinstance(d["linearizations_tried"], int):
+        raise ReportFormatError(f"{path}.linearizations_tried: expected int")
+
+
+def validate_report(d) -> None:
+    if not isinstance(d, dict):
+        raise ReportFormatError("$: expected object")
+    schema = _require(d, "schema", str, "$")
+    if schema != SCHEMA:
+        raise ReportFormatError(f"$.schema: expected {SCHEMA!r}, got {schema!r}")
+    _require(d, "rdt", str, "$")
+    prop = d.get("property")
+    if prop is not None and prop not in _PROPERTY_NAMES:
+        raise ReportFormatError(f"$.property: unknown property {prop!r}")
+    seed = _require(d, "seed", int, "$")
+    if seed < 0:
+        raise ReportFormatError("$.seed: must be non-negative")
+    config_from_dict(_require(d, "config", dict, "$"), "$.config")
+    verdicts = _require(d, "verdicts", list, "$")
+    for i, v in enumerate(verdicts):
+        vpath = f"$.verdicts[{i}]"
+        name = _require(v, "property", str, vpath)
+        if name not in _PROPERTY_NAMES:
+            raise ReportFormatError(f"{vpath}.property: unknown property {name!r}")
+        status = _require(v, "status", str, vpath)
+        if status not in _STATUSES:
+            raise ReportFormatError(f"{vpath}.status: expected one of {sorted(_STATUSES)}")
+        _require(v, "tests", int, vpath)
+        if "counterexample" in v:
+            _validate_counterexample(_require(v, "counterexample", dict, vpath),
+                                     f"{vpath}.counterexample")
+    if "counterexample" in d:
+        _validate_counterexample(_require(d, "counterexample", dict, "$"),
+                                 "$.counterexample")
+
+
+def parse_report(text: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ReportFormatError(f"$: not valid JSON ({exc.msg} at line {exc.lineno})")
+    validate_report(doc)
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# Building a render model back out of a parsed report document.
+
+
+def model_from_report_dict(d: dict) -> RenderModel:
+    validate_report(d)
+    cx = d.get("counterexample")
+    prop = d.get("property")
+    if cx is None:
+        steps = tuple(RenderStep(None, None,
+                                 f"{v['property']}: {v['status']} ({v['tests']} tests)")
+                      for v in d["verdicts"])
+        status = "suite passed" if prop is None else f"{prop} failed"
+        return RenderModel(f"{d['rdt']}: {status} (seed {d['seed']})",
+                           (), (), None, (Panel("Verdicts", steps, status),), False)
+    by_id = {nd["id"]: nd for nd in cx["nodes"]}
+    nodes = tuple(RenderNode(nd["label"], nd["state"])
+                  for nd in sorted(cx["nodes"], key=lambda nd: nd["id"]))
+    edges = []
+    steps: list[tuple[int, RenderStep]] = []
+    merge_parts: dict[int, dict[str, int]] = {}
+    for edge in cx["edges"]:
+        src, dst = by_id[edge["from"]], by_id[edge["to"]]
+        if edge["kind"] == "apply":
+            label = event_label(event_from_dict(edge["event"], "event"))
+            edges.append(RenderEdge(src["label"], dst["label"], "apply", label))
+            steps.append((edge["to"], RenderStep(f"{src['label']} [{src['state']}]",
+                                                 label,
+                                                 f"{dst['label']} [{dst['state']}]")))
+        else:
+            edges.append(RenderEdge(src["label"], dst["label"], edge["kind"]))
+            merge_parts.setdefault(edge["to"], {})[edge["kind"]] = edge["from"]
+    for to, parts in merge_parts.items():
+        if {"merge-left", "merge-right", "lca"} <= set(parts):
+            dst = by_id[to]
+            steps.append((to, RenderStep(
+                f"merge({by_id[parts['merge-left']]['label']}, "
+                f"{by_id[parts['merge-right']]['label']} | "
+                f"lca={by_id[parts['lca']]['label']})",
+                None, f"{dst['label']} [{dst['state']}]")))
+    steps.sort(key=lambda pair: pair[0])
+    ordered = tuple(s for _, s in steps)
+    froms = {e["from"] for e in cx["edges"]}
+    sinks = [i for i in by_id if i not in froms]
+    sink_state = by_id[max(sinks)]["state"] if sinks else ""
+    history = Panel("History", ordered if ordered else
+                    ((RenderStep(None, None, f"{nodes[0].label} [{nodes[0].state}]"),)
+                     if nodes else ()), sink_state)
+    title = f"{d['rdt']}: {prop} violation (replayed from report)"
+    if prop == PropertyId.LINEARIZATION_EXISTS.value:
+        tried = cx.get("linearizations_tried")
+        note = RenderStep(None, None,
+                          f"!! no admissible order replays to [{cx['lhs']}]"
+                          + (f" (tried {tried})" if tried is not None else ""))
+        panel = Panel("Trace", history.steps + (note,), history.final)
+        return RenderModel(title, nodes, tuple(edges), None, (panel,), True)
+    lhs = Panel("LHS", (RenderStep(None, None, f"[{cx['lhs']}]"),), cx["lhs"])
+    rhs = Panel("RHS", (RenderStep(None, None, f"[{cx['rhs']}]"),), cx["rhs"])
+    return RenderModel(title, nodes, tuple(edges), history, (lhs, rhs), True)
+
+
+__all__ = [
+    "ReportFormatError", "SCHEMA", "EDGE_KINDS",
+    "RenderNode", "RenderEdge", "RenderStep", "Panel", "RenderModel",
+    "trace_steps", "trace_panel", "graph_render_parts",
+    "model_from_execution", "model_from_counterexample", "model_from_suite",
+    "model_from_report_dict",
+    "render_text", "render_dot", "render_html", "render_json",
+    "payload_to_dict", "payload_from_dict", "event_to_dict", "event_from_dict",
+    "recipe_to_dict", "recipe_from_dict", "config_to_dict", "config_from_dict",
+    "counterexample_to_dict", "suite_report_to_dict",
+    "parse_report", "validate_report",
+]

@@ -1,0 +1,130 @@
+"""Set and map values with decidable extensional equality.
+
+A ``TrackedSet`` pairs a membership set with a universe of every element that
+was ever inserted or removed.  The universe only grows; removing an element
+keeps it in the universe.  Equality and hashing ignore the universe: two sets
+are equal exactly when membership agrees on the union of their universes,
+which for finite membership sets reduces to equality of the member sets.
+
+An ``ExtensionalMap`` is a total mapping with a declared default and an
+explicit domain (a ``TrackedSet`` of keys).  Maps are equal when their domains
+are extensionally equal and the mappings agree on every key in the domain.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Iterator
+
+
+def _as_frozen(items: Iterable) -> frozenset:
+    return items if isinstance(items, frozenset) else frozenset(items)
+
+
+@dataclass(frozen=True)
+class TrackedSet:
+    members: frozenset = frozenset()
+    universe: frozenset = field(default=frozenset(), compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", _as_frozen(self.members))
+        object.__setattr__(self, "universe", _as_frozen(self.universe) | self.members)
+
+    @staticmethod
+    def empty() -> "TrackedSet":
+        return _EMPTY_SET
+
+    def member(self, x) -> bool:
+        return x in self.members
+
+    def __contains__(self, x) -> bool:
+        return x in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.members)
+
+    def insert(self, x) -> "TrackedSet":
+        return TrackedSet(self.members | {x}, self.universe | {x})
+
+    def remove(self, x) -> "TrackedSet":
+        # A removed element stays in the universe: it has been touched.
+        return TrackedSet(self.members - {x}, self.universe | {x})
+
+    def union(self, other: "TrackedSet") -> "TrackedSet":
+        return TrackedSet(self.members | other.members, self.universe | other.universe)
+
+    def intersect(self, other: "TrackedSet") -> "TrackedSet":
+        return TrackedSet(self.members & other.members, self.universe | other.universe)
+
+    def diff(self, other: "TrackedSet") -> "TrackedSet":
+        return TrackedSet(self.members - other.members, self.universe | other.universe)
+
+    def filter(self, keep) -> "TrackedSet":
+        """Drop members rejected by ``keep``; dropped members stay in the universe."""
+        return TrackedSet(frozenset(x for x in self.members if keep(x)), self.universe)
+
+    def elements(self) -> list:
+        """Members in display order (ascending natural order)."""
+        return sorted(self.members)
+
+    def show(self) -> str:
+        return show_set(self)
+
+
+_EMPTY_SET = TrackedSet()
+
+
+def element_str(x) -> str:
+    """Display form of a set element; tuples render as ``(a, b)``."""
+    if isinstance(x, tuple):
+        return "(" + ", ".join(element_str(v) for v in x) + ")"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x)
+
+
+def show_set(s: TrackedSet) -> str:
+    """Bit-exact display form: ``#[`` + comma-separated elements + ``]#``."""
+    return "#[" + ", ".join(element_str(x) for x in s.elements()) + "]#"
+
+
+@dataclass(frozen=True)
+class ExtensionalMap:
+    default: Any = field(compare=False, default=0)
+    entries: tuple = ()  # sorted (key, value) pairs over the domain members
+
+    def __post_init__(self):
+        if not isinstance(self.entries, tuple):
+            object.__setattr__(self, "entries", tuple(sorted(dict(self.entries).items())))
+
+    @staticmethod
+    def empty(default) -> "ExtensionalMap":
+        return ExtensionalMap(default, ())
+
+    def get(self, k):
+        for key, value in self.entries:
+            if key == k:
+                return value
+        return self.default
+
+    def set(self, k, v) -> "ExtensionalMap":
+        kept = tuple((key, value) for key, value in self.entries if key != k)
+        if v == self.default:  # a map is exactly its non-default entries
+            return ExtensionalMap(self.default, kept)
+        return ExtensionalMap(self.default, tuple(sorted(kept + ((k, v),))))
+
+    def domain(self) -> TrackedSet:
+        return TrackedSet(frozenset(k for k, _ in self.entries))
+
+    def keys(self) -> list:
+        return [k for k, _ in self.entries]
+
+    def items(self) -> tuple:
+        return self.entries
+
+    def show(self, value_str=element_str) -> str:
+        body = ", ".join(f"{element_str(k)}: {value_str(v)}" for k, v in self.entries)
+        return "{" + body + "}"
