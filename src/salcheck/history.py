@@ -11,6 +11,13 @@ The version graph this produces is series-parallel by construction: with two
 replicas every merge has a unique lowest common ancestor, recorded on the
 merge edge at build time.  Timestamps are assigned globally in step order,
 which makes them consistent with happens-before.
+
+``build`` also indexes the graph's events once.  ``VersionGraph.events`` lists
+them in timestamp order, and the event with timestamp ``t`` sits at index
+``t - 1``.  Every node carries an int bitmask of its history: bit ``i`` is set
+when ``events[i]`` is the node's own event or an ancestor's.  Happens-before,
+``node_of`` and ``events_of`` are lookups in this index, and the
+linearization oracle and the peel check work on the masks directly.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ from .model import (
 
 class RecipeError(ValueError):
     """Raised for malformed recipes (bad replica ids, ambiguous merges)."""
+
+
+class NoUniqueLcaError(RecipeError):
+    """A merge whose two heads have several maximal common ancestors."""
 
 
 @dataclass(frozen=True)
@@ -56,12 +67,22 @@ class Recipe:
 NodeInfo = tuple
 
 
+def iter_bits(mask: int):
+    """Yield the indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class VersionGraph:
     recipe: Recipe
     nodes: tuple[NodeInfo, ...]
-    ancestors: tuple[frozenset[int], ...]  # per node, reflexive
     sink: int
+    events: tuple[Event, ...]  # timestamp order: the event with ts t is events[t - 1]
+    event_nodes: tuple[int, ...]  # per event index, the apply node holding it
+    event_masks: tuple[int, ...]  # per node, bit i set when events[i] is in its history
 
     def kind(self, n: int) -> str:
         return self.nodes[n][0]
@@ -74,69 +95,77 @@ class VersionGraph:
         return info[2] if info[0] == "apply" else None
 
     def all_events(self) -> tuple[Event, ...]:
-        return tuple(info[2] for info in self.nodes if info[0] == "apply")
+        return self.events
+
+    def _index_of(self, ev: Event) -> int:
+        """Index of ``ev`` in ``events``; ``KeyError`` if the graph does not hold it."""
+        i = ev.ts - 1
+        if not 0 <= i < len(self.events) or self.events[i] != ev:
+            raise KeyError(ev)
+        return i
 
     def node_of(self, ev: Event) -> int:
-        for n, info in enumerate(self.nodes):
-            if info[0] == "apply" and info[2] == ev:
-                return n
-        raise KeyError(ev)
+        return self.event_nodes[self._index_of(ev)]
 
     def events_of(self, n: int) -> frozenset[Event]:
-        return frozenset(
-            self.nodes[a][2] for a in self.ancestors[n] if self.nodes[a][0] == "apply"
-        )
+        return frozenset(self.events[i] for i in iter_bits(self.event_masks[n]))
 
     def happens_before(self, e1: Event, e2: Event) -> bool:
-        n1, n2 = self.node_of(e1), self.node_of(e2)
-        return n1 != n2 and n1 in self.ancestors[n2]
+        i, j = self._index_of(e1), self._index_of(e2)
+        return i != j and self.event_masks[self.event_nodes[j]] >> i & 1 == 1
 
     def concurrent(self, e1: Event, e2: Event) -> bool:
         return e1 != e2 and not self.happens_before(e1, e2) and not self.happens_before(e2, e1)
 
 
-def _lca_of(ancestors: list[frozenset[int]], left: int, right: int) -> int:
+def _lca_of(ancestors: list[int], left: int, right: int) -> int:
     common = ancestors[left] & ancestors[right]
-    maximal = [c for c in common if not any(c != d and c in ancestors[d] for d in common)]
-    if len(maximal) != 1:
-        raise RecipeError(
+    maximal = common
+    for d in iter_bits(common):
+        maximal &= ~ancestors[d] | 1 << d  # drop d's strict ancestors
+    if maximal.bit_count() != 1:
+        raise NoUniqueLcaError(
             f"merge of nodes {left} and {right} has no unique lowest common ancestor"
         )
-    return maximal[0]
+    return maximal.bit_length() - 1
 
 
-def build(recipe: Recipe, seed: int = 0) -> VersionGraph:
-    """Assign timestamps and lay out the version graph; no states yet.
-
-    The layout is fully determined by the recipe; ``seed`` is accepted for
-    interface stability but never consulted.
-    """
+def build(recipe: Recipe) -> VersionGraph:
+    """Assign timestamps and lay out the version graph; no states yet."""
     if recipe.replicas < 1:
         raise RecipeError("recipe needs at least one replica")
     nodes: list[NodeInfo] = [("root",)]
-    ancestors: list[frozenset[int]] = [frozenset({0})]
+    ancestors: list[int] = [1]  # per node, bit n set when node n is an ancestor (reflexive)
+    events: list[Event] = []
+    event_nodes: list[int] = []
+    event_masks: list[int] = [0]
     heads = [0] * recipe.replicas
-    ts = 0
 
     def fold(x: int, y: int) -> int:
-        if x == y or y in ancestors[x]:
+        if x == y or ancestors[x] >> y & 1:
             return x
-        if x in ancestors[y]:
+        if ancestors[y] >> x & 1:
             return y
         lca = _lca_of(ancestors, x, y)
+        m = len(nodes)
         nodes.append(("merge", x, y, lca))
-        ancestors.append(ancestors[x] | ancestors[y] | {len(nodes) - 1})
-        return len(nodes) - 1
+        ancestors.append(ancestors[x] | ancestors[y] | 1 << m)
+        event_masks.append(event_masks[x] | event_masks[y])
+        return m
 
     for step in recipe.steps:
         if isinstance(step, ApplyOp):
             if not 0 <= step.replica < recipe.replicas:
                 raise RecipeError(f"apply on unknown replica {step.replica}")
-            ts += 1
             parent = heads[step.replica]
-            nodes.append(("apply", parent, Event(ts, step.replica, step.payload)))
-            ancestors.append(ancestors[parent] | {len(nodes) - 1})
-            heads[step.replica] = len(nodes) - 1
+            n, i = len(nodes), len(events)
+            ev = Event(i + 1, step.replica, step.payload)
+            nodes.append(("apply", parent, ev))
+            ancestors.append(ancestors[parent] | 1 << n)
+            events.append(ev)
+            event_nodes.append(n)
+            event_masks.append(event_masks[parent] | 1 << i)
+            heads[step.replica] = n
         elif isinstance(step, JoinOp):
             if step.target == step.source:
                 raise RecipeError("join of a replica with itself")
@@ -149,7 +178,8 @@ def build(recipe: Recipe, seed: int = 0) -> VersionGraph:
     sink = heads[0]
     for r in range(1, recipe.replicas):
         sink = fold(sink, heads[r])
-    return VersionGraph(recipe, tuple(nodes), tuple(ancestors), sink)
+    return VersionGraph(recipe, tuple(nodes), sink, tuple(events), tuple(event_nodes),
+                        tuple(event_masks))
 
 
 @dataclass(frozen=True)
@@ -257,15 +287,15 @@ def _enumerate(pool, replicas, n_events, n_joins):
                     new_heads = list(heads)
                     new_heads[r] = new_id
                     yield from rec(steps + [ApplyOp(r, payload)], new_heads,
-                                   ancestors + [ancestors[parent] | {new_id}],
+                                   ancestors + [ancestors[parent] | 1 << new_id],
                                    seen, events_left - 1, joins_left, True)
         if joins_left and events_left:  # a trailing join duplicates the final fold
             for t, s in join_pairs:
                 x, y = heads[t], heads[s]
-                if x == y or y in ancestors[x]:
+                if x == y or ancestors[x] >> y & 1:
                     continue  # no-op join
                 new_heads = list(heads)
-                if x in ancestors[y]:
+                if ancestors[y] >> x & 1:
                     new_heads[t] = y  # fast-forward
                     yield from rec(steps + [JoinOp(t, s)], new_heads, ancestors,
                                    seen_max, events_left, joins_left - 1, first_done)
@@ -273,10 +303,10 @@ def _enumerate(pool, replicas, n_events, n_joins):
                     new_id = len(ancestors)
                     new_heads[t] = new_id
                     yield from rec(steps + [JoinOp(t, s)], new_heads,
-                                   ancestors + [ancestors[x] | ancestors[y] | {new_id}],
+                                   ancestors + [ancestors[x] | ancestors[y] | 1 << new_id],
                                    seen_max, events_left, joins_left - 1, first_done)
 
-    yield from rec([], [0] * replicas, [frozenset({0})], 0, n_events, n_joins, False)
+    yield from rec([], [0] * replicas, [1], 0, n_events, n_joins, False)
 
 
 def random_recipe(rng: random.Random, pool: tuple[OpPayload, ...], max_events: int,
@@ -301,7 +331,8 @@ def count_recipes(pool, max_events, replicas=2, max_joins=1) -> int:
 
 
 __all__ = [
-    "ApplyOp", "JoinOp", "Step", "Recipe", "RecipeError", "VersionGraph",
+    "ApplyOp", "JoinOp", "Step", "Recipe", "RecipeError", "NoUniqueLcaError",
+    "VersionGraph", "iter_bits",
     "Execution", "build", "execute", "run_recipe", "merge_with_lca", "diamond",
     "enumerate_recipes", "random_recipe", "count_recipes",
 ]

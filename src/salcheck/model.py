@@ -14,7 +14,7 @@ formatter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 Timestamp = int
@@ -182,7 +182,6 @@ class MrdtSpec:
     rc: RcRelation
     payload_types: tuple[type, ...]
     format_state: Callable[[Any], str]
-    format_op: Callable[[OpPayload], str] = field(default=lambda op: op.label())
     # Observation-aware form of ``apply`` for replaying an event outside its
     # original causal context (sequential witnesses): receives the set of
     # timestamps of the events the replayed event actually observed, so a
@@ -207,7 +206,6 @@ class CrdtSpec:
     rc: RcRelation
     payload_types: tuple[type, ...]
     format_state: Callable[[Any], str]
-    format_op: Callable[[OpPayload], str] = field(default=lambda op: op.label())
     # See MrdtSpec.replay_apply.
     replay_apply: Callable[[Any, Event, frozenset], Any] | None = None
 

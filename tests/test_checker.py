@@ -2,17 +2,21 @@
 
 import functools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from salcheck.model import Inc, Add, Rem, Enable, Disable, Event
 from salcheck.catalog import CATALOG, catalog_get, payload_pool, ctr_inc_mrdt, or_set_mrdt
-from salcheck.history import Recipe, ApplyOp, JoinOp, build, execute, run_recipe, diamond
+from salcheck.history import (
+    Recipe, ApplyOp, JoinOp, NoUniqueLcaError, build, execute, run_recipe, diamond,
+    random_recipe,
+)
 from salcheck.checker import (
     PropertyId, CheckConfig, OracleScopeError, linearization_oracle,
     bottom_up_instances, rc_policy_instances, run_suite, oracle_sweep,
-    ORACLE_EVENT_CAP, EVALUATORS,
+    ORACLE_EVENT_CAP, EVALUATORS, _stream_seed,
 )
 
 CORRECT = [e for e in CATALOG if not e.known_buggy]
@@ -272,6 +276,20 @@ def test_suite_seed_changes_random_phase():
     # both pass; determinism within a seed is what matters, two seeds may agree
     assert run_suite(catalog_get("g-set-mrdt"), cfg1).verdicts[0].tests == 40
     assert run_suite(catalog_get("g-set-mrdt"), cfg2).verdicts[0].tests == 40
+
+
+def test_three_replica_suite_redraws_merges_without_unique_lca():
+    entry = catalog_get("or-set-mrdt")
+    cfg = CheckConfig(replica_count=3, exhaustive_below=2)
+    # Draw 2 of the LinearizationExists stream merges two heads that have two
+    # maximal common ancestors; the suite must skip it, not crash or count it.
+    rng = random.Random(_stream_seed(cfg.seed, entry.id, PropertyId.LINEARIZATION_EXISTS, 2))
+    recipe = random_recipe(rng, payload_pool(entry.spec), cfg.max_events, cfg.replica_count,
+                           max_joins=cfg.max_joins + 1)
+    with pytest.raises(NoUniqueLcaError):
+        build(recipe)
+    rep = run_suite(entry, cfg)
+    assert all(v.status == "pass" and v.tests == cfg.tests_per_property for v in rep.verdicts)
 
 
 def test_exhaustive_phase_counts_toward_test_budget():

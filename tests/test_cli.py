@@ -54,6 +54,12 @@ def test_check_buggy_flag_fails_and_writes_report(capsys, in_tmp):
     assert doc["property"] == "BottomUpStep"
 
 
+def test_check_three_replicas_passes(capsys, in_tmp):
+    # At this seed the random phase draws merges with no unique LCA.
+    assert main(["check", "ctr-inc-mrdt", "--replicas", "3", "--seed", "1"]) == 0
+    assert "LinearizationExists    pass     (1000 tests)" in capsys.readouterr().out
+
+
 def test_check_passing_entry_exit_zero_no_report_file(capsys, in_tmp):
     code = main(["check", "g-set-mrdt", "--seed", "7", "--tests", "25",
                  "--max-events", "4", "--props", "MergeIdem,MergeComm"])

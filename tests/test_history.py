@@ -121,6 +121,25 @@ def test_same_replica_events_ordered():
     assert not g.concurrent(a, r)
 
 
+def test_lookups_reject_events_not_in_graph():
+    g = build(diamond((Add(1),), (Rem(1),)))
+    a, r = g.all_events()
+    assert (g.node_of(a), g.node_of(r)) == (1, 2)
+    strangers = (
+        Event(a.ts, a.replica, Add(2)),      # same ts, other payload
+        Event(a.ts, r.replica, a.op),        # same ts, other replica
+        Event(0, 0, Add(1)),                 # ts 0
+        Event(len(g.events) + 1, 0, Add(1)),  # ts past the last event
+    )
+    for stranger in strangers:
+        with pytest.raises(KeyError):
+            g.node_of(stranger)
+        with pytest.raises(KeyError):
+            g.happens_before(stranger, r)
+        with pytest.raises(KeyError):
+            g.happens_before(r, stranger)
+
+
 def test_events_of_accumulates_history():
     g = build(diamond((Add(1),), (Rem(1),)))
     assert g.events_of(0) == frozenset()
@@ -130,7 +149,6 @@ def test_events_of_accumulates_history():
 def test_build_is_deterministic():
     r = diamond((Add(1), Rem(2)), (Add(2),))
     assert build(r) == build(r)
-    assert build(r, seed=7) == build(r, seed=99)  # seed accepted, not used
 
 
 def test_execute_counter_counts_incs():
