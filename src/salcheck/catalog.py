@@ -408,7 +408,7 @@ pn_ctr_crdt = CrdtSpec(
 
 
 def _mvreg_crdt_apply(s: TrackedSet, ev: Event) -> TrackedSet:
-    return TrackedSet(frozenset({(ev.ts, ev.op.value)}), s.universe | {(ev.ts, ev.op.value)})
+    return TrackedSet(frozenset({(ev.ts, ev.op.value)}))
 
 
 def _mvreg_crdt_merge2(a: TrackedSet, b: TrackedSet) -> TrackedSet:

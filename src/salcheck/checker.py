@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .catalog import CatalogEntry, payload_pool
-from .history import (
-    ApplyOp, Execution, JoinOp, NoUniqueLcaError, Recipe, build, enumerate_recipes,
-    execute, iter_bits, merge_with_lca, random_recipe,
+from .history import (  # perfbench/tracing.py wraps checker.enumerate_recipes by name
+    ApplyOp, Execution, JoinOp, NoUniqueLcaError, Recipe, build, enumerate_executions,
+    enumerate_recipes, execute, iter_bits, merge_with_lca, random_recipe,
 )
 from .model import (
     Add, Delete, Event, Insert, MapSet, OpPayload, RcOrder, RdtSpec, Rem,
@@ -181,8 +181,9 @@ class OracleResult:
     orders_tried: int
 
 
-def linearization_oracle(spec: RdtSpec, graph) -> OracleResult:
-    """Search every admissible total order for one that explains the sink.
+def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
+    """Search every admissible total order for one that explains ``target``,
+    the sink state (``None``: execute ``graph`` to get it).
 
     Admissible orders extend happens-before; additionally, a conflicting
     concurrent pair may only appear in the direction the conflict relation
@@ -202,7 +203,8 @@ def linearization_oracle(spec: RdtSpec, graph) -> OracleResult:
         raise OracleScopeError(
             f"{n} events exceed the oracle cap of {ORACLE_EVENT_CAP}"
         )
-    target = execute(spec, graph).sink_state()
+    if target is None:
+        target = execute(spec, graph).sink_state()
     # past[i]: the events that happen before events[i]; later[i]: those after.
     # Timestamps extend happens-before, so past[i] holds only indices below i.
     past = [graph.event_masks[node] & ~(1 << i) for i, node in enumerate(graph.event_nodes)]
@@ -244,6 +246,7 @@ def linearization_oracle(spec: RdtSpec, graph) -> OracleResult:
         return None
 
     suffix = dfs((1 << n) - 1, ())
+    del dfs  # its closure holds it: break the cycle, so the search state dies here
     witness = None if suffix is None else tuple(events[i] for i in reversed(suffix))
     return OracleResult(witness, tried)
 
@@ -425,9 +428,9 @@ def rc_policy_instances(spec: RdtSpec, ex: Execution) -> int:
 def eval_linearization_exists(spec: RdtSpec, ex: Execution) -> Violation | None:
     if len(ex.graph.events) > ORACLE_EVENT_CAP:
         return None  # out of oracle scope; covered only by smaller histories
-    result = linearization_oracle(spec, ex.graph)
+    final = ex.sink_state()
+    result = linearization_oracle(spec, ex.graph, final)
     if result.witness is None:
-        final = ex.sink_state()
         return Violation(
             PropertyId.LINEARIZATION_EXISTS, ex.graph.recipe, final, None,
             spec.format_state(final),
@@ -530,11 +533,12 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
             if v is not None:
                 found[p] = v
 
-    for recipe in enumerate_recipes(pool, cfg.exhaustive_below - 1,
-                                    cfg.replica_count, cfg.max_joins):
-        if not live_props():
-            break
-        consider(execute(spec, build(recipe)))
+    if live_props():
+        for ex in enumerate_executions(spec, pool, cfg.exhaustive_below - 1,
+                                       cfg.replica_count, cfg.max_joins):
+            consider(ex)
+            if not live_props():
+                break
 
     for p in props:
         if found[p] is not None or (p is PropertyId.RC_POLICY and vacuous_rc):
@@ -678,13 +682,12 @@ def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
     entry = _as_entry(target)
     pool = payload_pool(entry.spec, literals)
     histories = witnesses = 0
-    for recipe in enumerate_recipes(pool, max_events, replicas, max_joins):
-        graph = build(recipe)
+    for ex in enumerate_executions(entry.spec, pool, max_events, replicas, max_joins):
         histories += 1
-        if linearization_oracle(entry.spec, graph).witness is not None:
+        if linearization_oracle(entry.spec, ex.graph, ex.sink_state()).witness is not None:
             witnesses += 1
         else:
-            return SweepResult(histories, witnesses, execute(entry.spec, graph))
+            return SweepResult(histories, witnesses, ex)
     return SweepResult(histories, witnesses, None)
 
 

@@ -9,8 +9,10 @@ into a single sink version, so each run has one final fully-merged state.
 
 The version graph this produces is series-parallel by construction: with two
 replicas every merge has a unique lowest common ancestor, recorded on the
-merge edge at build time.  Timestamps are assigned globally in step order,
-which makes them consistent with happens-before.
+merge edge at build time.  With three or more, a merge can have several
+maximal common ancestors; ``build`` then raises ``NoUniqueLcaError``.
+Timestamps are assigned globally in step order, which makes them consistent
+with happens-before.
 
 ``build`` also indexes the graph's events once.  ``VersionGraph.events`` lists
 them in timestamp order, and the event with timestamp ``t`` sits at index
@@ -18,6 +20,16 @@ them in timestamp order, and the event with timestamp ``t`` sits at index
 when ``events[i]`` is the node's own event or an ancestor's.  Happens-before,
 ``node_of`` and ``events_of`` are lookups in this index, and the
 linearization oracle and the peel check work on the masks directly.
+
+The fold and LCA rules live in ``_PartialGraph``, and the per-node state rule
+in ``_node_state``.  ``build`` pushes a whole recipe onto a ``_PartialGraph``
+and ``execute`` runs ``_node_state`` over the finished graph.  The exhaustive
+sweep (``enumerate_executions``) builds and executes incrementally instead:
+it walks the prefix tree of canonical recipes depth-first, pushing one apply
+or join per tree edge together with its state and popping it on the way back.
+So each tree node's ``apply`` or merge runs once, and a leaf only folds the
+heads into the sink.  Each history it yields equals ``execute(spec,
+build(recipe))`` field for field.
 """
 
 from __future__ import annotations
@@ -118,68 +130,124 @@ class VersionGraph:
         return e1 != e2 and not self.happens_before(e1, e2) and not self.happens_before(e2, e1)
 
 
-def _lca_of(ancestors: list[int], left: int, right: int) -> int:
-    common = ancestors[left] & ancestors[right]
-    maximal = common
-    for d in iter_bits(common):
-        maximal &= ~ancestors[d] | 1 << d  # drop d's strict ancestors
-    if maximal.bit_count() != 1:
-        raise NoUniqueLcaError(
-            f"merge of nodes {left} and {right} has no unique lowest common ancestor"
-        )
-    return maximal.bit_length() - 1
+def _node_state(spec: RdtSpec, states: list, info: NodeInfo):
+    """The state of a non-root node, from the states of the nodes before it."""
+    if info[0] == "apply":
+        _, parent, ev = info
+        check_payload(spec, ev)
+        return spec.apply(states[parent], ev)
+    _, left, right, lca = info
+    return merge_with_lca(spec, states[lca], states[left], states[right])
+
+
+class _PartialGraph:
+    """A version graph under construction, kept on stacks that can be cut back.
+
+    ``build`` pushes a whole recipe.  The sweep walk pushes one step per edge
+    of the enumeration tree and cuts back to a ``mark`` on the way up.  Given
+    a ``spec``, every node gets its state as it is pushed, so a walk leaf is
+    already executed.
+    """
+
+    def __init__(self, replicas: int, spec: RdtSpec | None = None):
+        self.spec = spec
+        self.nodes: list[NodeInfo] = [("root",)]
+        self.ancestors: list[int] = [1]  # per node, bit n set when node n is an ancestor (reflexive)
+        self.events: list[Event] = []
+        self.event_nodes: list[int] = []
+        self.event_masks: list[int] = [0]
+        self.states: list = [] if spec is None else [spec.initial]
+        self.heads = [0] * replicas
+
+    def _push(self, info: NodeInfo, ancestors: int, event_mask: int) -> int:
+        n = len(self.nodes)
+        self.nodes.append(info)
+        self.ancestors.append(ancestors | 1 << n)
+        self.event_masks.append(event_mask)
+        if self.spec is not None:
+            self.states.append(_node_state(self.spec, self.states, info))
+        return n
+
+    def apply(self, step: ApplyOp) -> None:
+        parent = self.heads[step.replica]
+        i = len(self.events)
+        ev = Event(i + 1, step.replica, step.payload)
+        n = self._push(("apply", parent, ev), self.ancestors[parent],
+                       self.event_masks[parent] | 1 << i)
+        self.events.append(ev)
+        self.event_nodes.append(n)
+        self.heads[step.replica] = n
+
+    def _lca(self, left: int, right: int) -> int:
+        ancestors = self.ancestors
+        common = ancestors[left] & ancestors[right]
+        maximal = common
+        for d in iter_bits(common):
+            maximal &= ~ancestors[d] | 1 << d  # drop d's strict ancestors
+        if maximal.bit_count() != 1:
+            raise NoUniqueLcaError(
+                f"merge of nodes {left} and {right} has no unique lowest common ancestor"
+            )
+        return maximal.bit_length() - 1
+
+    def fold(self, x: int, y: int) -> int:
+        """The head that folding head ``y`` into head ``x`` gives: ``x`` when it
+        already knows ``y``, ``y`` on a fast-forward, else a new merge node."""
+        ancestors = self.ancestors
+        if x == y or ancestors[x] >> y & 1:
+            return x
+        if ancestors[y] >> x & 1:
+            return y
+        lca = self._lca(x, y)
+        return self._push(("merge", x, y, lca), ancestors[x] | ancestors[y],
+                          self.event_masks[x] | self.event_masks[y])
+
+    def join(self, step: JoinOp) -> bool:
+        """Fold the source's head into the target's; False for a no-op join."""
+        head = self.heads[step.target]
+        self.heads[step.target] = self.fold(head, self.heads[step.source])
+        return self.heads[step.target] != head
+
+    def sink(self) -> int:
+        """Fold every head into replica 0's, in replica order."""
+        sink = self.heads[0]
+        for head in self.heads[1:]:
+            sink = self.fold(sink, head)
+        return sink
+
+    def mark(self) -> tuple:
+        return len(self.nodes), len(self.events), tuple(self.heads)
+
+    def restore(self, mark: tuple) -> None:
+        n_nodes, n_events, heads = mark
+        del self.nodes[n_nodes:], self.ancestors[n_nodes:], self.event_masks[n_nodes:]
+        del self.states[n_nodes:], self.events[n_events:], self.event_nodes[n_events:]
+        self.heads[:] = heads
+
+    def graph(self, recipe: Recipe, sink: int) -> VersionGraph:
+        return VersionGraph(recipe, tuple(self.nodes), sink, tuple(self.events),
+                            tuple(self.event_nodes), tuple(self.event_masks))
 
 
 def build(recipe: Recipe) -> VersionGraph:
     """Assign timestamps and lay out the version graph; no states yet."""
     if recipe.replicas < 1:
         raise RecipeError("recipe needs at least one replica")
-    nodes: list[NodeInfo] = [("root",)]
-    ancestors: list[int] = [1]  # per node, bit n set when node n is an ancestor (reflexive)
-    events: list[Event] = []
-    event_nodes: list[int] = []
-    event_masks: list[int] = [0]
-    heads = [0] * recipe.replicas
-
-    def fold(x: int, y: int) -> int:
-        if x == y or ancestors[x] >> y & 1:
-            return x
-        if ancestors[y] >> x & 1:
-            return y
-        lca = _lca_of(ancestors, x, y)
-        m = len(nodes)
-        nodes.append(("merge", x, y, lca))
-        ancestors.append(ancestors[x] | ancestors[y] | 1 << m)
-        event_masks.append(event_masks[x] | event_masks[y])
-        return m
-
+    g = _PartialGraph(recipe.replicas)
     for step in recipe.steps:
         if isinstance(step, ApplyOp):
             if not 0 <= step.replica < recipe.replicas:
                 raise RecipeError(f"apply on unknown replica {step.replica}")
-            parent = heads[step.replica]
-            n, i = len(nodes), len(events)
-            ev = Event(i + 1, step.replica, step.payload)
-            nodes.append(("apply", parent, ev))
-            ancestors.append(ancestors[parent] | 1 << n)
-            events.append(ev)
-            event_nodes.append(n)
-            event_masks.append(event_masks[parent] | 1 << i)
-            heads[step.replica] = n
+            g.apply(step)
         elif isinstance(step, JoinOp):
             if step.target == step.source:
                 raise RecipeError("join of a replica with itself")
             if not (0 <= step.target < recipe.replicas and 0 <= step.source < recipe.replicas):
                 raise RecipeError(f"join on unknown replica pair {step.target}, {step.source}")
-            heads[step.target] = fold(heads[step.target], heads[step.source])
+            g.join(step)
         else:
             raise RecipeError(f"unknown step {step!r}")
-
-    sink = heads[0]
-    for r in range(1, recipe.replicas):
-        sink = fold(sink, heads[r])
-    return VersionGraph(recipe, tuple(nodes), sink, tuple(events), tuple(event_nodes),
-                        tuple(event_masks))
+    return g.graph(recipe, g.sink())
 
 
 @dataclass(frozen=True)
@@ -200,17 +268,9 @@ def merge_with_lca(spec: RdtSpec, lca_state, a, b):
 
 
 def execute(spec: RdtSpec, graph: VersionGraph) -> Execution:
-    states: list = []
-    for info in graph.nodes:
-        if info[0] == "root":
-            states.append(spec.initial)
-        elif info[0] == "apply":
-            _, parent, ev = info
-            check_payload(spec, ev)
-            states.append(spec.apply(states[parent], ev))
-        else:
-            _, left, right, lca = info
-            states.append(merge_with_lca(spec, states[lca], states[left], states[right]))
+    states: list = [spec.initial]
+    for info in graph.nodes[1:]:
+        states.append(_node_state(spec, states, info))
     return Execution(spec, graph, tuple(states))
 
 
@@ -253,60 +313,77 @@ def enumerate_recipes(pool: tuple[OpPayload, ...], max_events: int,
     the same work).  Every recipe outside this set is a replica/literal
     renaming or a step-for-step duplicate of a canonical one, so property
     verdicts are unaffected.  Sizes ascend, so the first failure found by a
-    sweep is already event-minimal.
+    sweep is already event-minimal.  Recipes with a merge that has no unique
+    LCA (three or more replicas, two or more joins) are left out: ``build``
+    would refuse them, so every recipe yielded builds.
     """
+    for _, recipe, _ in _walk(pool, max_events, replicas, max_joins):
+        yield recipe
+
+
+def enumerate_executions(spec: RdtSpec, pool: tuple[OpPayload, ...], max_events: int,
+                         replicas: int = 2, max_joins: int = 1):
+    """Yield ``execute(spec, build(r))`` for each ``r`` of ``enumerate_recipes``,
+    in the same order.  Each apply or merge of a recipe prefix runs once, and
+    every history that extends the prefix shares its state objects, so the
+    spec's functions must not mutate their inputs."""
+    for g, recipe, sink in _walk(pool, max_events, replicas, max_joins, spec):
+        yield Execution(spec, g.graph(recipe, sink), tuple(g.states))
+
+
+def _walk(pool, max_events, replicas, max_joins, spec=None):
+    """Walk the prefix tree of canonical recipes depth-first, keeping one
+    partial graph ``g`` at the current prefix, and yield ``(g, recipe, sink)``
+    at each leaf; ``g`` holds the recipe's whole graph until the walk resumes.
+    A merge with no unique LCA cuts its branch: no recipe below it builds."""
+    applies = [(ApplyOp(r, p), _payload_literals(p)) for r in range(replicas) for p in pool]
+    first_applies = applies[:len(pool)]  # the first apply runs on replica 0
+    joins = [JoinOp(t, s) for t in range(replicas) for s in range(replicas) if t != s]
+    g = _PartialGraph(replicas, spec)
+    steps: list[Step] = []
+
+    def rec(seen_max, events_left, joins_left):
+        mark = g.mark()
+        if not events_left and not joins_left:
+            try:
+                sink = g.sink()
+            except NoUniqueLcaError:
+                pass
+            else:
+                yield g, Recipe(tuple(steps), replicas), sink
+            g.restore(mark)
+            return
+        if events_left:
+            for step, literals in applies if g.events else first_applies:
+                seen = seen_max
+                for lit in literals:
+                    if lit > seen + 1:
+                        break
+                    seen = max(seen, lit)
+                else:
+                    g.apply(step)
+                    steps.append(step)
+                    yield from rec(seen, events_left - 1, joins_left)
+                    steps.pop()
+                    g.restore(mark)
+        if joins_left and events_left:  # a trailing join duplicates the final fold
+            for step in joins:
+                try:
+                    moved = g.join(step)
+                except NoUniqueLcaError:
+                    continue
+                if not moved:
+                    continue  # no-op join
+                steps.append(step)
+                yield from rec(seen_max, events_left, joins_left - 1)
+                steps.pop()
+                g.restore(mark)
+
     for n_events in range(max_events + 1):
         for n_joins in range(max_joins + 1):
             if n_joins and not n_events:
                 continue  # joins before any event never merge anything
-            yield from _enumerate(pool, replicas, n_events, n_joins)
-
-
-def _enumerate(pool, replicas, n_events, n_joins):
-    join_pairs = [(t, s) for t in range(replicas) for s in range(replicas) if t != s]
-
-    def rec(steps, heads, ancestors, seen_max, events_left, joins_left, first_done):
-        if not events_left and not joins_left:
-            yield Recipe(tuple(steps), replicas)
-            return
-        if events_left:
-            replica_choices = range(replicas) if first_done else (0,)
-            for r in replica_choices:
-                for payload in pool:
-                    seen = seen_max
-                    ok = True
-                    for lit in _payload_literals(payload):
-                        if lit > seen + 1:
-                            ok = False
-                            break
-                        seen = max(seen, lit)
-                    if not ok:
-                        continue
-                    parent = heads[r]
-                    new_id = len(ancestors)
-                    new_heads = list(heads)
-                    new_heads[r] = new_id
-                    yield from rec(steps + [ApplyOp(r, payload)], new_heads,
-                                   ancestors + [ancestors[parent] | 1 << new_id],
-                                   seen, events_left - 1, joins_left, True)
-        if joins_left and events_left:  # a trailing join duplicates the final fold
-            for t, s in join_pairs:
-                x, y = heads[t], heads[s]
-                if x == y or ancestors[x] >> y & 1:
-                    continue  # no-op join
-                new_heads = list(heads)
-                if ancestors[y] >> x & 1:
-                    new_heads[t] = y  # fast-forward
-                    yield from rec(steps + [JoinOp(t, s)], new_heads, ancestors,
-                                   seen_max, events_left, joins_left - 1, first_done)
-                else:
-                    new_id = len(ancestors)
-                    new_heads[t] = new_id
-                    yield from rec(steps + [JoinOp(t, s)], new_heads,
-                                   ancestors + [ancestors[x] | ancestors[y] | 1 << new_id],
-                                   seen_max, events_left, joins_left - 1, first_done)
-
-    yield from rec([], [0] * replicas, [1], 0, n_events, n_joins, False)
+            yield from rec(0, n_events, n_joins)
 
 
 def random_recipe(rng: random.Random, pool: tuple[OpPayload, ...], max_events: int,
@@ -334,5 +411,5 @@ __all__ = [
     "ApplyOp", "JoinOp", "Step", "Recipe", "RecipeError", "NoUniqueLcaError",
     "VersionGraph", "iter_bits",
     "Execution", "build", "execute", "run_recipe", "merge_with_lca", "diamond",
-    "enumerate_recipes", "random_recipe", "count_recipes",
+    "enumerate_recipes", "enumerate_executions", "random_recipe", "count_recipes",
 ]

@@ -1,10 +1,8 @@
 """Set and map values with decidable extensional equality.
 
-A ``TrackedSet`` pairs a membership set with a universe of every element that
-was ever inserted or removed.  The universe only grows; removing an element
-keeps it in the universe.  Equality and hashing ignore the universe: two sets
-are equal exactly when membership agrees on the union of their universes,
-which for finite membership sets reduces to equality of the member sets.
+A ``TrackedSet`` is an immutable membership set.  Two sets are equal, and
+hash alike, exactly when their members agree, whatever inserts and removes
+produced them.
 
 An ``ExtensionalMap`` is a total mapping with a declared default and an
 explicit domain (a ``TrackedSet`` of keys).  Maps are equal when their domains
@@ -24,11 +22,9 @@ def _as_frozen(items: Iterable) -> frozenset:
 @dataclass(frozen=True)
 class TrackedSet:
     members: frozenset = frozenset()
-    universe: frozenset = field(default=frozenset(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", _as_frozen(self.members))
-        object.__setattr__(self, "universe", _as_frozen(self.universe) | self.members)
 
     @staticmethod
     def empty() -> "TrackedSet":
@@ -47,24 +43,23 @@ class TrackedSet:
         return iter(self.members)
 
     def insert(self, x) -> "TrackedSet":
-        return TrackedSet(self.members | {x}, self.universe | {x})
+        return TrackedSet(self.members | {x})
 
     def remove(self, x) -> "TrackedSet":
-        # A removed element stays in the universe: it has been touched.
-        return TrackedSet(self.members - {x}, self.universe | {x})
+        return TrackedSet(self.members - {x})
 
     def union(self, other: "TrackedSet") -> "TrackedSet":
-        return TrackedSet(self.members | other.members, self.universe | other.universe)
+        return TrackedSet(self.members | other.members)
 
     def intersect(self, other: "TrackedSet") -> "TrackedSet":
-        return TrackedSet(self.members & other.members, self.universe | other.universe)
+        return TrackedSet(self.members & other.members)
 
     def diff(self, other: "TrackedSet") -> "TrackedSet":
-        return TrackedSet(self.members - other.members, self.universe | other.universe)
+        return TrackedSet(self.members - other.members)
 
     def filter(self, keep) -> "TrackedSet":
-        """Drop members rejected by ``keep``; dropped members stay in the universe."""
-        return TrackedSet(frozenset(x for x in self.members if keep(x)), self.universe)
+        """Drop members rejected by ``keep``."""
+        return TrackedSet(frozenset(x for x in self.members if keep(x)))
 
     def elements(self) -> list:
         """Members in display order (ascending natural order)."""

@@ -1,6 +1,7 @@
 """Property evaluators, the linearization oracle, suites, and shrinking."""
 
 import functools
+import gc
 import os
 import random
 
@@ -99,6 +100,19 @@ def test_oracle_witness_on_fixed_flag_bug_shape():
     labels = [type(e.op).__name__ for e in res.witness]
     last_enable = max(i for i, n in enumerate(labels) if n == "Enable")
     assert "Disable" in labels[last_enable + 1:]  # a disable lands after the last enable
+
+
+def test_oracle_leaves_no_reference_cycle():
+    # The search state (events, target, observed sets) is freed by reference
+    # counting when the call returns, not left to the cyclic collector.
+    g = build(diamond((Add(1), Rem(2)), (Add(2), Rem(1))))
+    gc.collect()
+    gc.disable()
+    try:
+        assert linearization_oracle(or_set_mrdt, g).witness is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oracle_over_cap_raises_scope_error():
@@ -290,6 +304,14 @@ def test_three_replica_suite_redraws_merges_without_unique_lca():
         build(recipe)
     rep = run_suite(entry, cfg)
     assert all(v.status == "pass" and v.tests == cfg.tests_per_property for v in rep.verdicts)
+
+
+def test_three_replica_two_join_sweep_skips_merges_without_unique_lca():
+    # 150 of the sweep's 2,177 canonical recipes up to 4 events merge two
+    # heads with two maximal common ancestors: skipped, not counted as tests.
+    rep = run_suite(ctr_inc_mrdt, CheckConfig(replica_count=3, max_joins=2))
+    assert rep.passed()
+    assert rep.verdict(PropertyId.MERGE_IDEM).tests == 2027
 
 
 def test_exhaustive_phase_counts_toward_test_budget():

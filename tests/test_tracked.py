@@ -1,4 +1,4 @@
-"""Property suites for the universe-tracking set and extensional map."""
+"""Property suites for the tracked set and the extensional map."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +10,10 @@ elems = st.integers(min_value=-3, max_value=9)
 elem_sets = st.frozensets(elems, max_size=6)
 
 
-def ts(members: frozenset, extra_universe: frozenset = frozenset()) -> TrackedSet:
+def ts(members: frozenset, removed: frozenset = frozenset()) -> TrackedSet:
+    """A set with ``members``, built after inserting and removing ``removed``."""
     s = TrackedSet.empty()
-    for x in extra_universe:
+    for x in removed:
         s = s.insert(x).remove(x)
     for x in members:
         s = s.insert(x)
@@ -74,7 +75,7 @@ def test_union_restores_diff(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Extensional equality: the universe never influences ==.
+# Extensional equality: the insert/remove history never influences ==.
 
 
 @SUITE
@@ -93,41 +94,6 @@ def test_hash_ignores_universe(a, u1, u2):
 @given(elem_sets, elem_sets)
 def test_unequal_members_unequal_sets(a, b):
     assert (ts(a) == ts(b)) == (a == b)
-
-
-# ---------------------------------------------------------------------------
-# Universe monotonicity: operations never forget observed elements.
-
-
-@SUITE
-@given(elem_sets, elems)
-def test_universe_grows_on_insert(a, x):
-    s = ts(a)
-    assert s.universe <= s.insert(x).universe
-    assert x in s.insert(x).universe
-
-
-@SUITE
-@given(elem_sets, elems)
-def test_universe_survives_remove(a, x):
-    grown = ts(a).insert(x).remove(x)
-    assert x in grown.universe
-    assert x not in grown.members
-
-
-@SUITE
-@given(elem_sets, elem_sets)
-def test_universe_merges_through_algebra(a, b):
-    sa, sb = ts(a), ts(b)
-    for combined in (sa.union(sb), sa.intersect(sb), sa.diff(sb)):
-        assert combined.universe == sa.universe | sb.universe
-
-
-@SUITE
-@given(elem_sets)
-def test_filter_keeps_universe(a):
-    s = ts(a)
-    assert s.filter(lambda x: x % 2 == 0).universe == s.universe
 
 
 # ---------------------------------------------------------------------------
