@@ -25,10 +25,9 @@ from .checker import (
     linearization_oracle, oracle_sweep, run_suite, shrink,
 )
 from .report import (
-    RenderModel, ReportFormatError, model_from_counterexample,
-    model_from_execution, model_from_report_dict, model_from_suite,
-    parse_report, render_dot, render_html, render_json, render_text,
-    validate_report,
+    RenderModel, ReportFormatError, model_from_execution, model_from_report_dict,
+    model_from_suite, parse_report, render_dot, render_html, render_json,
+    render_text, validate_report,
 )
 
 __version__ = "0.1.0"

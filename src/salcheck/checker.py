@@ -92,13 +92,14 @@ class CheckConfig:
         bounds = {
             "tests_per_property": self.tests_per_property,
             "max_events": self.max_events,
-            "replica_count": self.replica_count,
             "exhaustive_below": self.exhaustive_below,
             "shrink_budget": self.shrink_budget,
         }
         for name, value in bounds.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.replica_count < 2:  # a join needs two replicas
+            raise ValueError(f"replica_count must be >= 2, got {self.replica_count}")
         if self.seed < 0:
             raise ValueError("seed must be a natural number")
         if self.exhaustive_below > self.max_events:

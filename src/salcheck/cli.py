@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_get
@@ -20,15 +21,12 @@ from .checker import (
     CheckConfig, EVALUATORS, ORACLE_EVENT_CAP, PropertyId, bottom_up_instances,
     oracle_sweep, run_suite,
 )
-from .history import Recipe, ApplyOp, JoinOp, build, execute, run_recipe
-from .model import (
-    Add, Dec, Delete, Disable, Enable, Inc, Insert, MapSet, Rem, Write,
-    event_label,
-)
+from .history import Recipe, ApplyOp, JoinOp, run_recipe
+from .model import Add, Dec, Delete, Disable, Enable, Inc, Insert, MapSet, Rem, Write
 from .report import (
-    Panel, RenderModel, RenderStep, ReportFormatError, model_from_execution,
-    model_from_report_dict, model_from_suite, parse_report, render_dot,
-    render_html, render_json, render_text, trace_panel,
+    RenderModel, ReportFormatError, equation_panels, event_to_dict, graph_to_dict,
+    model_from_execution, model_from_report_dict, parse_report, recipe_from_dict,
+    render_dot, render_html, render_json, render_text, suite_report_to_dict,
 )
 
 
@@ -106,23 +104,24 @@ def cmd_check(args) -> int:
     report = run_suite(entry, cfg, properties=props)
     for v in report.verdicts:
         print(f"{v.property.value:<22} {v.status:<8} ({v.tests} tests)")
-    failing = report.first_failure()
+    # The written document is the one source of the replay and the view, so
+    # exit 1 certifies the artifact on disk.
+    doc = suite_report_to_dict(report)
+    failing = doc["property"]
     out_path = args.out
     if out_path is None and failing is not None:
         out_path = f"{entry.id}-report.json"
     if out_path is not None:
-        Path(out_path).write_text(render_json(report) + "\n")
+        Path(out_path).write_text(render_json(doc) + "\n")
         print(f"report written to {out_path}")
     if failing is None:
         return 0
-    cx = failing.counterexample
-    replayed = EVALUATORS[cx.property](entry.spec, execute(entry.spec, build(
-        cx.shrunk.graph.recipe)))
-    if replayed is None:
+    recipe = recipe_from_dict(doc["counterexample"]["recipe"], "$.counterexample.recipe")
+    if EVALUATORS[PropertyId(failing)](entry.spec, run_recipe(entry.spec, recipe)) is None:
         print("internal error: counterexample does not replay", file=sys.stderr)
         return 2
     print()
-    print(render_text(model_from_suite(report)), end="")
+    print(render_text(model_from_report_dict(doc)), end="")
     return 1
 
 
@@ -142,6 +141,8 @@ def cmd_oracle(args) -> int:
     entry = _entry(args.rdt)
     if args.max_events > ORACLE_EVENT_CAP:
         raise UsageError(f"--max-events must be <= {ORACLE_EVENT_CAP}")
+    if args.max_events < 0:
+        raise UsageError("--max-events must be >= 0")
     result = oracle_sweep(entry, args.max_events)
     print(f"histories checked: {result.histories}")
     print(f"witnesses found: {result.witnesses}")
@@ -189,18 +190,12 @@ def demo_model(entry, ex) -> RenderModel:
     if not sink_insts:
         return base
     inst = sink_insts[-1]
-    g = ex.graph
-    _, left, right, lca = g.nodes[inst.merge_node]
-    lhs = Panel("LHS", (RenderStep(f"merge(v{left}, v{right} | lca=v{lca})",
-                                   None, f"v{inst.merge_node} [{inst.lhs_str}]"),),
-                inst.lhs_str)
-    rhs = Panel("RHS", (RenderStep(f"merge(v{inst.a_prime}, v{inst.b_node} | lca=v{lca})",
-                                   event_label(inst.event),
-                                   f"[{inst.rhs_str}]"),), inst.rhs_str)
+    panels = equation_panels(graph_to_dict(ex), inst.merge_node, event_to_dict(inst.event),
+                             inst.lhs_str, inst.rhs_str)
     mismatch = not inst.holds
     title = base.title + (" (anomalous merge)" if mismatch else " (merge agrees)")
     return RenderModel(title, base.nodes, base.edges,
-                       trace_panel(ex, "History"), (lhs, rhs), mismatch)
+                       replace(base.panels[0], title="History"), panels, mismatch)
 
 
 def cmd_demo(args) -> int:

@@ -102,10 +102,6 @@ class VersionGraph:
     def merge_nodes(self) -> list[int]:
         return [n for n in range(len(self.nodes)) if self.nodes[n][0] == "merge"]
 
-    def event_at(self, n: int) -> Event | None:
-        info = self.nodes[n]
-        return info[2] if info[0] == "apply" else None
-
     def all_events(self) -> tuple[Event, ...]:
         return self.events
 

@@ -5,6 +5,10 @@ contains every display string (node states come from the execution's trace,
 never recomputed here), so identical models give byte-identical text, DOT,
 HTML, and JSON.  The JSON format is versioned as ``salcheck/1`` and round-trips
 losslessly through :func:`parse_report`.
+
+Every model that shows a version graph is read from the document's
+``{nodes, edges}`` form (:func:`graph_to_dict`), so ``salcheck check`` and
+``salcheck render`` of the report it wrote show the same view.
 """
 
 from __future__ import annotations
@@ -76,110 +80,6 @@ class RenderModel:
     lca_panel: Panel | None
     panels: tuple[Panel, ...]
     mismatch: bool
-
-
-# ---------------------------------------------------------------------------
-# Builders from live objects.
-
-
-def _tag(graph, states, spec, n: int) -> str:
-    return f"v{n} [{spec.format_state(states[n])}]"
-
-
-def trace_steps(ex: Execution) -> tuple[RenderStep, ...]:
-    g, spec = ex.graph, ex.spec
-    steps: list[RenderStep] = []
-    if len(g.nodes) == 1:
-        return (RenderStep(None, None, _tag(g, ex.states, spec, 0)),)
-    for n, info in enumerate(g.nodes):
-        if info[0] == "apply":
-            _, parent, ev = info
-            steps.append(RenderStep(_tag(g, ex.states, spec, parent),
-                                    event_label(ev),
-                                    _tag(g, ex.states, spec, n)))
-        elif info[0] == "merge":
-            _, left, right, lca = info
-            steps.append(RenderStep(f"merge(v{left}, v{right} | lca=v{lca})",
-                                    None, _tag(g, ex.states, spec, n)))
-    return tuple(steps)
-
-
-def trace_panel(ex: Execution, title: str = "Trace") -> Panel:
-    spec = ex.spec
-    return Panel(title, trace_steps(ex), spec.format_state(ex.sink_state()))
-
-
-def graph_render_parts(ex: Execution) -> tuple[tuple[RenderNode, ...], tuple[RenderEdge, ...]]:
-    g, spec = ex.graph, ex.spec
-    nodes = tuple(RenderNode(f"v{n}", spec.format_state(ex.states[n]))
-                  for n in range(len(g.nodes)))
-    edges: list[RenderEdge] = []
-    for n, info in enumerate(g.nodes):
-        if info[0] == "apply":
-            _, parent, ev = info
-            edges.append(RenderEdge(f"v{parent}", f"v{n}", "apply", event_label(ev)))
-        elif info[0] == "merge":
-            _, left, right, lca = info
-            edges.append(RenderEdge(f"v{left}", f"v{n}", "merge-left"))
-            edges.append(RenderEdge(f"v{right}", f"v{n}", "merge-right"))
-            edges.append(RenderEdge(f"v{lca}", f"v{n}", "lca"))
-    return nodes, tuple(edges)
-
-
-def model_from_execution(ex: Execution, title: str | None = None) -> RenderModel:
-    nodes, edges = graph_render_parts(ex)
-    name = title if title is not None else f"{ex.spec.name}: execution trace"
-    return RenderModel(name, nodes, edges, None, (trace_panel(ex),), False)
-
-
-def _equation_panels(cr: CounterexampleReport) -> tuple[Panel, Panel]:
-    v = cr.violation
-    g = cr.shrunk.graph
-    if cr.property is PropertyId.BOTTOM_UP_STEP and v.node is not None and v.event is not None:
-        _, left, right, lca = g.nodes[v.node]
-        if g.kind(left) == "apply" and g.event_at(left) == v.event:
-            a_node, b_node = left, right
-        else:
-            a_node, b_node = right, left
-        a_prime = g.nodes[a_node][1]
-        lhs = Panel("LHS", (RenderStep(f"merge(v{a_node}, v{b_node} | lca=v{lca})",
-                                       None, f"v{v.node} [{cr.lhs_str}]"),), cr.lhs_str)
-        rhs = Panel("RHS", (RenderStep(f"merge(v{a_prime}, v{b_node} | lca=v{lca})",
-                                       event_label(v.event), f"[{cr.rhs_str}]"),), cr.rhs_str)
-        return lhs, rhs
-    where = f" at v{v.node}" if v.node is not None else ""
-    lhs = Panel("LHS", (RenderStep(None, None, f"computed{where}: [{cr.lhs_str}]"),), cr.lhs_str)
-    rhs = Panel("RHS", (RenderStep(None, None, f"expected{where}: [{cr.rhs_str}]"),), cr.rhs_str)
-    return lhs, rhs
-
-
-def model_from_counterexample(cr: CounterexampleReport) -> RenderModel:
-    ex = cr.shrunk
-    nodes, edges = graph_render_parts(ex)
-    events = ex.graph.recipe.event_count()
-    title = (f"{cr.rdt_id}: {cr.property.value} violation "
-             f"(shrunk to {events} events in {cr.shrink_steps} steps)")
-    history = trace_panel(ex, "History")
-    if cr.property is PropertyId.LINEARIZATION_EXISTS:
-        note = RenderStep(None, None,
-                          f"!! no admissible order replays to [{cr.lhs_str}] "
-                          f"(tried {cr.linearizations_tried})")
-        panel = Panel("Trace", history.steps + (note,), history.final)
-        return RenderModel(title, nodes, edges, None, (panel,), True)
-    lhs, rhs = _equation_panels(cr)
-    return RenderModel(title, nodes, edges, history, (lhs, rhs), True)
-
-
-def model_from_suite(sr: SuiteReport) -> RenderModel:
-    failing = sr.first_failure()
-    if failing is not None and failing.counterexample is not None:
-        return model_from_counterexample(failing.counterexample)
-    steps = tuple(RenderStep(None, None, f"{v.property.value}: {v.status} ({v.tests} tests)")
-                  for v in sr.verdicts)
-    status = "suite passed" if failing is None else f"{failing.property.value} failed"
-    panel = Panel("Verdicts", steps, status)
-    return RenderModel(f"{sr.rdt_id}: {status} (seed {sr.seed})",
-                       (), (), None, (panel,), False)
 
 
 # ---------------------------------------------------------------------------
@@ -425,31 +325,39 @@ def config_from_dict(d: dict, path: str = "config") -> CheckConfig:
     return CheckConfig(literal_pool=tuple(pool), **ints)
 
 
-def counterexample_to_dict(cr: CounterexampleReport) -> dict:
-    ex = cr.shrunk
-    node_objs = [{"id": n, "label": f"v{n}", "state": ex.spec.format_state(ex.states[n])}
-                 for n in range(len(ex.graph.nodes))]
-    edge_objs = []
+def graph_to_dict(ex: Execution) -> dict:
+    """The ``{nodes, edges}`` form of an execution's version graph, with each
+    node's display state."""
+    nodes = [{"id": n, "label": f"v{n}", "state": ex.spec.format_state(ex.states[n])}
+             for n in range(len(ex.graph.nodes))]
+    edges = []
     for n, info in enumerate(ex.graph.nodes):
         if info[0] == "apply":
             _, parent, ev = info
-            edge_objs.append({"from": parent, "to": n, "kind": "apply",
-                              "event": event_to_dict(ev)})
+            edges.append({"from": parent, "to": n, "kind": "apply",
+                          "event": event_to_dict(ev)})
         elif info[0] == "merge":
             _, left, right, lca = info
-            edge_objs.append({"from": left, "to": n, "kind": "merge-left"})
-            edge_objs.append({"from": right, "to": n, "kind": "merge-right"})
-            edge_objs.append({"from": lca, "to": n, "kind": "lca"})
+            edges.append({"from": left, "to": n, "kind": "merge-left"})
+            edges.append({"from": right, "to": n, "kind": "merge-right"})
+            edges.append({"from": lca, "to": n, "kind": "lca"})
+    return {"nodes": nodes, "edges": edges}
+
+
+def counterexample_to_dict(cr: CounterexampleReport) -> dict:
     out = {
-        "recipe": recipe_to_dict(ex.graph.recipe),
-        "nodes": node_objs,
-        "edges": edge_objs,
+        "recipe": recipe_to_dict(cr.shrunk.graph.recipe),
+        **graph_to_dict(cr.shrunk),
         "lhs": cr.lhs_str,
         "rhs": cr.rhs_str,
         "shrink_steps": cr.shrink_steps,
     }
     if cr.linearizations_tried is not None:
         out["linearizations_tried"] = cr.linearizations_tried
+    if cr.violation.node is not None:
+        out["node"] = cr.violation.node
+    if cr.violation.event is not None:
+        out["event"] = event_to_dict(cr.violation.event)
     return out
 
 
@@ -532,6 +440,13 @@ def _validate_counterexample(d: dict, path: str) -> None:
     _require(d, "shrink_steps", int, path)
     if "linearizations_tried" in d and not isinstance(d["linearizations_tried"], int):
         raise ReportFormatError(f"{path}.linearizations_tried: expected int")
+    if "node" in d and _require(d, "node", int, path) not in ids:
+        raise ReportFormatError(f"{path}.node: not among node ids")
+    if "event" in d:
+        event_from_dict(_require(d, "event", dict, path), f"{path}.event")
+        if _peel(d, d.get("node"), d["event"]) is None:
+            raise ReportFormatError(
+                f"{path}.event: not the event of an apply edge into a side of merge node")
 
 
 def validate_report(d) -> None:
@@ -576,10 +491,94 @@ def parse_report(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Building a render model back out of a parsed report document.
+# Render models, all read from the document's ``{nodes, edges}`` graph form.
+
+
+def _read_graph(gd: dict) -> tuple[tuple[RenderNode, ...], tuple[RenderEdge, ...],
+                                   tuple[RenderStep, ...], str]:
+    """Nodes, edges, history steps and sink state of a ``{nodes, edges}`` dict.
+
+    Each node but the root gets one step, in node order: ``parent --op--> node``
+    for an apply edge, ``merge(left, right | lca=l) --> node`` for a complete
+    set of merge edges.  The sink is the last node with no outgoing edge.
+    """
+    by_id = {nd["id"]: nd for nd in gd["nodes"]}
+    tag = {i: f"{nd['label']} [{nd['state']}]" for i, nd in by_id.items()}
+    nodes = tuple(RenderNode(by_id[i]["label"], by_id[i]["state"]) for i in sorted(by_id))
+    edges: list[RenderEdge] = []
+    steps: dict[int, RenderStep] = {}  # by node id
+    merges: dict[int, dict[str, str]] = {}  # merge node id -> edge kind -> source label
+    for e in gd["edges"]:
+        src, dst, kind = e["from"], e["to"], e["kind"]
+        if kind == "apply":
+            op = event_label(event_from_dict(e["event"]))
+            steps[dst] = RenderStep(tag[src], op, tag[dst])
+        else:
+            op = None
+            merges.setdefault(dst, {})[kind] = by_id[src]["label"]
+        edges.append(RenderEdge(by_id[src]["label"], by_id[dst]["label"], kind, op))
+    for dst, parts in merges.items():
+        if len(parts) == 3:
+            steps[dst] = RenderStep(f"merge({parts['merge-left']}, {parts['merge-right']} | "
+                                    f"lca={parts['lca']})", None, tag[dst])
+    ordered = tuple(steps[i] for i in sorted(steps))
+    if not ordered and nodes:
+        ordered = (RenderStep(None, None, tag[min(by_id)]),)
+    froms = {e["from"] for e in gd["edges"]}
+    sinks = [i for i in by_id if i not in froms]
+    return nodes, tuple(edges), ordered, by_id[max(sinks)]["state"] if sinks else ""
+
+
+def _peel(gd: dict, node: int | None, event: dict) -> tuple[int, int, int, int] | None:
+    """``(a', a, b, lca)`` when ``node`` merges ``a`` and ``b`` over ``lca`` and
+    ``a`` applies ``event`` to ``a'``; ``None`` when no side of ``node`` does."""
+    into = {e["kind"]: e for e in gd["edges"] if e["to"] == node}
+    if not {"merge-left", "merge-right", "lca"} <= set(into):
+        return None
+    left, right, lca = (into[k]["from"] for k in ("merge-left", "merge-right", "lca"))
+    for a, b in ((left, right), (right, left)):
+        apply = next((e for e in gd["edges"] if e["to"] == a and e["kind"] == "apply"), None)
+        if apply is not None and apply["event"] == event:
+            return apply["from"], a, b, lca
+    return None
+
+
+def equation_panels(gd: dict, node: int | None, event: dict | None,
+                    lhs: str, rhs: str) -> tuple[Panel, Panel]:
+    """The LHS/RHS panels of a violation at ``node`` of graph ``gd``.
+
+    Given the peeled ``event`` (an event dict, as for BottomUpStep), they show
+    the two sides of the bottom-up equation at merge ``node``: the merge of the
+    branch holding ``event`` with the other branch, against the merge without
+    ``event`` with ``event`` applied on top.  Otherwise they show the computed
+    and the expected state.
+    """
+    label = {nd["id"]: nd["label"] for nd in gd["nodes"]}
+    if event is None:
+        where = f" at {label[node]}" if node is not None else ""
+        return (Panel("LHS", (RenderStep(None, None, f"computed{where}: [{lhs}]"),), lhs),
+                Panel("RHS", (RenderStep(None, None, f"expected{where}: [{rhs}]"),), rhs))
+    a_prime, a, b, lca = (label[n] for n in _peel(gd, node, event))
+    return (Panel("LHS", (RenderStep(f"merge({a}, {b} | lca={lca})", None,
+                                     f"{label[node]} [{lhs}]"),), lhs),
+            Panel("RHS", (RenderStep(f"merge({a_prime}, {b} | lca={lca})",
+                                     event_label(event_from_dict(event)), f"[{rhs}]"),), rhs))
+
+
+def model_from_execution(ex: Execution, title: str | None = None) -> RenderModel:
+    nodes, edges, steps, final = _read_graph(graph_to_dict(ex))
+    name = title if title is not None else f"{ex.spec.name}: execution trace"
+    return RenderModel(name, nodes, edges, None, (Panel("Trace", steps, final),), False)
+
+
+def model_from_suite(sr: SuiteReport) -> RenderModel:
+    return model_from_report_dict(suite_report_to_dict(sr))
 
 
 def model_from_report_dict(d: dict) -> RenderModel:
+    """The render model of a report document: its verdict list when it has no
+    counterexample, else the counterexample's history with the LHS/RHS panels,
+    or the unreplayable trace for LinearizationExists."""
     validate_report(d)
     cx = d.get("counterexample")
     prop = d.get("property")
@@ -590,61 +589,26 @@ def model_from_report_dict(d: dict) -> RenderModel:
         status = "suite passed" if prop is None else f"{prop} failed"
         return RenderModel(f"{d['rdt']}: {status} (seed {d['seed']})",
                            (), (), None, (Panel("Verdicts", steps, status),), False)
-    by_id = {nd["id"]: nd for nd in cx["nodes"]}
-    nodes = tuple(RenderNode(nd["label"], nd["state"])
-                  for nd in sorted(cx["nodes"], key=lambda nd: nd["id"]))
-    edges = []
-    steps: list[tuple[int, RenderStep]] = []
-    merge_parts: dict[int, dict[str, int]] = {}
-    for edge in cx["edges"]:
-        src, dst = by_id[edge["from"]], by_id[edge["to"]]
-        if edge["kind"] == "apply":
-            label = event_label(event_from_dict(edge["event"], "event"))
-            edges.append(RenderEdge(src["label"], dst["label"], "apply", label))
-            steps.append((edge["to"], RenderStep(f"{src['label']} [{src['state']}]",
-                                                 label,
-                                                 f"{dst['label']} [{dst['state']}]")))
-        else:
-            edges.append(RenderEdge(src["label"], dst["label"], edge["kind"]))
-            merge_parts.setdefault(edge["to"], {})[edge["kind"]] = edge["from"]
-    for to, parts in merge_parts.items():
-        if {"merge-left", "merge-right", "lca"} <= set(parts):
-            dst = by_id[to]
-            steps.append((to, RenderStep(
-                f"merge({by_id[parts['merge-left']]['label']}, "
-                f"{by_id[parts['merge-right']]['label']} | "
-                f"lca={by_id[parts['lca']]['label']})",
-                None, f"{dst['label']} [{dst['state']}]")))
-    steps.sort(key=lambda pair: pair[0])
-    ordered = tuple(s for _, s in steps)
-    froms = {e["from"] for e in cx["edges"]}
-    sinks = [i for i in by_id if i not in froms]
-    sink_state = by_id[max(sinks)]["state"] if sinks else ""
-    history = Panel("History", ordered if ordered else
-                    ((RenderStep(None, None, f"{nodes[0].label} [{nodes[0].state}]"),)
-                     if nodes else ()), sink_state)
-    title = f"{d['rdt']}: {prop} violation (replayed from report)"
+    nodes, edges, steps, final = _read_graph(cx)
+    events = sum(1 for s in cx["recipe"]["steps"] if s["type"] == "apply")
+    title = (f"{d['rdt']}: {prop} violation "
+             f"(shrunk to {events} events in {cx['shrink_steps']} steps)")
     if prop == PropertyId.LINEARIZATION_EXISTS.value:
-        tried = cx.get("linearizations_tried")
-        note = RenderStep(None, None,
-                          f"!! no admissible order replays to [{cx['lhs']}]"
-                          + (f" (tried {tried})" if tried is not None else ""))
-        panel = Panel("Trace", history.steps + (note,), history.final)
-        return RenderModel(title, nodes, tuple(edges), None, (panel,), True)
-    lhs = Panel("LHS", (RenderStep(None, None, f"[{cx['lhs']}]"),), cx["lhs"])
-    rhs = Panel("RHS", (RenderStep(None, None, f"[{cx['rhs']}]"),), cx["rhs"])
-    return RenderModel(title, nodes, tuple(edges), history, (lhs, rhs), True)
+        tried = f" (tried {cx['linearizations_tried']})" if "linearizations_tried" in cx else ""
+        note = RenderStep(None, None, f"!! no admissible order replays to [{cx['lhs']}]{tried}")
+        return RenderModel(title, nodes, edges, None,
+                           (Panel("Trace", steps + (note,), final),), True)
+    panels = equation_panels(cx, cx.get("node"), cx.get("event"), cx["lhs"], cx["rhs"])
+    return RenderModel(title, nodes, edges, Panel("History", steps, final), panels, True)
 
 
 __all__ = [
     "ReportFormatError", "SCHEMA", "EDGE_KINDS",
     "RenderNode", "RenderEdge", "RenderStep", "Panel", "RenderModel",
-    "trace_steps", "trace_panel", "graph_render_parts",
-    "model_from_execution", "model_from_counterexample", "model_from_suite",
-    "model_from_report_dict",
+    "equation_panels", "model_from_execution", "model_from_suite", "model_from_report_dict",
     "render_text", "render_dot", "render_html", "render_json",
     "payload_to_dict", "payload_from_dict", "event_to_dict", "event_from_dict",
     "recipe_to_dict", "recipe_from_dict", "config_to_dict", "config_from_dict",
-    "counterexample_to_dict", "suite_report_to_dict",
+    "graph_to_dict", "counterexample_to_dict", "suite_report_to_dict",
     "parse_report", "validate_report",
 ]

@@ -12,19 +12,14 @@ are extensionally equal and the mappings agree on every key in the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
-
-
-def _as_frozen(items: Iterable) -> frozenset:
-    return items if isinstance(items, frozenset) else frozenset(items)
+from typing import Any, Iterator
 
 
 @dataclass(frozen=True)
 class TrackedSet:
-    members: frozenset = frozenset()
+    """``members`` is a ``frozenset``, stored as given."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", _as_frozen(self.members))
+    members: frozenset = frozenset()
 
     @staticmethod
     def empty() -> "TrackedSet":
@@ -88,12 +83,11 @@ def show_set(s: TrackedSet) -> str:
 
 @dataclass(frozen=True)
 class ExtensionalMap:
-    default: Any = field(compare=False, default=0)
-    entries: tuple = ()  # sorted (key, value) pairs over the domain members
+    """``entries`` is a tuple of ``(key, value)`` pairs sorted by key, one per
+    domain member, stored as given."""
 
-    def __post_init__(self):
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(sorted(dict(self.entries).items())))
+    default: Any = field(compare=False, default=0)
+    entries: tuple = ()
 
     @staticmethod
     def empty(default) -> "ExtensionalMap":

@@ -46,6 +46,8 @@ def test_config_rejects_bad_bounds():
         CheckConfig(max_events=0).validate()
     with pytest.raises(ValueError):
         CheckConfig(exhaustive_below=6, max_events=4).validate()
+    with pytest.raises(ValueError, match="replica_count must be >= 2"):
+        CheckConfig(replica_count=1).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,12 @@ def test_check_three_replicas_passes(capsys, in_tmp):
     assert "LinearizationExists    pass     (1000 tests)" in capsys.readouterr().out
 
 
+def test_check_one_replica_is_a_usage_error(capsys, in_tmp):
+    assert main(["check", "ctr-inc-mrdt", "--replicas", "1", "--seed", "1",
+                 "--tests", "50"]) == 2
+    assert "replica_count must be >= 2" in capsys.readouterr().err
+
+
 def test_check_passing_entry_exit_zero_no_report_file(capsys, in_tmp):
     code = main(["check", "g-set-mrdt", "--seed", "7", "--tests", "25",
                  "--max-events", "4", "--props", "MergeIdem,MergeComm"])
@@ -139,6 +145,13 @@ def test_oracle_rejects_events_beyond_cap(capsys, in_tmp):
     assert "--max-events must be <= 9" in capsys.readouterr().err
 
 
+def test_oracle_rejects_negative_events(capsys, in_tmp):
+    assert main(["oracle", "ctr-inc-mrdt", "--max-events", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-events must be >= 0" in captured.err
+    assert "histories checked" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # demo
 
@@ -185,8 +198,18 @@ def test_render_text_from_report(capsys, in_tmp):
     capsys.readouterr()
     assert main(["render", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "replayed from report" in out
+    assert out.startswith("ew-flag-buggy: BottomUpStep violation (shrunk to 4 events in ")
     assert "mismatch: (2, true) != (2, false)" in out
+
+
+@pytest.mark.parametrize("props", [[], ["--props", "LinearizationExists"]],
+                         ids=["all", "LinearizationExists"])
+def test_render_reproduces_the_check_view(capsys, in_tmp, props):
+    assert main(["check", "ew-flag-buggy", "--seed", "42", "--out", "r.json"] + props) == 1
+    checked = capsys.readouterr().out
+    block = checked.split("report written to r.json\n\n", 1)[1]
+    assert main(["render", "r.json"]) == 0
+    assert capsys.readouterr().out == block
 
 
 def test_render_dot_and_html_to_files(capsys, in_tmp):

@@ -15,8 +15,8 @@ from salcheck.report import (
     payload_to_dict, payload_from_dict, event_to_dict, event_from_dict,
     recipe_to_dict, recipe_from_dict, config_to_dict, config_from_dict,
     suite_report_to_dict, render_json, parse_report, validate_report,
-    model_from_execution, model_from_counterexample, model_from_suite,
-    model_from_report_dict, render_text, render_dot, render_html, trace_steps,
+    model_from_execution, model_from_suite, model_from_report_dict,
+    render_text, render_dot, render_html,
 )
 
 SMALL = CheckConfig(tests_per_property=25, seed=7, max_events=4, exhaustive_below=2)
@@ -178,7 +178,7 @@ def or_set_demo_execution():
 
 def test_trace_steps_arrow_text():
     ex = or_set_demo_execution()
-    lines = [s.text() for s in trace_steps(ex)]
+    lines = [s.text() for s in model_from_execution(ex).panels[0].steps]
     assert lines[0] == "v0 [#[]#] --add(1,t=1,r=0)--> v1 [#[(1, 1)]#]"
     assert any(line.startswith("merge(") for line in lines)
 
@@ -200,8 +200,9 @@ def test_render_text_counterexample_mismatch_line():
 
 
 def test_render_text_unlinearizable_note():
-    ce = failing_report().verdict(PropertyId.LINEARIZATION_EXISTS).counterexample
-    out = render_text(model_from_counterexample(ce))
+    report = run_suite(catalog_get("ew-flag-buggy"), CheckConfig(seed=42),
+                       properties=(PropertyId.LINEARIZATION_EXISTS,))
+    out = render_text(model_from_suite(report))
     assert "!! no admissible order replays to" in out
     assert "mismatch:" not in out  # single panel, the note carries the message
 
@@ -249,12 +250,53 @@ def test_renderers_are_pure():
 def test_model_from_report_dict_failing():
     doc = parse_report(render_json(failing_report()))
     model = model_from_report_dict(doc)
-    assert model.title == "ew-flag-buggy: BottomUpStep violation (replayed from report)"
+    assert model.title == "ew-flag-buggy: BottomUpStep violation (shrunk to 4 events in 0 steps)"
+    assert model == model_from_suite(failing_report())
     assert model.mismatch
     finals = [p.final for p in model.panels]
     assert finals == ["(2, true)", "(2, false)"]
     out = render_text(model)
     assert "mismatch: (2, true) != (2, false)" in out
+
+
+def test_failing_doc_locates_the_violation():
+    cx = suite_report_to_dict(failing_report())["counterexample"]
+    assert cx["node"] == 6
+    assert cx["event"] == {"ts": 4, "replica": 1, "op": {"kind": "disable"}}
+    lhs, rhs = model_from_report_dict(parse_report(render_json(failing_report()))).panels
+    assert lhs.steps[0].text() == "merge(v5, v4 | lca=v3) --> v6 [(2, true)]"
+    assert rhs.steps[0].text() == "merge(v3, v4 | lca=v3) --disable(t=4,r=1)--> [(2, false)]"
+
+
+@pytest.mark.parametrize("dropped", [("event",), ("node", "event")])
+def test_doc_without_violation_location_still_renders(dropped):
+    doc = parse_report(render_json(failing_report()))
+    for key in dropped:
+        del doc["counterexample"][key]
+    validate_report(doc)
+    where = " at v6" if "node" not in dropped else ""
+    model = model_from_report_dict(doc)
+    lhs, rhs = model.panels
+    assert lhs.steps[0].text() == f"computed{where}: [(2, true)]"
+    assert rhs.steps[0].text() == f"expected{where}: [(2, false)]"
+    assert "mismatch: (2, true) != (2, false)" in render_text(model)
+    assert render_dot(model) and render_html(model)
+
+
+def test_validate_event_not_on_a_side_of_node():
+    doc = parse_report(render_json(failing_report()))
+    cx = doc["counterexample"]
+    first_apply = next(e for e in cx["edges"] if e["kind"] == "apply")
+    cx["event"] = first_apply["event"]  # enters v1, not a side of the merge at v6
+    with pytest.raises(ReportFormatError, match=r"^\$\.counterexample\.event: "):
+        validate_report(doc)
+
+
+def test_validate_node_not_among_ids():
+    doc = parse_report(render_json(failing_report()))
+    doc["counterexample"]["node"] = 99
+    with pytest.raises(ReportFormatError, match=r"^\$\.counterexample\.node: "):
+        validate_report(doc)
 
 
 def test_model_from_report_dict_passing():
