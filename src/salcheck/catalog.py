@@ -261,10 +261,11 @@ def _gmap_apply(s: ExtensionalMap, ev: Event) -> ExtensionalMap:
 
 
 def _gmap_merge3(l: ExtensionalMap, a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
-    merged = ExtensionalMap.empty(_EMPTY_VALUE_SET)
-    for k in sorted(set(l.keys()) | set(a.keys()) | set(b.keys())):
-        merged = merged.set(k, _gset_merge3(l.get(k), a.get(k), b.get(k)))
-    return merged
+    dl, da, db = dict(l.entries), dict(a.entries), dict(b.entries)
+    empty = _EMPTY_VALUE_SET
+    merged = ((k, _gset_merge3(dl.get(k, empty), da.get(k, empty), db.get(k, empty)))
+              for k in sorted(dl.keys() | da.keys() | db.keys()))
+    return ExtensionalMap(empty, tuple((k, v) for k, v in merged if v != empty))
 
 
 g_map_mrdt = MrdtSpec(
@@ -360,10 +361,9 @@ def _vec_apply(m: ExtensionalMap, ev: Event) -> ExtensionalMap:
 
 
 def _vec_merge2(a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
-    merged = ExtensionalMap.empty(0)
-    for k in sorted(set(a.keys()) | set(b.keys())):
-        merged = merged.set(k, max(a.get(k), b.get(k)))
-    return merged
+    da, db = dict(a.entries), dict(b.entries)
+    merged = ((k, max(da.get(k, 0), db.get(k, 0))) for k in sorted(da.keys() | db.keys()))
+    return ExtensionalMap(0, tuple((k, v) for k, v in merged if v != 0))
 
 
 def vec_value(m: ExtensionalMap) -> int:

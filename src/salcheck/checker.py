@@ -254,6 +254,11 @@ def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
 
 # ---------------------------------------------------------------------------
 # Per-history property evaluators.  Each returns the first violation or None.
+# All but LinearizationExists, which reads the sink and ignores ``start``, are
+# node-local: the verdict at node n reads only nodes, states, events and masks
+# at or below n.  So each checks only the nodes (merge nodes for the merge
+# laws) from ``start`` on; the sweep passes the length of the node prefix that
+# a history shares with the previous one.
 
 
 def _viol(spec: RdtSpec, prop: PropertyId, ex: Execution, lhs, rhs, detail: str,
@@ -264,8 +269,8 @@ def _viol(spec: RdtSpec, prop: PropertyId, ex: Execution, lhs, rhs, detail: str,
                      detail, node, event, tried)
 
 
-def eval_merge_idem(spec: RdtSpec, ex: Execution) -> Violation | None:
-    for n, s in enumerate(ex.states):
+def eval_merge_idem(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
+    for n, s in enumerate(ex.states[start:], start):
         merged = merge_with_lca(spec, s, s, s)
         if merged != s:
             return _viol(spec, PropertyId.MERGE_IDEM, ex, merged, s,
@@ -273,11 +278,11 @@ def eval_merge_idem(spec: RdtSpec, ex: Execution) -> Violation | None:
     return None
 
 
-def eval_merge_comm(spec: RdtSpec, ex: Execution) -> Violation | None:
+def eval_merge_comm(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
     g = ex.graph
-    for m in g.merge_nodes():
+    for m in g.merge_nodes(start):
         _, left, right, lca = g.nodes[m]
-        ab = merge_with_lca(spec, ex.states[lca], ex.states[left], ex.states[right])
+        ab = ex.states[m]  # the execution's merge(lca, left, right)
         ba = merge_with_lca(spec, ex.states[lca], ex.states[right], ex.states[left])
         if ab != ba:
             return _viol(spec, PropertyId.MERGE_COMM, ex, ab, ba,
@@ -285,9 +290,9 @@ def eval_merge_comm(spec: RdtSpec, ex: Execution) -> Violation | None:
     return None
 
 
-def eval_merge_with_lca(spec: RdtSpec, ex: Execution) -> Violation | None:
+def eval_merge_with_lca(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
     g = ex.graph
-    for m in g.merge_nodes():
+    for m in g.merge_nodes(start):
         _, left, right, lca = g.nodes[m]
         l = ex.states[lca]
         for branch in (left, right):
@@ -317,15 +322,41 @@ class BottomUpInstance:
     holds: bool
 
 
-def _commute_on_probes(spec: RdtSpec, e1: Event, e2: Event, probes) -> bool:
-    for s in probes:
-        if spec.apply(spec.apply(s, e1), e2) != spec.apply(spec.apply(s, e2), e1):
-            return False
+def _independent(spec: RdtSpec, ex: Execution, e: Event, hist_b: int, concurrent: int,
+                 probe_nodes: tuple[int, int]) -> bool:
+    """Whether ``e`` may be peeled past the b-events in ``concurrent`` (see
+    ``_peels``); the commute probes are the initial state and the states at
+    ``probe_nodes``."""
+    g = ex.graph
+    masks = g.event_masks
+    rc = spec.rc
+    applied = None  # (probe, apply(probe, e)), built at the first commute check
+    for j in iter_bits(concurrent):
+        o = g.events[j]
+        ahead = rc(e.op, o.op)
+        if ahead or rc(o.op, e.op):
+            # Every b-event after o is concurrent with e too, so none of them
+            # lies in the LCA's history.
+            if ahead and not any(
+                masks[g.event_nodes[k]] >> j & 1 and conflicting(rc, o.op, g.events[k].op)
+                for k in iter_bits(hist_b & ~(1 << j))
+            ):
+                return False
+            continue
+        if applied is None:
+            applied = []
+            for s in (spec.initial, *(ex.states[n] for n in probe_nodes)):
+                if not any(s is p for p, _ in applied):  # one state, one probe
+                    applied.append((s, spec.apply(s, e)))
+        for s, se in applied:
+            if spec.apply(se, o) != spec.apply(spec.apply(s, o), e):
+                return False
     return True
 
 
-def bottom_up_instances(spec: RdtSpec, ex: Execution) -> list[BottomUpInstance]:
-    """All peelable instances of the bottom-up verification condition.
+def _peels(spec: RdtSpec, ex: Execution, start: int = 0):
+    """Yield ``(m, e, a_prime, b_node, lhs, rhs)`` for each peelable instance
+    of the bottom-up condition at a merge node ``m >= start``, in order.
 
     At a merge of branches a and b over ancestor l, the final event ``e`` of
     branch a may be peeled when its effect is independent of b's concurrent
@@ -335,71 +366,58 @@ def bottom_up_instances(spec: RdtSpec, ex: Execution) -> list[BottomUpInstance]:
     b-event commutes with ``e`` on the states at hand.  Without the override
     rule the condition would flag correct types for peeling a conflict winner
     past a live loser; with it, resurrecting a dead loser is still caught.
+    The instance holds when ``lhs``, a merged with b, equals ``rhs``, ``e``
+    applied on top of a without ``e`` merged with b.
     """
     g = ex.graph
+    states = ex.states
     masks = g.event_masks
-    ops = [ev.op for ev in g.events]
-    out: list[BottomUpInstance] = []
-    for m in g.merge_nodes():
+    for m in g.merge_nodes(start):
         _, left, right, lca = g.nodes[m]
         for a_node, b_node in ((left, right), (right, left)):
-            if g.kind(a_node) != "apply":
+            info = g.nodes[a_node]
+            if info[0] != "apply":
                 continue
-            _, a_prime, e = g.nodes[a_node]
-            i = e.ts - 1
+            _, a_prime, e = info
             hist_b = masks[b_node]
-            if hist_b >> i & 1:
+            if hist_b >> (e.ts - 1) & 1:
                 continue
-            l_state = ex.states[lca]
-            probes = (spec.initial, l_state, ex.states[a_prime])
-            ok = True
             # b's history is closed under happens-before and lacks e, so no
             # b-event comes after e: the concurrent ones are those e did not see.
-            for j in iter_bits(hist_b & ~masks[a_node]):
-                if conflicting(spec.rc, e.op, ops[j]):
-                    if spec.rc(e.op, ops[j]):
-                        # Every b-event after events[j] is concurrent with e
-                        # too, so none of them lies in the LCA's history.
-                        screened = any(
-                            masks[g.event_nodes[k]] >> j & 1
-                            and conflicting(spec.rc, ops[j], ops[k])
-                            for k in iter_bits(hist_b & ~(1 << j))
-                        )
-                        if not screened:
-                            ok = False
-                            break
-                elif not _commute_on_probes(spec, e, g.events[j], probes):
-                    ok = False
-                    break
-            if not ok:
+            if not _independent(spec, ex, e, hist_b, hist_b & ~masks[a_node], (lca, a_prime)):
                 continue
-            lhs = merge_with_lca(spec, l_state, ex.states[a_node], ex.states[b_node])
-            rhs = spec.apply(merge_with_lca(spec, l_state, ex.states[a_prime],
-                                            ex.states[b_node]), e)
-            out.append(BottomUpInstance(
-                m, e, a_prime, b_node, lhs, rhs,
-                spec.format_state(lhs), spec.format_state(rhs), lhs == rhs))
-    return out
+            l_state = states[lca]
+            lhs = (states[m] if a_node == left  # the execution's merge(l, a, b)
+                   else merge_with_lca(spec, l_state, states[a_node], states[b_node]))
+            rhs = spec.apply(merge_with_lca(spec, l_state, states[a_prime], states[b_node]), e)
+            yield m, e, a_prime, b_node, lhs, rhs
 
 
-def eval_bottom_up_step(spec: RdtSpec, ex: Execution) -> Violation | None:
-    for inst in bottom_up_instances(spec, ex):
-        if not inst.holds:
-            return _viol(spec, PropertyId.BOTTOM_UP_STEP, ex, inst.lhs, inst.rhs,
-                         f"peeling {inst.event.op.label()} at v{inst.merge_node} "
-                         f"changes the merge result",
-                         node=inst.merge_node, event=inst.event)
+def bottom_up_instances(spec: RdtSpec, ex: Execution) -> list[BottomUpInstance]:
+    """All peelable instances of the bottom-up verification condition (see
+    ``_peels``), with both sides formatted."""
+    return [BottomUpInstance(m, e, a_prime, b_node, lhs, rhs,
+                             spec.format_state(lhs), spec.format_state(rhs), lhs == rhs)
+            for m, e, a_prime, b_node, lhs, rhs in _peels(spec, ex)]
+
+
+def eval_bottom_up_step(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
+    for m, e, _, _, lhs, rhs in _peels(spec, ex, start):
+        if lhs != rhs:
+            return _viol(spec, PropertyId.BOTTOM_UP_STEP, ex, lhs, rhs,
+                         f"peeling {e.op.label()} at v{m} changes the merge result",
+                         node=m, event=e)
     return None
 
 
-def _conflict_diamonds(spec: RdtSpec, ex: Execution):
+def _conflict_diamonds(spec: RdtSpec, ex: Execution, start: int = 0):
     """Merges whose two branches are single events applied directly to the
     LCA version.  Only there does replaying both events from the LCA state
     reproduce exactly what each event observed; an event forked elsewhere may
     have seen a different past, so the sequential comparison would be unfair.
     """
     g = ex.graph
-    for m in g.merge_nodes():
+    for m in g.merge_nodes(start):
         _, left, right, lca = g.nodes[m]
         if g.kind(left) != "apply" or g.kind(right) != "apply":
             continue
@@ -410,8 +428,8 @@ def _conflict_diamonds(spec: RdtSpec, ex: Execution):
             yield m, lca, ea, eb
 
 
-def eval_rc_policy(spec: RdtSpec, ex: Execution) -> Violation | None:
-    for m, lca, ea, eb in _conflict_diamonds(spec, ex):
+def eval_rc_policy(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
+    for m, lca, ea, eb in _conflict_diamonds(spec, ex, start):
         first, second = (ea, eb) if rc_order(spec.rc, ea.op, eb.op) is RcOrder.FIRST else (eb, ea)
         expected = spec.apply(spec.apply(ex.states[lca], first), second)
         if ex.states[m] != expected:
@@ -426,7 +444,7 @@ def rc_policy_instances(spec: RdtSpec, ex: Execution) -> int:
     return sum(1 for _ in _conflict_diamonds(spec, ex))
 
 
-def eval_linearization_exists(spec: RdtSpec, ex: Execution) -> Violation | None:
+def eval_linearization_exists(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
     if len(ex.graph.events) > ORACLE_EVENT_CAP:
         return None  # out of oracle scope; covered only by smaller histories
     final = ex.sink_state()
@@ -441,11 +459,11 @@ def eval_linearization_exists(spec: RdtSpec, ex: Execution) -> Violation | None:
     return None
 
 
-def eval_lattice_comm(spec: RdtSpec, ex: Execution) -> Violation | None:
+def eval_lattice_comm(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
     g = ex.graph
-    for m in g.merge_nodes():
+    for m in g.merge_nodes(start):
         _, left, right, _ = g.nodes[m]
-        ab = spec.merge2(ex.states[left], ex.states[right])
+        ab = ex.states[m]  # the execution's merge2(left, right)
         ba = spec.merge2(ex.states[right], ex.states[left])
         if ab != ba:
             return _viol(spec, PropertyId.LATTICE_COMM, ex, ab, ba,
@@ -453,22 +471,22 @@ def eval_lattice_comm(spec: RdtSpec, ex: Execution) -> Violation | None:
     return None
 
 
-def eval_lattice_assoc(spec: RdtSpec, ex: Execution) -> Violation | None:
+def eval_lattice_assoc(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
     g = ex.graph
-    for m in g.merge_nodes():
+    for m in g.merge_nodes(start):
         _, left, right, lca = g.nodes[m]
-        a, b = ex.states[left], ex.states[right]
+        a, b, ab = ex.states[left], ex.states[right], ex.states[m]
         for c in (ex.states[lca], spec.initial):
             nested = spec.merge2(a, spec.merge2(b, c))
-            flat = spec.merge2(spec.merge2(a, b), c)
+            flat = spec.merge2(ab, c)
             if nested != flat:
                 return _viol(spec, PropertyId.LATTICE_ASSOC, ex, nested, flat,
                              f"join at v{m} is not associative", node=m)
     return None
 
 
-def eval_lattice_idem(spec: RdtSpec, ex: Execution) -> Violation | None:
-    for n, s in enumerate(ex.states):
+def eval_lattice_idem(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
+    for n, s in enumerate(ex.states[start:], start):
         joined = spec.merge2(s, s)
         if joined != s:
             return _viol(spec, PropertyId.LATTICE_IDEM, ex, joined, s,
@@ -476,7 +494,7 @@ def eval_lattice_idem(spec: RdtSpec, ex: Execution) -> Violation | None:
     return None
 
 
-EVALUATORS: dict[PropertyId, Callable[[RdtSpec, Execution], Violation | None]] = {
+EVALUATORS: dict[PropertyId, Callable[[RdtSpec, Execution, int], Violation | None]] = {
     PropertyId.MERGE_IDEM: eval_merge_idem,
     PropertyId.MERGE_COMM: eval_merge_comm,
     PropertyId.MERGE_WITH_LCA: eval_merge_with_lca,
@@ -510,6 +528,11 @@ def _as_entry(target: CatalogEntry | RdtSpec) -> CatalogEntry:
                         target, False, "ad-hoc")
 
 
+def _shared_prefix(a: tuple, b: tuple) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``."""
+    return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
               properties: tuple[PropertyId, ...] | None = None) -> SuiteReport:
     """Check every applicable property; deterministic for a given config."""
@@ -520,51 +543,54 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
     pool = payload_pool(spec, cfg.literal_pool)
     vacuous_rc = rc_is_vacuous(spec, cfg.literal_pool)
 
-    tests = {p: 0 for p in props}
-    found: dict[PropertyId, Violation | None] = {p: None for p in props}
+    # Per-property state, indexed like ``props``.
+    evaluators = [EVALUATORS[p] for p in props]
+    tests = [0] * len(props)
+    found: list[Violation | None] = [None] * len(props)
+    live = [i for i, p in enumerate(props) if not (p is PropertyId.RC_POLICY and vacuous_rc)]
 
-    def live_props():
-        return [p for p in props if found[p] is None
-                and not (p is PropertyId.RC_POLICY and vacuous_rc)]
-
-    def consider(ex: Execution, only: PropertyId | None = None) -> None:
-        for p in (live_props() if only is None else [only]):
-            v = EVALUATORS[p](spec, ex)
-            tests[p] += 1
-            if v is not None:
-                found[p] = v
-
-    if live_props():
+    if live:
+        previous: tuple = ()
         for ex in enumerate_executions(spec, pool, cfg.exhaustive_below - 1,
                                        cfg.replica_count, cfg.max_joins):
-            consider(ex)
-            if not live_props():
+            # Every live property passed the nodes shared with the previous history.
+            nodes = ex.graph.nodes
+            start = _shared_prefix(previous, nodes)
+            for i in live:
+                found[i] = evaluators[i](spec, ex, start)
+                tests[i] += 1
+            live = [i for i in live if found[i] is None]
+            if not live:
                 break
+            previous = nodes
 
-    for p in props:
-        if found[p] is not None or (p is PropertyId.RC_POLICY and vacuous_rc):
-            continue
+    for i in live:
+        p = props[i]
+        capped = p is PropertyId.LINEARIZATION_EXISTS  # the oracle's event cap
         index = 0
-        while tests[p] < cfg.tests_per_property and found[p] is None:
+        while tests[i] < cfg.tests_per_property and found[i] is None:
             rng = random.Random(_stream_seed(cfg.seed, entry.id, p, index))
             recipe = random_recipe(rng, pool, cfg.max_events, cfg.replica_count,
                                    max_joins=cfg.max_joins + 1)
             index += 1
+            if capped and recipe.event_count() > ORACLE_EVENT_CAP:
+                continue  # out of oracle scope: redraw, not a test
             try:
                 graph = build(recipe)
             except NoUniqueLcaError:
                 continue  # a criss-cross merge (3+ replicas): redraw, not a test
-            consider(execute(spec, graph), only=p)
+            found[i] = evaluators[i](spec, execute(spec, graph))
+            tests[i] += 1
 
     verdicts = []
-    for p in props:
+    for i, p in enumerate(props):
         if p is PropertyId.RC_POLICY and vacuous_rc:
             verdicts.append(Verdict(p, "vacuous", 0))
-        elif found[p] is None:
-            verdicts.append(Verdict(p, "pass", tests[p]))
+        elif found[i] is None:
+            verdicts.append(Verdict(p, "pass", tests[i]))
         else:
-            report = shrink(entry, p, found[p].recipe, cfg)
-            verdicts.append(Verdict(p, "fail", tests[p], report))
+            report = shrink(entry, p, found[i].recipe, cfg)
+            verdicts.append(Verdict(p, "fail", tests[i], report))
     return SuiteReport(entry.id, cfg.seed, cfg, tuple(verdicts))
 
 

@@ -99,8 +99,9 @@ class VersionGraph:
     def kind(self, n: int) -> str:
         return self.nodes[n][0]
 
-    def merge_nodes(self) -> list[int]:
-        return [n for n in range(len(self.nodes)) if self.nodes[n][0] == "merge"]
+    def merge_nodes(self, start: int = 0) -> list[int]:
+        """The merge nodes from node ``start`` on, in order."""
+        return [n for n in range(start, len(self.nodes)) if self.nodes[n][0] == "merge"]
 
     def all_events(self) -> tuple[Event, ...]:
         return self.events

@@ -7,7 +7,7 @@ from salcheck.model import (
     Inc, Dec, Add, Rem, Enable, Disable, Write, Insert, Delete, MapSet,
     Event, SpecMismatchError, is_crdt,
 )
-from salcheck.tracked import TrackedSet
+from salcheck.tracked import ExtensionalMap, TrackedSet
 from salcheck.catalog import (
     CATALOG, catalog_ids, catalog_get, payload_pool, LITERAL_POOL,
     ctr_inc_mrdt, pn_ctr_mrdt, pn_value, or_set_mrdt, or_set_eff_mrdt,
@@ -215,6 +215,40 @@ def test_ctr_inc_crdt_merge2_pointwise_max():
     merged = ctr_inc_crdt.merge2(a, b)
     assert merged.get(0) == 2 and merged.get(1) == 3
     assert vec_value(merged) == 5
+
+
+def _per_key_fold(default, keys, value_at) -> ExtensionalMap:
+    """A map merge as one ``set`` call per key, in key order."""
+    merged = ExtensionalMap.empty(default)
+    for k in sorted(keys):
+        merged = merged.set(k, value_at(k))
+    return merged
+
+
+def _maps(values, default):
+    # Built directly, so an entry may hold the default value.
+    return st.dictionaries(st.integers(0, 4), values, max_size=5).map(
+        lambda d: ExtensionalMap(default, tuple(sorted(d.items()))))
+
+
+_VALUE_SETS = st.frozensets(st.integers(1, 3), max_size=3).map(TrackedSet)
+
+
+@SUITE
+@given(_maps(st.integers(0, 3), 0), _maps(st.integers(0, 3), 0))
+def test_vec_merge2_equals_the_per_key_fold(a, b):
+    want = _per_key_fold(0, set(a.keys()) | set(b.keys()), lambda k: max(a.get(k), b.get(k)))
+    got = ctr_inc_crdt.merge2(a, b)
+    assert got == want and got.entries == want.entries
+
+
+@SUITE
+@given(*[_maps(_VALUE_SETS, TrackedSet.empty())] * 3)
+def test_gmap_merge3_equals_the_per_key_fold(l, a, b):
+    want = _per_key_fold(TrackedSet.empty(), set(l.keys()) | set(a.keys()) | set(b.keys()),
+                         lambda k: a.get(k).union(b.get(k)))
+    got = g_map_mrdt.merge3(l, a, b)
+    assert got == want and got.entries == want.entries
 
 
 def test_pn_ctr_crdt_value():

@@ -316,6 +316,24 @@ def test_three_replica_two_join_sweep_skips_merges_without_unique_lca():
     assert rep.verdict(PropertyId.MERGE_IDEM).tests == 2027
 
 
+def test_oracle_scope_redraws_histories_above_the_cap(monkeypatch):
+    # Above ORACLE_EVENT_CAP the oracle checks nothing, so such a random draw
+    # is redrawn, not counted as a LinearizationExists test.
+    prop = PropertyId.LINEARIZATION_EXISTS
+    sizes = []
+    check = EVALUATORS[prop]
+
+    def recording(spec, ex, *rest):
+        sizes.append(len(ex.graph.events))
+        return check(spec, ex, *rest)
+
+    monkeypatch.setitem(EVALUATORS, prop, recording)
+    cfg = CheckConfig(tests_per_property=200, max_events=12, exhaustive_below=1)
+    rep = run_suite(ctr_inc_mrdt, cfg, properties=(prop,))
+    assert rep.verdict(prop).tests == len(sizes) == 200
+    assert max(sizes) == ORACLE_EVENT_CAP
+
+
 def test_exhaustive_phase_counts_toward_test_budget():
     # 131 flag recipes below 4 events > 50 requested tests: random phase skipped
     cfg = CheckConfig(tests_per_property=50, seed=5, max_events=6, exhaustive_below=4)
