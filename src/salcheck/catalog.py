@@ -90,7 +90,10 @@ pn_ctr_mrdt = MrdtSpec(
 # version graph — the guard excludes nothing, because every entry in the
 # pre-state was made by an observed event; the same functions double as the
 # replay semantics for sequential witnesses, where an event replayed out of
-# causal context must not act on entries it could never have seen.
+# causal context must not act on entries it could never have seen.  A remove
+# that removes nothing returns its input itself (``TrackedSet.filter``): the
+# peel check probes each distinct state object once, so a fresh copy would
+# add ``apply`` calls.
 
 
 def _saw(observed: frozenset | None, ts: int) -> bool:
@@ -100,16 +103,13 @@ def _saw(observed: frozenset | None, ts: int) -> bool:
 def _orset_apply(s: TrackedSet, ev: Event, observed: frozenset | None = None) -> TrackedSet:
     if isinstance(ev.op, Add):
         return s.insert((ev.ts, ev.op.elem))
-    removed = s
-    for pair in s.elements():
-        if pair[1] == ev.op.elem and _saw(observed, pair[0]):
-            removed = removed.remove(pair)
-    return removed
+    elem = ev.op.elem
+    return s.filter(lambda pair: not (pair[1] == elem and _saw(observed, pair[0])))
 
 
 def orset_merge3(l: TrackedSet, a: TrackedSet, b: TrackedSet) -> TrackedSet:
     """Keep what survived on both branches plus whatever either branch added."""
-    return l.intersect(a).intersect(b).union(a.diff(l)).union(b.diff(l))
+    return TrackedSet((l & a & b) | (a - l) | (b - l))
 
 
 def _orset_rc(o1: OpPayload, o2: OpPayload) -> bool:
@@ -133,18 +133,13 @@ def _orset_eff_apply(s: TrackedSet, ev: Event, observed: frozenset | None = None
     # State: TrackedSet of (timestamp, replica, element).  An add supersedes
     # the adder's own previous entry for that element, so each (element,
     # replica) pair keeps a single latest timestamp.
+    elem, replica = ev.op.elem, ev.replica
     if isinstance(ev.op, Add):
-        elem = ev.op.elem
-        compacted = s
-        for triple in s.elements():
-            if triple[2] == elem and triple[1] == ev.replica and _saw(observed, triple[0]):
-                compacted = compacted.remove(triple)
-        return compacted.insert((ev.ts, ev.replica, elem))
-    removed = s
-    for triple in s.elements():
-        if triple[2] == ev.op.elem and _saw(observed, triple[0]):
-            removed = removed.remove(triple)
-    return removed
+        kept = [t for t in s
+                if not (t[2] == elem and t[1] == replica and _saw(observed, t[0]))]
+        kept.append((ev.ts, replica, elem))
+        return TrackedSet(kept)
+    return s.filter(lambda t: not (t[2] == elem and _saw(observed, t[0])))
 
 
 or_set_eff_mrdt = MrdtSpec(
@@ -205,11 +200,7 @@ def _flag_fixed_apply(s: TrackedSet, ev: Event, observed: frozenset | None = Non
     # State: the set of enable timestamps that no disable has observed yet.
     if isinstance(ev.op, Enable):
         return s.insert(ev.ts)
-    cleared = s
-    for ts in s.elements():
-        if _saw(observed, ts):
-            cleared = cleared.remove(ts)
-    return cleared
+    return s.filter(lambda ts: not _saw(observed, ts))
 
 
 def flag_value(s: TrackedSet) -> bool:
@@ -250,27 +241,23 @@ g_set_mrdt = MrdtSpec(
     format_state=show_set,
 )
 
-_EMPTY_VALUE_SET = TrackedSet.empty()
-
 
 def _gmap_apply(s: ExtensionalMap, ev: Event) -> ExtensionalMap:
     op = ev.op
     if not isinstance(op.op, Add):
         raise SpecMismatchError(f"g-map values only accept add, got {op.op!r}")
-    return s.set(op.key, s.get(op.key).insert(op.op.elem))
+    elem = op.op.elem
+    return s.update(op.key, lambda v: v.insert(elem))
 
 
 def _gmap_merge3(l: ExtensionalMap, a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
-    dl, da, db = dict(l.entries), dict(a.entries), dict(b.entries)
-    empty = _EMPTY_VALUE_SET
-    merged = ((k, _gset_merge3(dl.get(k, empty), da.get(k, empty), db.get(k, empty)))
-              for k in sorted(dl.keys() | da.keys() | db.keys()))
-    return ExtensionalMap(empty, tuple((k, v) for k, v in merged if v != empty))
+    # The g-set merge ignores the LCA, so merging pointwise is uniting a and b.
+    return a.combine(b, TrackedSet.union)
 
 
 g_map_mrdt = MrdtSpec(
     name="g-map-mrdt",
-    initial=ExtensionalMap.empty(_EMPTY_VALUE_SET),
+    initial=ExtensionalMap.empty(TrackedSet.empty()),
     apply=_gmap_apply,
     merge3=_gmap_merge3,
     rc=rc_empty,
@@ -289,11 +276,8 @@ def _rga_apply(s, ev: Event, observed: frozenset | None = None):
     elems, tombs = s
     if isinstance(ev.op, Insert):
         return (elems.insert((ev.ts, ev.op.elem)), tombs)
-    doomed = tombs
-    for ts, elem in elems.elements():
-        if elem == ev.op.elem and _saw(observed, ts) and not tombs.member(ts):
-            doomed = doomed.insert(ts)
-    return (elems, doomed)
+    doomed = {ts for ts, elem in elems if elem == ev.op.elem and _saw(observed, ts)}
+    return (elems, TrackedSet(tombs | doomed))
 
 
 def _rga_merge3(l, a, b):
@@ -333,8 +317,9 @@ rga_mrdt = MrdtSpec(
 
 
 def _mvreg_apply(s: TrackedSet, ev: Event) -> TrackedSet:
-    kept = s.filter(lambda pair: pair[0] > ev.ts)
-    return kept.insert((ev.ts, ev.op.value))
+    kept = [pair for pair in s if pair[0] > ev.ts]
+    kept.append((ev.ts, ev.op.value))
+    return TrackedSet(kept)
 
 
 def mv_reg_read(s: TrackedSet) -> frozenset:
@@ -357,13 +342,11 @@ mv_reg_mrdt = MrdtSpec(
 
 
 def _vec_apply(m: ExtensionalMap, ev: Event) -> ExtensionalMap:
-    return m.set(ev.replica, m.get(ev.replica) + 1)
+    return m.update(ev.replica, lambda n: n + 1)
 
 
 def _vec_merge2(a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
-    da, db = dict(a.entries), dict(b.entries)
-    merged = ((k, max(da.get(k, 0), db.get(k, 0))) for k in sorted(da.keys() | db.keys()))
-    return ExtensionalMap(0, tuple((k, v) for k, v in merged if v != 0))
+    return a.combine(b, max)
 
 
 def vec_value(m: ExtensionalMap) -> int:
@@ -408,15 +391,13 @@ pn_ctr_crdt = CrdtSpec(
 
 
 def _mvreg_crdt_apply(s: TrackedSet, ev: Event) -> TrackedSet:
-    return TrackedSet(frozenset({(ev.ts, ev.op.value)}))
+    return TrackedSet(((ev.ts, ev.op.value),))
 
 
 def _mvreg_crdt_merge2(a: TrackedSet, b: TrackedSet) -> TrackedSet:
-    merged = a.union(b)
-    if not merged.members:
-        return merged
-    top = max(ts for ts, _ in merged.members)
-    return merged.filter(lambda pair: pair[0] == top)
+    merged = a | b
+    top = max((ts for ts, _ in merged), default=None)
+    return TrackedSet([pair for pair in merged if pair[0] == top])
 
 
 mv_reg_crdt = CrdtSpec(
@@ -434,11 +415,8 @@ def _orset_crdt_apply(s, ev: Event, observed: frozenset | None = None):
     adds, tombs = s
     if isinstance(ev.op, Add):
         return (adds.insert((ev.ts, ev.op.elem)), tombs)
-    doomed = tombs
-    for pair in adds.elements():
-        if pair[1] == ev.op.elem and _saw(observed, pair[0]) and not tombs.member(pair):
-            doomed = doomed.insert(pair)
-    return (adds, doomed)
+    doomed = {pair for pair in adds if pair[1] == ev.op.elem and _saw(observed, pair[0])}
+    return (adds, TrackedSet(tombs | doomed))
 
 
 def _orset_crdt_merge2(a, b):

@@ -66,6 +66,8 @@ def _parse_props(raw: str | None) -> tuple[PropertyId, ...] | None:
         if name not in by_name:
             valid = ", ".join(sorted(by_name))
             raise UsageError(f"unknown property {name!r}; valid: {valid}")
+        if by_name[name] in props:
+            raise UsageError(f"property {name} listed twice")
         props.append(by_name[name])
     if not props:
         raise UsageError("--props given but empty")

@@ -108,10 +108,6 @@ class MapSet:
 
 OpPayload = Inc | Dec | Add | Rem | Enable | Disable | Write | Insert | Delete | MapSet
 
-PAYLOAD_TYPES: tuple[type, ...] = (
-    Inc, Dec, Add, Rem, Enable, Disable, Write, Insert, Delete, MapSet,
-)
-
 
 @dataclass(frozen=True)
 class Event:

@@ -1,11 +1,14 @@
 """The ``salcheck`` command: exit codes, output contracts, file side effects."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import salcheck
 from salcheck.cli import main
 from salcheck.report import parse_report
 
@@ -91,6 +94,14 @@ def test_check_unknown_rdt(capsys, in_tmp):
 def test_check_unknown_property(capsys, in_tmp):
     assert main(["check", "g-set-mrdt", "--seed", "1", "--props", "Bogus"]) == 2
     assert "unknown property" in capsys.readouterr().err
+
+
+def test_check_duplicated_property_is_a_usage_error(capsys, in_tmp):
+    args = ["check", "ctr-inc-mrdt", "--seed", "1", "--props", "MergeIdem,MergeIdem"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert "error: property MergeIdem listed twice" in err
+    assert "MergeIdem" not in out
 
 
 def test_check_seed_from_environment(capsys, in_tmp, monkeypatch):
@@ -240,7 +251,11 @@ def test_missing_subcommand_is_usage_error(capsys, in_tmp):
 
 
 def test_installed_entry_point_runs():
+    # The child imports the same package as the tests, installed or not.
+    root = str(Path(salcheck.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "salcheck", "list"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "ew-flag-buggy" in proc.stdout
