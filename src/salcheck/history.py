@@ -385,18 +385,42 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
 
 def random_recipe(rng: random.Random, pool: tuple[OpPayload, ...], max_events: int,
                   replicas: int = 2, max_joins: int = 2) -> Recipe:
-    n_events = rng.randint(1, max_events)
-    n_joins = rng.randint(0, max_joins)
+    """A random recipe: 1 to ``max_events`` applies on random replicas with
+    payloads from ``pool``, and 0 to ``max_joins`` joins at random positions
+    (never the last step).  Every draw is the ``getrandbits`` rejection loop
+    that ``rng.randrange`` runs, called directly rather than through the
+    ``random`` methods layered on it, and the join positions are drawn as
+    ``rng.sample`` draws from a small population.  So the recipes follow the
+    same distribution as with those methods."""
+    bits = rng.getrandbits
+
+    def below(n: int) -> int:  # uniform on range(n), as rng.randrange(n)
+        if n < 1:  # getrandbits(0) is 0, so the loop below would never end
+            raise ValueError("empty range: no replica or payload to draw")
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    n_events = 1 + below(max_events)
+    n_joins = below(max_joins + 1)
     slots = n_events + n_joins
-    join_at = set(rng.sample(range(slots - 1), n_joins)) if n_joins else set()
+    positions = list(range(slots - 1))  # rng.sample's draw for a small population
+    join_at = set()
+    for i in range(n_joins):
+        j = below(slots - 1 - i)
+        join_at.add(positions[j])
+        positions[j] = positions[slots - 2 - i]
+    n_pool = len(pool)
     steps: list[Step] = []
     for i in range(slots):
         if i in join_at:
-            t = rng.randrange(replicas)
-            s = rng.choice([x for x in range(replicas) if x != t])
-            steps.append(JoinOp(t, s))
+            t = below(replicas)
+            s = below(replicas - 1)
+            steps.append(JoinOp(t, s + (s >= t)))  # any replica but t
         else:
-            steps.append(ApplyOp(rng.randrange(replicas), rng.choice(pool)))
+            steps.append(ApplyOp(below(replicas), pool[below(n_pool)]))
     return Recipe(tuple(steps), replicas)
 
 

@@ -297,11 +297,19 @@ def test_suite_seed_changes_random_phase():
 def test_three_replica_suite_redraws_merges_without_unique_lca():
     entry = catalog_get("or-set-mrdt")
     cfg = CheckConfig(replica_count=3, exhaustive_below=2)
-    # Draw 2 of the LinearizationExists stream merges two heads that have two
-    # maximal common ancestors; the suite must skip it, not crash or count it.
-    rng = random.Random(_stream_seed(cfg.seed, entry.id, PropertyId.LINEARIZATION_EXISTS, 2))
-    recipe = random_recipe(rng, payload_pool(entry.spec), cfg.max_events, cfg.replica_count,
-                           max_joins=cfg.max_joins + 1)
+    # An early draw of the LinearizationExists stream merges two heads that
+    # have two maximal common ancestors; the suite must skip it, not crash or
+    # count it.
+    rng = random.Random(_stream_seed(cfg.seed, entry.id, PropertyId.LINEARIZATION_EXISTS))
+    for _ in range(cfg.tests_per_property // 2):
+        recipe = random_recipe(rng, payload_pool(entry.spec), cfg.max_events,
+                               cfg.replica_count, max_joins=cfg.max_joins + 1)
+        try:
+            build(recipe)
+        except NoUniqueLcaError:
+            break
+    else:
+        pytest.fail("no draw in the first half of the stream lacks a unique LCA")
     with pytest.raises(NoUniqueLcaError):
         build(recipe)
     rep = run_suite(entry, cfg)
@@ -318,20 +326,27 @@ def test_three_replica_two_join_sweep_skips_merges_without_unique_lca():
 
 def test_oracle_scope_redraws_histories_above_the_cap(monkeypatch):
     # Above ORACLE_EVENT_CAP the oracle checks nothing, so such a random draw
-    # is redrawn, not counted as a LinearizationExists test.
-    prop = PropertyId.LINEARIZATION_EXISTS
-    sizes = []
-    check = EVALUATORS[prop]
+    # is redrawn, not counted as a LinearizationExists test.  The other
+    # properties check and count histories of that size.
+    prop, other = PropertyId.LINEARIZATION_EXISTS, PropertyId.MERGE_IDEM
+    sizes = {prop: [], other: []}
 
-    def recording(spec, ex, *rest):
-        sizes.append(len(ex.graph.events))
-        return check(spec, ex, *rest)
+    def recording(p):
+        check = EVALUATORS[p]
 
-    monkeypatch.setitem(EVALUATORS, prop, recording)
+        def record(spec, ex, *rest):
+            sizes[p].append(len(ex.graph.events))
+            return check(spec, ex, *rest)
+        return record
+
+    for p in sizes:
+        monkeypatch.setitem(EVALUATORS, p, recording(p))
     cfg = CheckConfig(tests_per_property=200, max_events=12, exhaustive_below=1)
-    rep = run_suite(ctr_inc_mrdt, cfg, properties=(prop,))
-    assert rep.verdict(prop).tests == len(sizes) == 200
-    assert max(sizes) == ORACLE_EVENT_CAP
+    rep = run_suite(ctr_inc_mrdt, cfg, properties=(prop, other))
+    assert rep.verdict(prop).tests == len(sizes[prop]) == 200
+    assert max(sizes[prop]) == ORACLE_EVENT_CAP
+    assert rep.verdict(other).tests == len(sizes[other]) == 200
+    assert max(sizes[other]) > ORACLE_EVENT_CAP
 
 
 def test_exhaustive_phase_counts_toward_test_budget():
