@@ -20,9 +20,10 @@ the first failure found in the sweep is already event-minimal.  The sweep
 checks every open property on each history it builds.  The random phase gives
 each property its own stream, one ``random.Random`` seeded once per (seed,
 entry, property), so the properties of a suite check independent histories
-and each gets its own chance to catch a bug.  A draw whose merge has no
-unique LCA is redrawn, and so is a draw above ``ORACLE_EVENT_CAP`` events for
-``LinearizationExists``; neither counts as a test.
+and each gets its own chance to catch a bug.  ``draw_execution`` draws,
+builds and executes each random history in one pass.  A draw whose merge has
+no unique LCA is redrawn, and so is a draw above ``ORACLE_EVENT_CAP`` events
+for ``LinearizationExists``; neither counts as a test.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .catalog import CatalogEntry, payload_pool
-from .history import (  # perfbench/tracing.py wraps checker.enumerate_recipes by name
-    ApplyOp, Execution, JoinOp, NoUniqueLcaError, Recipe, build, enumerate_executions,
-    enumerate_recipes, execute, iter_bits, merge_with_lca, random_recipe,
+from .history import (  # perfbench/tracing.py wraps several of these as checker.<name>
+    ApplyOp, Execution, JoinOp, Recipe, StepTables, build, draw_execution,
+    enumerate_executions, enumerate_recipes, execute, iter_bits, merge_with_lca,
+    random_recipe,
 )
 from .model import (
     Add, Delete, Event, Insert, MapSet, OpPayload, RcOrder, RdtSpec, Rem,
@@ -110,6 +112,13 @@ class CheckConfig:
             raise ValueError("seed must be a natural number")
         if self.exhaustive_below > self.max_events:
             raise ValueError("exhaustive_below must not exceed max_events")
+        if self.max_joins < 0:
+            raise ValueError(f"max_joins must be >= 0, got {self.max_joins}")
+        # The sweep's canonical literal order (first use 1, 2, 3, ...) reaches
+        # every history only over exactly this pool.
+        pool = self.literal_pool
+        if not pool or pool != tuple(range(1, len(pool) + 1)):
+            raise ValueError(f"literal_pool must be (1, ..., k) with k >= 1, got {pool}")
 
 
 @dataclass(frozen=True)
@@ -570,20 +579,16 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
                 break
             previous = nodes
 
+    tables = StepTables(pool, cfg.replica_count, cfg.max_events)
     for i in live:
         p = props[i]
-        capped = p is PropertyId.LINEARIZATION_EXISTS  # the oracle's event cap
+        cap = ORACLE_EVENT_CAP if p is PropertyId.LINEARIZATION_EXISTS else None
         rng = random.Random(_stream_seed(cfg.seed, entry.id, p))
         while tests[i] < cfg.tests_per_property and found[i] is None:
-            recipe = random_recipe(rng, pool, cfg.max_events, cfg.replica_count,
-                                   max_joins=cfg.max_joins + 1)
-            if capped and recipe.event_count() > ORACLE_EVENT_CAP:
-                continue  # out of oracle scope: redraw, not a test
-            try:
-                graph = build(recipe)
-            except NoUniqueLcaError:
-                continue  # a criss-cross merge (3+ replicas): redraw, not a test
-            found[i] = evaluators[i](spec, execute(spec, graph))
+            ex = draw_execution(rng, tables, spec, cfg.max_events, cfg.max_joins + 1, cap)
+            if ex is None:
+                continue  # above the cap, or a criss-cross merge (3+ replicas): redraw, not a test
+            found[i] = evaluators[i](spec, ex)
             tests[i] += 1
 
     verdicts = []

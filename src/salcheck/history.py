@@ -21,15 +21,25 @@ when ``events[i]`` is the node's own event or an ancestor's.  Happens-before,
 ``node_of`` and ``events_of`` are lookups in this index, and the
 linearization oracle and the peel check work on the masks directly.
 
-The fold and LCA rules live in ``_PartialGraph``, and the per-node state rule
-in ``_node_state``.  ``build`` pushes a whole recipe onto a ``_PartialGraph``
-and ``execute`` runs ``_node_state`` over the finished graph.  The exhaustive
-sweep (``enumerate_executions``) builds and executes incrementally instead:
-it walks the prefix tree of canonical recipes depth-first, pushing one apply
-or join per tree edge together with its state and popping it on the way back.
-So each tree node's ``apply`` or merge runs once, and a leaf only folds the
-heads into the sink.  Each history it yields equals ``execute(spec,
-build(recipe))`` field for field.
+The fold and LCA rules live in ``_PartialGraph``.  ``build`` pushes a whole
+recipe onto one, and ``execute`` computes the states of a finished graph,
+checking each payload against the spec.  The exhaustive sweep
+(``enumerate_executions``) builds and executes incrementally instead: it walks
+the prefix tree of canonical recipes depth-first, pushing one apply or join
+per tree edge together with its state and popping it on the way back.  So each
+tree node's ``apply`` or merge runs once, and a leaf only folds the heads into
+the sink.  Each history it yields equals ``execute(spec, build(recipe))``
+field for field.
+
+A random history is made in one pass too.  ``draw_execution`` draws each step
+of ``random_recipe``'s recipe and pushes it onto one partial graph at once,
+so the recipe, the graph and every node state come out of a single walk over
+the drawn steps.  ``random_recipe`` is the same draw run without a graph.  The
+walk and the draws take their ``ApplyOp``, ``JoinOp`` and ``Event`` values
+from ``StepTables``, built once per suite (and once per walk) rather than
+once per step.  Those events come from a pool made from the spec's payload
+types, so they skip ``check_payload``; a recipe from outside (a shrink
+candidate, a replayed report) still goes through ``build`` and ``execute``.
 """
 
 from __future__ import annotations
@@ -127,23 +137,32 @@ class VersionGraph:
         return e1 != e2 and not self.happens_before(e1, e2) and not self.happens_before(e2, e1)
 
 
-def _node_state(spec: RdtSpec, states: list, info: NodeInfo):
-    """The state of a non-root node, from the states of the nodes before it."""
-    if info[0] == "apply":
-        _, parent, ev = info
-        check_payload(spec, ev)
-        return spec.apply(states[parent], ev)
-    _, left, right, lca = info
-    return merge_with_lca(spec, states[lca], states[left], states[right])
+class StepTables:
+    """The step and event values that the draws or the walk over one pool share.
+
+    ``applies[r][p]`` is ``ApplyOp(r, pool[p])``; ``joins[t][s]`` is the join
+    into ``t`` from the ``s``-th of the other replicas in order, so
+    ``JoinOp(t, s + (s >= t))``; and ``events[ts - 1][r][p]`` is
+    ``Event(ts, r, pool[p])`` for every timestamp up to ``max_events``.
+    """
+
+    def __init__(self, pool: tuple[OpPayload, ...], replicas: int, max_events: int):
+        self.pool = pool
+        self.replicas = replicas
+        self.applies = [[ApplyOp(r, p) for p in pool] for r in range(replicas)]
+        self.joins = [[JoinOp(t, s) for s in range(replicas) if s != t] for t in range(replicas)]
+        self.events = [[[Event(ts, r, p) for p in pool] for r in range(replicas)]
+                       for ts in range(1, max_events + 1)]
 
 
 class _PartialGraph:
     """A version graph under construction, kept on stacks that can be cut back.
 
-    ``build`` pushes a whole recipe.  The sweep walk pushes one step per edge
-    of the enumeration tree and cuts back to a ``mark`` on the way up.  Given
-    a ``spec``, every node gets its state as it is pushed, so a walk leaf is
-    already executed.
+    ``build`` and the random draws push a whole recipe.  The sweep walk pushes
+    one step per edge of the enumeration tree and cuts back to a ``mark`` on
+    the way up.  Given a ``spec``, every node gets its state as it is pushed,
+    so a finished graph is already executed.  Those states skip
+    ``check_payload``: the walk and the draws push only pool events.
     """
 
     def __init__(self, replicas: int, spec: RdtSpec | None = None):
@@ -156,24 +175,18 @@ class _PartialGraph:
         self.states: list = [] if spec is None else [spec.initial]
         self.heads = [0] * replicas
 
-    def _push(self, info: NodeInfo, ancestors: int, event_mask: int) -> int:
+    def apply(self, ev: Event) -> None:
+        """Push ``ev`` on its replica's head; ``ev.ts`` is the next timestamp."""
+        parent = self.heads[ev.replica]
         n = len(self.nodes)
-        self.nodes.append(info)
-        self.ancestors.append(ancestors | 1 << n)
-        self.event_masks.append(event_mask)
+        self.nodes.append(("apply", parent, ev))
+        self.ancestors.append(self.ancestors[parent] | 1 << n)
+        self.event_masks.append(self.event_masks[parent] | 1 << len(self.events))
         if self.spec is not None:
-            self.states.append(_node_state(self.spec, self.states, info))
-        return n
-
-    def apply(self, step: ApplyOp) -> None:
-        parent = self.heads[step.replica]
-        i = len(self.events)
-        ev = Event(i + 1, step.replica, step.payload)
-        n = self._push(("apply", parent, ev), self.ancestors[parent],
-                       self.event_masks[parent] | 1 << i)
+            self.states.append(self.spec.apply(self.states[parent], ev))
         self.events.append(ev)
         self.event_nodes.append(n)
-        self.heads[step.replica] = n
+        self.heads[ev.replica] = n
 
     def _lca(self, left: int, right: int) -> int:
         ancestors = self.ancestors
@@ -196,8 +209,14 @@ class _PartialGraph:
         if ancestors[y] >> x & 1:
             return y
         lca = self._lca(x, y)
-        return self._push(("merge", x, y, lca), ancestors[x] | ancestors[y],
-                          self.event_masks[x] | self.event_masks[y])
+        n = len(self.nodes)
+        self.nodes.append(("merge", x, y, lca))
+        self.ancestors.append(ancestors[x] | ancestors[y] | 1 << n)
+        self.event_masks.append(self.event_masks[x] | self.event_masks[y])
+        if self.spec is not None:
+            states = self.states
+            states.append(merge_with_lca(self.spec, states[lca], states[x], states[y]))
+        return n
 
     def join(self, step: JoinOp) -> bool:
         """Fold the source's head into the target's; False for a no-op join."""
@@ -235,7 +254,7 @@ def build(recipe: Recipe) -> VersionGraph:
         if isinstance(step, ApplyOp):
             if not 0 <= step.replica < recipe.replicas:
                 raise RecipeError(f"apply on unknown replica {step.replica}")
-            g.apply(step)
+            g.apply(Event(len(g.events) + 1, step.replica, step.payload))
         elif isinstance(step, JoinOp):
             if step.target == step.source:
                 raise RecipeError("join of a replica with itself")
@@ -265,9 +284,15 @@ def merge_with_lca(spec: RdtSpec, lca_state, a, b):
 
 
 def execute(spec: RdtSpec, graph: VersionGraph) -> Execution:
+    for ev in graph.events:
+        check_payload(spec, ev)
     states: list = [spec.initial]
     for info in graph.nodes[1:]:
-        states.append(_node_state(spec, states, info))
+        if info[0] == "apply":
+            states.append(spec.apply(states[info[1]], info[2]))
+        else:
+            _, left, right, lca = info
+            states.append(merge_with_lca(spec, states[lca], states[left], states[right]))
     return Execution(spec, graph, tuple(states))
 
 
@@ -323,7 +348,9 @@ def enumerate_executions(spec: RdtSpec, pool: tuple[OpPayload, ...], max_events:
     """Yield ``execute(spec, build(r))`` for each ``r`` of ``enumerate_recipes``,
     in the same order.  Each apply or merge of a recipe prefix runs once, and
     every history that extends the prefix shares its state objects, so the
-    spec's functions must not mutate their inputs."""
+    spec's functions must not mutate their inputs.  The pool's payloads must
+    be in the spec's domain, as ``payload_pool`` makes them: they are not
+    checked."""
     for g, recipe, sink in _walk(pool, max_events, replicas, max_joins, spec):
         yield Execution(spec, g.graph(recipe, sink), tuple(g.states))
 
@@ -333,9 +360,12 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
     partial graph ``g`` at the current prefix, and yield ``(g, recipe, sink)``
     at each leaf; ``g`` holds the recipe's whole graph until the walk resumes.
     A merge with no unique LCA cuts its branch: no recipe below it builds."""
-    applies = [(ApplyOp(r, p), _payload_literals(p)) for r in range(replicas) for p in pool]
+    tables = StepTables(pool, replicas, max_events)
+    literals = [_payload_literals(p) for p in pool]
+    applies = [(r, p, tables.applies[r][p], literals[p])
+               for r in range(replicas) for p in range(len(pool))]
     first_applies = applies[:len(pool)]  # the first apply runs on replica 0
-    joins = [JoinOp(t, s) for t in range(replicas) for s in range(replicas) if t != s]
+    joins = [step for row in tables.joins for step in row]
     g = _PartialGraph(replicas, spec)
     steps: list[Step] = []
 
@@ -351,14 +381,15 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
             g.restore(mark)
             return
         if events_left:
-            for step, literals in applies if g.events else first_applies:
+            events = tables.events[len(g.events)]
+            for r, p, step, lits in applies if g.events else first_applies:
                 seen = seen_max
-                for lit in literals:
+                for lit in lits:
                     if lit > seen + 1:
                         break
                     seen = max(seen, lit)
                 else:
-                    g.apply(step)
+                    g.apply(events[r][p])
                     steps.append(step)
                     yield from rec(seen, events_left - 1, joins_left)
                     steps.pop()
@@ -383,15 +414,15 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
             yield from rec(0, n_events, n_joins)
 
 
-def random_recipe(rng: random.Random, pool: tuple[OpPayload, ...], max_events: int,
-                  replicas: int = 2, max_joins: int = 2) -> Recipe:
-    """A random recipe: 1 to ``max_events`` applies on random replicas with
-    payloads from ``pool``, and 0 to ``max_joins`` joins at random positions
-    (never the last step).  Every draw is the ``getrandbits`` rejection loop
-    that ``rng.randrange`` runs, called directly rather than through the
-    ``random`` methods layered on it, and the join positions are drawn as
-    ``rng.sample`` draws from a small population.  So the recipes follow the
-    same distribution as with those methods."""
+def _draw(rng: random.Random, tables: StepTables, max_events: int, max_joins: int,
+          g: _PartialGraph | None = None, event_cap: int | None = None):
+    """Draw one random recipe's steps, pushing each onto ``g`` as it is drawn.
+
+    Returns the steps and ``g``, or ``None`` in place of ``g`` when no graph
+    was given or the draw is dropped: it has more than ``event_cap`` events,
+    or a join whose merge has no unique LCA.  A dropped draw still draws all
+    of its steps, so the stream moves on exactly as for a kept one.
+    """
     bits = rng.getrandbits
 
     def below(n: int) -> int:  # uniform on range(n), as rng.randrange(n)
@@ -412,16 +443,67 @@ def random_recipe(rng: random.Random, pool: tuple[OpPayload, ...], max_events: i
         j = below(slots - 1 - i)
         join_at.add(positions[j])
         positions[j] = positions[slots - 2 - i]
-    n_pool = len(pool)
+    if event_cap is not None and n_events > event_cap:
+        g = None
+    replicas, n_pool = tables.replicas, len(tables.pool)
+    applies, joins, events = tables.applies, tables.joins, tables.events
     steps: list[Step] = []
+    ts = 0  # events drawn so far
     for i in range(slots):
         if i in join_at:
             t = below(replicas)
-            s = below(replicas - 1)
-            steps.append(JoinOp(t, s + (s >= t)))  # any replica but t
+            step = joins[t][below(replicas - 1)]
+            if g is not None:
+                try:
+                    g.join(step)
+                except NoUniqueLcaError:
+                    g = None
         else:
-            steps.append(ApplyOp(below(replicas), pool[below(n_pool)]))
-    return Recipe(tuple(steps), replicas)
+            r = below(replicas)
+            p = below(n_pool)
+            step = applies[r][p]
+            if g is not None:
+                g.apply(events[ts][r][p])
+            ts += 1
+        steps.append(step)
+    return tuple(steps), g
+
+
+def random_recipe(rng: random.Random, pool: tuple[OpPayload, ...], max_events: int,
+                  replicas: int = 2, max_joins: int = 2) -> Recipe:
+    """A random recipe: 1 to ``max_events`` applies on random replicas with
+    payloads from ``pool``, and 0 to ``max_joins`` joins at random positions
+    (never the last step).  Every draw is the ``getrandbits`` rejection loop
+    that ``rng.randrange`` runs, called directly rather than through the
+    ``random`` methods layered on it, and the join positions are drawn as
+    ``rng.sample`` draws from a small population.  So the recipes follow the
+    same distribution as with those methods.
+
+    This is the one draw that ``draw_execution`` runs onto a partial graph,
+    here run without one: for the same ``rng`` state the two draw the same
+    steps and leave ``rng`` in the same state."""
+    steps, _ = _draw(rng, StepTables(pool, replicas, 0), max_events, max_joins)
+    return Recipe(steps, replicas)
+
+
+def draw_execution(rng: random.Random, tables: StepTables, spec: RdtSpec, max_events: int,
+                   max_joins: int = 2, event_cap: int | None = None) -> Execution | None:
+    """Draw ``recipe = random_recipe(rng, tables.pool, max_events,
+    tables.replicas, max_joins)`` and return ``execute(spec, build(recipe))``,
+    made in the one pass that draws the recipe; ``tables`` must hold events
+    up to ``max_events``.  ``None`` means the draw is dropped: ``recipe`` has
+    more than ``event_cap`` events, or ``build(recipe)`` would raise
+    ``NoUniqueLcaError``.  The pool's payloads must be in the spec's domain,
+    as ``payload_pool`` makes them: they are not checked."""
+    steps, g = _draw(rng, tables, max_events, max_joins,
+                     _PartialGraph(tables.replicas, spec), event_cap)
+    if g is None:
+        return None
+    try:
+        sink = g.sink()
+    except NoUniqueLcaError:
+        return None
+    return Execution(spec, g.graph(Recipe(steps, tables.replicas), sink), tuple(g.states))
 
 
 def count_recipes(pool, max_events, replicas=2, max_joins=1) -> int:
@@ -433,4 +515,5 @@ __all__ = [
     "VersionGraph", "iter_bits",
     "Execution", "build", "execute", "run_recipe", "merge_with_lca", "diamond",
     "enumerate_recipes", "enumerate_executions", "random_recipe", "count_recipes",
+    "StepTables", "draw_execution",
 ]

@@ -48,6 +48,14 @@ def test_config_rejects_bad_bounds():
         CheckConfig(exhaustive_below=6, max_events=4).validate()
     with pytest.raises(ValueError, match="replica_count must be >= 2"):
         CheckConfig(replica_count=1).validate()
+    with pytest.raises(ValueError, match="max_joins must be >= 0"):
+        CheckConfig(max_joins=-1).validate()
+    # The sweep's canonical literal order needs exactly the pool (1, ..., k).
+    for pool in ((), (2, 3, 4), (1, 1, 2), (1, 3), (2, 1)):
+        with pytest.raises(ValueError, match="literal_pool"):
+            CheckConfig(literal_pool=pool).validate()
+    CheckConfig(literal_pool=(1,)).validate()
+    CheckConfig(max_joins=0).validate()
 
 
 # ---------------------------------------------------------------------------
