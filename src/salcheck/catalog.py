@@ -486,19 +486,7 @@ def catalog_get(rdt_id: str) -> CatalogEntry:
     raise KeyError(rdt_id)
 
 
-# Concrete payload instances used by history generators, drawn per payload
-# constructor from the literal pool.
 def payload_pool(spec: RdtSpec, literals: tuple[int, ...] = LITERAL_POOL) -> tuple[OpPayload, ...]:
-    pool: list[OpPayload] = []
-    for t in spec.payload_types:
-        if t in (Inc, Dec, Enable, Disable):
-            pool.append(t())
-        elif t in (Add, Rem, Insert, Delete):
-            pool.extend(t(x) for x in literals)
-        elif t is Write:
-            pool.extend(Write(x) for x in literals)
-        elif t is MapSet:
-            pool.extend(MapSet(k, Add(v)) for k in literals for v in literals)
-        else:  # pragma: no cover - catalog declares only known constructors
-            raise ValueError(f"no pool rule for payload type {t!r}")
-    return tuple(pool)
+    """The concrete payloads history generators draw from: each of the spec's
+    payload types pooled over ``literals`` (see ``model.Payload.pool``)."""
+    return tuple(p for t in spec.payload_types for p in t.pool(literals))

@@ -34,16 +34,13 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .catalog import CatalogEntry, payload_pool
+from .catalog import LITERAL_POOL, CatalogEntry, payload_pool
 from .history import (  # perfbench/tracing.py wraps several of these as checker.<name>
     ApplyOp, Execution, JoinOp, Recipe, StepTables, build, draw_execution,
     enumerate_executions, enumerate_recipes, execute, iter_bits, merge_with_lca,
     random_recipe,
 )
-from .model import (
-    Add, Delete, Event, Insert, MapSet, OpPayload, RcOrder, RdtSpec, Rem,
-    Write, conflicting, is_crdt, rc_order,
-)
+from .model import Event, RcOrder, RdtSpec, conflicting, is_crdt, rc_order
 
 ORACLE_EVENT_CAP = 9
 
@@ -93,7 +90,7 @@ class CheckConfig:
     replica_count: int = 2
     exhaustive_below: int = 5
     shrink_budget: int = 500
-    literal_pool: tuple[int, ...] = (1, 2, 3)
+    literal_pool: tuple[int, ...] = LITERAL_POOL
     max_joins: int = 1  # interior joins per recipe in the exhaustive sweep
 
     def validate(self) -> None:
@@ -627,22 +624,9 @@ def _reductions(recipe: Recipe):
     if collapsed != steps:
         yield replace(recipe, steps=collapsed)
     for i in apply_idx:
-        payload = steps[i].payload
-        for smaller in _smaller_payloads(payload):
+        for smaller in steps[i].payload.smaller():
             yield replace(recipe, steps=steps[:i] + (ApplyOp(steps[i].replica, smaller),)
                           + steps[i + 1:])
-
-
-def _smaller_payloads(op: OpPayload):
-    if isinstance(op, (Add, Rem, Insert, Delete)) and op.elem > 1:
-        yield op.__class__(op.elem - 1)
-    elif isinstance(op, Write) and op.value > 1:
-        yield Write(op.value - 1)
-    elif isinstance(op, MapSet):
-        if op.key > 1:
-            yield MapSet(op.key - 1, op.op)
-        for smaller in _smaller_payloads(op.op):
-            yield MapSet(op.key, smaller)
 
 
 def shrink(target: CatalogEntry | RdtSpec, prop: PropertyId, recipe: Recipe,
@@ -710,7 +694,7 @@ class SweepResult:
 
 
 def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
-                 literals: tuple[int, ...] = (1, 2, 3), replicas: int = 2,
+                 literals: tuple[int, ...] = LITERAL_POOL, replicas: int = 2,
                  max_joins: int = 1) -> SweepResult:
     if max_events > ORACLE_EVENT_CAP:
         raise OracleScopeError(

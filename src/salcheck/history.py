@@ -47,10 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import (
-    Add, Delete, Event, Insert, MapSet, OpPayload, RdtSpec, Rem, Write,
-    check_payload, is_crdt,
-)
+from .model import Event, OpPayload, RdtSpec, check_payload, is_crdt
 
 
 class RecipeError(ValueError):
@@ -315,16 +312,6 @@ def diamond(left: tuple[OpPayload, ...], right: tuple[OpPayload, ...],
 # Recipe generation.
 
 
-def _payload_literals(op: OpPayload) -> tuple[int, ...]:
-    if isinstance(op, (Add, Rem, Insert, Delete)):
-        return (op.elem,)
-    if isinstance(op, Write):
-        return (op.value,)
-    if isinstance(op, MapSet):
-        return (op.key,) + _payload_literals(op.op)
-    return ()
-
-
 def enumerate_recipes(pool: tuple[OpPayload, ...], max_events: int,
                       replicas: int = 2, max_joins: int = 1):
     """Yield every canonical recipe with up to ``max_events`` events.
@@ -361,7 +348,7 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
     at each leaf; ``g`` holds the recipe's whole graph until the walk resumes.
     A merge with no unique LCA cuts its branch: no recipe below it builds."""
     tables = StepTables(pool, replicas, max_events)
-    literals = [_payload_literals(p) for p in pool]
+    literals = [p.literals() for p in pool]
     applies = [(r, p, tables.applies[r][p], literals[p])
                for r in range(replicas) for p in range(len(pool))]
     first_applies = applies[:len(pool)]  # the first apply runs on replica 0

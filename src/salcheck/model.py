@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable
+from itertools import product
+from typing import Any, Callable, ClassVar, get_args, get_type_hints
 
 Timestamp = int
 ReplicaId = int
@@ -33,80 +34,122 @@ class SpecMismatchError(Exception):
 # on the Event so the same payload can occur many times in one history.
 
 
-@dataclass(frozen=True)
-class Inc:
+class Payload:
+    """Base of the operation payload dataclasses.
+
+    A payload class declares its JSON ``kind`` (and its label ``head`` where
+    that differs); everything else follows from its fields, in declaration
+    order.  An ``int`` field is a literal: pooled over the literal pool,
+    shrunk by decrementing towards 1, and serialized under its field name.
+    A field typed with a payload class nests that payload.
+    """
+
+    kind: ClassVar[str]
+    head: ClassVar[str]
+    # (field name, nested payload class, or None for an int literal)
+    layout: ClassVar[tuple[tuple[str, type[Payload] | None], ...]]
+
+    def __init_subclass__(cls, kind: str, head: str | None = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind, cls.head = kind, head or kind
+        hints = get_type_hints(cls)
+        layout = []
+        for name in cls.__dict__.get("__annotations__", {}):  # own fields, in order
+            typ = hints[name]
+            if not (typ is int or (isinstance(typ, type) and issubclass(typ, Payload))):
+                raise TypeError(f"payload field {cls.__name__}.{name} must be int or a payload, not {typ!r}")
+            layout.append((name, None if typ is int else typ))
+        cls.layout = tuple(layout)
+
+    @classmethod
+    def pool(cls, literals: tuple[int, ...]) -> tuple[Payload, ...]:
+        """Every instance over ``literals``, fields varied in declaration
+        order with the first field outermost."""
+        choices = [literals if sub is None else sub.pool(literals) for _, sub in cls.layout]
+        return tuple(cls(*values) for values in product(*choices))
+
+    def literals(self) -> tuple[int, ...]:
+        """The int literals of this payload and any nested one, in field order."""
+        out: tuple[int, ...] = ()
+        for name, sub in self.layout:
+            value = getattr(self, name)
+            out += (value,) if sub is None else value.literals()
+        return out
+
+    def smaller(self):
+        """Yield each payload one shrink step smaller: one literal above 1
+        decremented, or one nested payload made smaller, in field order."""
+        values = [getattr(self, name) for name, _ in self.layout]
+        for i, (_, sub) in enumerate(self.layout):
+            if sub is None:
+                options = (values[i] - 1,) if values[i] > 1 else ()
+            else:
+                options = values[i].smaller()
+            for option in options:
+                yield type(self)(*values[:i], option, *values[i + 1:])
+
     def label(self) -> str:
-        return "inc"
+        """``head`` alone, or ``head(arg, ...)``, e.g. ``set(1, add(2))``."""
+        args = [str(getattr(self, name)) if sub is None else getattr(self, name).label()
+                for name, sub in self.layout]
+        return f"{self.head}({', '.join(args)})" if args else self.head
 
 
 @dataclass(frozen=True)
-class Dec:
-    def label(self) -> str:
-        return "dec"
+class Inc(Payload, kind="inc"):
+    pass
 
 
 @dataclass(frozen=True)
-class Add:
+class Dec(Payload, kind="dec"):
+    pass
+
+
+@dataclass(frozen=True)
+class Add(Payload, kind="add"):
     elem: int
 
-    def label(self) -> str:
-        return f"add({self.elem})"
-
 
 @dataclass(frozen=True)
-class Rem:
+class Rem(Payload, kind="rem"):
     elem: int
 
-    def label(self) -> str:
-        return f"rem({self.elem})"
+
+@dataclass(frozen=True)
+class Enable(Payload, kind="enable"):
+    pass
 
 
 @dataclass(frozen=True)
-class Enable:
-    def label(self) -> str:
-        return "enable"
+class Disable(Payload, kind="disable"):
+    pass
 
 
 @dataclass(frozen=True)
-class Disable:
-    def label(self) -> str:
-        return "disable"
-
-
-@dataclass(frozen=True)
-class Write:
+class Write(Payload, kind="write"):
     value: int
 
-    def label(self) -> str:
-        return f"write({self.value})"
-
 
 @dataclass(frozen=True)
-class Insert:
+class Insert(Payload, kind="insert", head="ins"):
     elem: int
 
-    def label(self) -> str:
-        return f"ins({self.elem})"
-
 
 @dataclass(frozen=True)
-class Delete:
+class Delete(Payload, kind="delete", head="del"):
     elem: int
 
-    def label(self) -> str:
-        return f"del({self.elem})"
-
 
 @dataclass(frozen=True)
-class MapSet:
+class MapSet(Payload, kind="set"):
     key: int
-    op: "OpPayload"
-
-    def label(self) -> str:
-        return f"set({self.key}, {self.op.label()})"
+    op: Add  # g-map pools adds; parsing accepts any payload and apply refuses the rest
 
 
 OpPayload = Inc | Dec | Add | Rem | Enable | Disable | Write | Insert | Delete | MapSet
+
+# JSON kind -> payload class, over the union above.
+PAYLOAD_KINDS: dict[str, type[Payload]] = {cls.kind: cls for cls in get_args(OpPayload)}
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import html as _html
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .checker import CheckConfig, CounterexampleReport, PropertyId, SuiteReport
 from .history import ApplyOp, Execution, JoinOp, Recipe
-from .model import (
-    Add, Dec, Delete, Disable, Enable, Event, Inc, Insert, MapSet, OpPayload,
-    Rem, Write, event_label,
-)
+from .model import PAYLOAD_KINDS, Event, OpPayload, event_label
 
 
 class ReportFormatError(ValueError):
@@ -226,38 +223,25 @@ def render_html(model: RenderModel) -> str:
 # JSON: payload/event/recipe/config serialization.
 
 
-_PAYLOAD_KINDS: dict[str, type] = {
-    "inc": Inc, "dec": Dec, "enable": Enable, "disable": Disable,
-    "add": Add, "rem": Rem, "insert": Insert, "delete": Delete,
-    "write": Write, "set": MapSet,
-}
-_KIND_OF_TYPE = {t: k for k, t in _PAYLOAD_KINDS.items()}
-
-
 def payload_to_dict(op: OpPayload) -> dict:
-    kind = _KIND_OF_TYPE[type(op)]
-    if isinstance(op, (Add, Rem, Insert, Delete)):
-        return {"kind": kind, "elem": op.elem}
-    if isinstance(op, Write):
-        return {"kind": kind, "value": op.value}
-    if isinstance(op, MapSet):
-        return {"kind": kind, "key": op.key, "op": payload_to_dict(op.op)}
-    return {"kind": kind}
+    """``{"kind": ..., <field>: ...}``, fields in declaration order and a
+    nested payload as its own dict."""
+    d = {"kind": op.kind}
+    for name, sub in op.layout:
+        value = getattr(op, name)
+        d[name] = value if sub is None else payload_to_dict(value)
+    return d
 
 
 def payload_from_dict(d: dict, path: str = "op") -> OpPayload:
     kind = _require(d, "kind", str, path)
-    cls = _PAYLOAD_KINDS.get(kind)
+    cls = PAYLOAD_KINDS.get(kind)
     if cls is None:
         raise ReportFormatError(f"{path}.kind: unknown payload kind {kind!r}")
-    if cls in (Add, Rem, Insert, Delete):
-        return cls(_require(d, "elem", int, path))
-    if cls is Write:
-        return Write(_require(d, "value", int, path))
-    if cls is MapSet:
-        return MapSet(_require(d, "key", int, path),
-                      payload_from_dict(_require(d, "op", dict, path), f"{path}.op"))
-    return cls()
+    # A nested field accepts any kind; the spec's apply refuses what it cannot take.
+    return cls(*(_require(d, name, int, path) if sub is None
+                 else payload_from_dict(_require(d, name, dict, path), f"{path}.{name}")
+                 for name, sub in cls.layout))
 
 
 def event_to_dict(ev: Event) -> dict:
@@ -301,28 +285,28 @@ def recipe_from_dict(d: dict, path: str = "recipe") -> Recipe:
     return Recipe(tuple(steps), replicas)
 
 
+# Each CheckConfig field is an int or, like the literal pool, a tuple of ints
+# (a JSON list); its default says which.
+_CONFIG_FIELDS = tuple((f.name, isinstance(f.default, tuple)) for f in fields(CheckConfig))
+
+
 def config_to_dict(cfg: CheckConfig) -> dict:
-    return {
-        "tests_per_property": cfg.tests_per_property,
-        "seed": cfg.seed,
-        "max_events": cfg.max_events,
-        "replica_count": cfg.replica_count,
-        "exhaustive_below": cfg.exhaustive_below,
-        "shrink_budget": cfg.shrink_budget,
-        "literal_pool": list(cfg.literal_pool),
-        "max_joins": cfg.max_joins,
-    }
+    return {name: list(getattr(cfg, name)) if is_list else getattr(cfg, name)
+            for name, is_list in _CONFIG_FIELDS}
 
 
 def config_from_dict(d: dict, path: str = "config") -> CheckConfig:
-    pool = _require(d, "literal_pool", list, path)
-    for i, lit in enumerate(pool):
-        if not isinstance(lit, int) or isinstance(lit, bool):
-            raise ReportFormatError(f"{path}.literal_pool[{i}]: expected int")
-    ints = {k: _require(d, k, int, path)
-            for k in ("tests_per_property", "seed", "max_events", "replica_count",
-                      "exhaustive_below", "shrink_budget", "max_joins")}
-    return CheckConfig(literal_pool=tuple(pool), **ints)
+    values = {}
+    for name, is_list in _CONFIG_FIELDS:
+        if not is_list:
+            values[name] = _require(d, name, int, path)
+            continue
+        items = _require(d, name, list, path)
+        for i, item in enumerate(items):
+            if not isinstance(item, int) or isinstance(item, bool):
+                raise ReportFormatError(f"{path}.{name}[{i}]: expected int")
+        values[name] = tuple(items)
+    return CheckConfig(**values)
 
 
 def graph_to_dict(ex: Execution) -> dict:
@@ -462,7 +446,11 @@ def validate_report(d) -> None:
     seed = _require(d, "seed", int, "$")
     if seed < 0:
         raise ReportFormatError("$.seed: must be non-negative")
-    config_from_dict(_require(d, "config", dict, "$"), "$.config")
+    cfg = config_from_dict(_require(d, "config", dict, "$"), "$.config")
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ReportFormatError(f"$.config: {exc}") from None
     verdicts = _require(d, "verdicts", list, "$")
     for i, v in enumerate(verdicts):
         vpath = f"$.verdicts[{i}]"

@@ -238,6 +238,16 @@ def test_render_rejects_truncated_report(capsys, in_tmp):
     assert "salcheck/1" in capsys.readouterr().err
 
 
+def test_render_rejects_a_config_check_refuses(capsys, in_tmp):
+    path = write_failing_report(in_tmp)
+    doc = json.loads(path.read_text())
+    doc["config"]["replica_count"] = 1
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["render", str(path)]) == 2
+    assert "$.config: replica_count must be >= 2" in capsys.readouterr().err
+
+
 def test_render_missing_file(capsys, in_tmp):
     assert main(["render", "absent.json"]) == 2
 

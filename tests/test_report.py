@@ -161,6 +161,16 @@ def test_validate_bad_payload_in_counterexample():
         validate_report(d)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("replica_count", 1), ("literal_pool", [2, 3, 4]), ("tests_per_property", 0),
+    ("max_joins", -1), ("exhaustive_below", 99),
+])
+def test_validate_refuses_a_config_check_config_refuses(key, value):
+    d = valid_doc(); d["config"][key] = value
+    with pytest.raises(ReportFormatError, match=r"^\$\.config: "):
+        parse_report(json.dumps(d))
+
+
 def test_parse_rejects_truncated_json():
     text = render_json(passing_report())[:-20]
     with pytest.raises(ReportFormatError, match=r"\$: not valid JSON"):
