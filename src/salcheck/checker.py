@@ -29,6 +29,7 @@ for ``LinearizationExists``; neither counts as a test.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, replace
@@ -40,7 +41,7 @@ from .history import (  # perfbench/tracing.py wraps several of these as checker
     enumerate_executions, enumerate_recipes, execute, iter_bits, merge_with_lca,
     random_recipe,
 )
-from .model import Event, RcOrder, RdtSpec, conflicting, is_crdt, rc_order
+from .model import Event, RcOrder, RdtSpec, conflicting, is_crdt, rc_empty, rc_order
 
 ORACLE_EVENT_CAP = 9
 
@@ -103,19 +104,27 @@ class CheckConfig:
         for name, value in bounds.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.replica_count < 2:  # a join needs two replicas
-            raise ValueError(f"replica_count must be >= 2, got {self.replica_count}")
         if self.seed < 0:
             raise ValueError("seed must be a natural number")
         if self.exhaustive_below > self.max_events:
             raise ValueError("exhaustive_below must not exceed max_events")
-        if self.max_joins < 0:
-            raise ValueError(f"max_joins must be >= 0, got {self.max_joins}")
-        # The sweep's canonical literal order (first use 1, 2, 3, ...) reaches
-        # every history only over exactly this pool.
-        pool = self.literal_pool
-        if not pool or pool != tuple(range(1, len(pool) + 1)):
-            raise ValueError(f"literal_pool must be (1, ..., k) with k >= 1, got {pool}")
+        _check_sweep_bounds(self.max_events, self.literal_pool, self.replica_count,
+                           self.max_joins)
+
+
+def _check_sweep_bounds(max_events: int, literals: tuple[int, ...], replicas: int,
+                       max_joins: int) -> None:
+    """Refuse bounds no exhaustive sweep can run over (``ValueError``)."""
+    if max_events < 0:
+        raise ValueError(f"max_events must be >= 0, got {max_events}")
+    if replicas < 2:  # a join needs two replicas
+        raise ValueError(f"replica_count must be >= 2, got {replicas}")
+    if max_joins < 0:
+        raise ValueError(f"max_joins must be >= 0, got {max_joins}")
+    # The sweep's canonical literal order (first use 1, 2, 3, ...) reaches
+    # every history only over exactly this pool.
+    if not literals or literals != tuple(range(1, len(literals) + 1)):
+        raise ValueError(f"literal_pool must be (1, ..., k) with k >= 1, got {literals}")
 
 
 @dataclass(frozen=True)
@@ -209,6 +218,13 @@ def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
     never saw.  The first order whose replay from the initial state
     reproduces the final merged state is returned; ``None`` means every
     admissible order was tried and none matched.
+
+    The search is a depth-first walk that fills the order from its last
+    position back, trying the frontier's events lowest index first.  For a
+    conflict-free spec (``rc`` is ``rc_empty``) no candidate is ever pruned,
+    so the walk's first complete order depends on happens-before alone; it
+    is memoized per happens-before shape (``_first_order``) and replayed
+    before any search, which resumes at the second order only if it fails.
     """
     events = graph.events
     n = len(events)
@@ -218,50 +234,123 @@ def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
         )
     if target is None:
         target = execute(spec, graph).sink_state()
-    # past[i]: the events that happen before events[i]; later[i]: those after.
-    # Timestamps extend happens-before, so past[i] holds only indices below i.
-    past = [graph.event_masks[node] & ~(1 << i) for i, node in enumerate(graph.event_nodes)]
-    later = [0] * n
-    for i in range(n):
-        for j in range(i):
-            if past[i] >> j & 1:
-                later[j] |= 1 << i
-    ops = [ev.op for ev in events]
-    rc = spec.rc
-    tried = 0
+    if not n:
+        return OracleResult(() if spec.initial == target else None, 1)
+    # past[i]: the events that happen before events[i].  Timestamps extend
+    # happens-before, so past[i] holds only indices below i.
+    masks, nodes = graph.event_masks, graph.event_nodes
+    past = tuple([masks[nodes[i]] & ~(1 << i) for i in range(n)])
+    rc = None if spec.rc is rc_empty else spec.rc
+    if rc is None:
+        first = _first_order(past)
+        if _replays_to(spec, events, past, first, target):
+            return OracleResult(tuple([events[i] for i in first]), 1)
+    order, tried = _search(spec, events, past, target, rc, 1 if rc is None else 0)
+    return OracleResult(None if order is None else tuple([events[i] for i in order]), tried)
 
-    if spec.replay_apply is not None:
-        observed = [frozenset(j + 1 for j in iter_bits(past[i])) for i in range(n)]
 
-        def step(s, i: int):
-            return spec.replay_apply(s, events[i], observed[i])
+# The timestamps each event observed, by past mask.  past[i] holds only indices
+# below i < ORACLE_EVENT_CAP, so it is below 2 ** (ORACLE_EVENT_CAP - 1).
+_OBSERVED = tuple(frozenset(j + 1 for j in iter_bits(mask))
+                  for mask in range(1 << (ORACLE_EVENT_CAP - 1)))
+
+
+def _replays_to(spec: RdtSpec, events, past: tuple[int, ...], order, target) -> bool:
+    """Whether replaying the events at ``order`` from the initial state reaches ``target``."""
+    s = spec.initial
+    replay = spec.replay_apply
+    if replay is None:
+        apply = spec.apply
+        for i in order:
+            s = apply(s, events[i])
     else:
-        def step(s, i: int):
-            return spec.apply(s, events[i])
+        for i in order:
+            s = replay(s, events[i], _OBSERVED[past[i]])
+    return s == target
 
-    def dfs(remaining: int, suffix: tuple[int, ...]):
-        nonlocal tried
-        if not remaining:
+
+def _later(past: tuple[int, ...]) -> list[int]:
+    """later[j]: the events that happen after events[j]."""
+    later = [0] * len(past)
+    for i, before in enumerate(past):
+        for j in iter_bits(before):
+            later[j] |= 1 << i
+    return later
+
+
+@functools.lru_cache(maxsize=1024)
+def _first_order(past: tuple[int, ...]) -> tuple[int, ...]:
+    """The search's first complete order when ``rc`` prunes nothing: each
+    position, from the last back, takes the lowest-index event that no
+    remaining event happens after."""
+    later = _later(past)
+    remaining = (1 << len(past)) - 1
+    order = []
+    while remaining:
+        i = 0
+        while not remaining >> i & 1 or later[i] & remaining:
+            i += 1
+        order.append(i)
+        remaining ^= 1 << i
+    return tuple(reversed(order))
+
+
+def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int):
+    """The depth-first search: ``(order, orders tried)``, with ``order`` the
+    first admissible order that replays to ``target``, or ``None``.  The first
+    ``skip`` complete orders are counted but not replayed (they already were).
+    ``rc`` is ``None`` for a conflict-free spec."""
+    n = len(events)
+    later = _later(past)
+    ops = [ev.op for ev in events]
+    order = [0] * n  # filled from position n - 1 down to 0
+    cands: list[list[int]] = [[]] * n  # per position, its admissible events
+    at = [-1] * n  # per position, the next candidate to try; -1: not listed yet
+    tried = 0
+    remaining = (1 << n) - 1  # the events at positions 0..pos
+    pos = n - 1
+    while True:
+        if at[pos] < 0:
+            # The frontier: remaining events that no remaining event follows.
+            frontier = []
+            m = remaining
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                if not later[i] & remaining:
+                    frontier.append(i)
+                m ^= low
+            if rc is not None and len(frontier) > 1:
+                # events[i] may not be ordered last while a concurrent event
+                # it must precede (per rc) is still on the frontier.
+                allowed = []
+                for i in frontier:
+                    op = ops[i]
+                    for j in frontier:
+                        if j != i and rc(op, ops[j]):
+                            break
+                    else:
+                        allowed.append(i)
+                frontier = allowed
+            cands[pos] = frontier
+            at[pos] = 0
+        k = at[pos]
+        if k == len(cands[pos]):  # exhausted: undo the choice one position up
+            pos += 1
+            if pos == n:
+                return None, tried
+            remaining |= 1 << order[pos]
+            continue
+        at[pos] = k + 1
+        order[pos] = i = cands[pos][k]
+        if pos:
+            remaining ^= 1 << i
+            pos -= 1
+            at[pos] = -1
+        else:
             tried += 1
-            s = spec.initial
-            for i in reversed(suffix):
-                s = step(s, i)
-            return suffix if s == target else None
-        frontier = [i for i in range(n) if remaining >> i & 1 and not later[i] & remaining]
-        for i in frontier:
-            # events[i] may not be ordered last while a concurrent event it
-            # must precede (per rc) is still on the frontier.
-            if any(j != i and rc(ops[i], ops[j]) for j in frontier):
-                continue
-            found = dfs(remaining & ~(1 << i), suffix + (i,))
-            if found is not None:
-                return found
-        return None
-
-    suffix = dfs((1 << n) - 1, ())
-    del dfs  # its closure holds it: break the cycle, so the search state dies here
-    witness = None if suffix is None else tuple(events[i] for i in reversed(suffix))
-    return OracleResult(witness, tried)
+            if tried > skip and _replays_to(spec, events, past, order, target):
+                return order, tried
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +788,7 @@ def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
     if max_events > ORACLE_EVENT_CAP:
         raise OracleScopeError(
             f"max_events {max_events} exceeds the oracle cap of {ORACLE_EVENT_CAP}")
+    _check_sweep_bounds(max_events, literals, replicas, max_joins)
     entry = _as_entry(target)
     pool = payload_pool(entry.spec, literals)
     histories = witnesses = 0

@@ -51,7 +51,13 @@ from .model import Event, OpPayload, RdtSpec, check_payload, is_crdt
 
 
 class RecipeError(ValueError):
-    """Raised for malformed recipes (bad replica ids, ambiguous merges)."""
+    """Raised for malformed recipes (bad replica ids, ambiguous merges).
+
+    ``step`` is the index of the step ``build`` refused, or ``None`` when the
+    recipe as a whole is at fault (no replica, or a sink fold without a
+    unique LCA)."""
+
+    step: int | None = None
 
 
 class NoUniqueLcaError(RecipeError):
@@ -247,19 +253,23 @@ def build(recipe: Recipe) -> VersionGraph:
     if recipe.replicas < 1:
         raise RecipeError("recipe needs at least one replica")
     g = _PartialGraph(recipe.replicas)
-    for step in recipe.steps:
-        if isinstance(step, ApplyOp):
-            if not 0 <= step.replica < recipe.replicas:
-                raise RecipeError(f"apply on unknown replica {step.replica}")
-            g.apply(Event(len(g.events) + 1, step.replica, step.payload))
-        elif isinstance(step, JoinOp):
-            if step.target == step.source:
-                raise RecipeError("join of a replica with itself")
-            if not (0 <= step.target < recipe.replicas and 0 <= step.source < recipe.replicas):
-                raise RecipeError(f"join on unknown replica pair {step.target}, {step.source}")
-            g.join(step)
-        else:
-            raise RecipeError(f"unknown step {step!r}")
+    for i, step in enumerate(recipe.steps):
+        try:
+            if isinstance(step, ApplyOp):
+                if not 0 <= step.replica < recipe.replicas:
+                    raise RecipeError(f"apply on unknown replica {step.replica}")
+                g.apply(Event(len(g.events) + 1, step.replica, step.payload))
+            elif isinstance(step, JoinOp):
+                if step.target == step.source:
+                    raise RecipeError("join of a replica with itself")
+                if not (0 <= step.target < recipe.replicas and 0 <= step.source < recipe.replicas):
+                    raise RecipeError(f"join on unknown replica pair {step.target}, {step.source}")
+                g.join(step)
+            else:
+                raise RecipeError(f"unknown step {step!r}")
+        except RecipeError as exc:
+            exc.step = i
+            raise
     return g.graph(recipe, g.sink())
 
 

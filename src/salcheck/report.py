@@ -17,8 +17,9 @@ import html as _html
 import json
 from dataclasses import dataclass, fields
 
+from .catalog import catalog_get
 from .checker import CheckConfig, CounterexampleReport, PropertyId, SuiteReport
-from .history import ApplyOp, Execution, JoinOp, Recipe
+from .history import ApplyOp, Execution, JoinOp, Recipe, RecipeError, build
 from .model import PAYLOAD_KINDS, Event, OpPayload, event_label
 
 
@@ -396,8 +397,22 @@ _PROPERTY_NAMES = {p.value for p in PropertyId}
 _STATUSES = {"pass", "fail", "vacuous"}
 
 
-def _validate_counterexample(d: dict, path: str) -> None:
-    recipe_from_dict(_require(d, "recipe", dict, path), f"{path}.recipe")
+def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...] | None) -> None:
+    """Refuse, among others, a recipe that cannot be replayed: a step ``build``
+    refuses, or a payload outside ``payload_types`` (``None``: the rdt is not
+    in the catalog, so its domain is unknown)."""
+    rpath = f"{path}.recipe"
+    recipe = recipe_from_dict(_require(d, "recipe", dict, path), rpath)
+    try:
+        build(recipe)
+    except RecipeError as exc:
+        where = rpath if exc.step is None else f"{rpath}.steps[{exc.step}]"
+        raise ReportFormatError(f"{where}: {exc}") from None
+    for i, step in enumerate(recipe.steps):
+        if (payload_types is not None and isinstance(step, ApplyOp)
+                and not isinstance(step.payload, payload_types)):
+            raise ReportFormatError(
+                f"{rpath}.steps[{i}].op.kind: {step.payload.kind!r} is outside the rdt's payloads")
     nodes = _require(d, "nodes", list, path)
     ids = set()
     for i, nd in enumerate(nodes):
@@ -439,7 +454,11 @@ def validate_report(d) -> None:
     schema = _require(d, "schema", str, "$")
     if schema != SCHEMA:
         raise ReportFormatError(f"$.schema: expected {SCHEMA!r}, got {schema!r}")
-    _require(d, "rdt", str, "$")
+    rdt = _require(d, "rdt", str, "$")
+    try:
+        payload_types = catalog_get(rdt).spec.payload_types
+    except KeyError:
+        payload_types = None
     prop = d.get("property")
     if prop is not None and prop not in _PROPERTY_NAMES:
         raise ReportFormatError(f"$.property: unknown property {prop!r}")
@@ -451,6 +470,8 @@ def validate_report(d) -> None:
         cfg.validate()
     except ValueError as exc:
         raise ReportFormatError(f"$.config: {exc}") from None
+    if seed != cfg.seed:
+        raise ReportFormatError(f"$.seed: {seed} differs from $.config.seed {cfg.seed}")
     verdicts = _require(d, "verdicts", list, "$")
     for i, v in enumerate(verdicts):
         vpath = f"$.verdicts[{i}]"
@@ -463,10 +484,10 @@ def validate_report(d) -> None:
         _require(v, "tests", int, vpath)
         if "counterexample" in v:
             _validate_counterexample(_require(v, "counterexample", dict, vpath),
-                                     f"{vpath}.counterexample")
+                                     f"{vpath}.counterexample", payload_types)
     if "counterexample" in d:
         _validate_counterexample(_require(d, "counterexample", dict, "$"),
-                                 "$.counterexample")
+                                 "$.counterexample", payload_types)
 
 
 def parse_report(text: str) -> dict:

@@ -172,6 +172,26 @@ def test_sweep_beyond_cap_rejected():
         oracle_sweep(catalog_get("ctr-inc-mrdt"), max_events=ORACLE_EVENT_CAP + 1)
 
 
+@pytest.mark.parametrize("bounds,match", [
+    ({"literals": (2, 3, 4)}, "literal_pool"),  # would sweep 1 history of 80
+    ({"literals": (1, 1, 2)}, "literal_pool"),  # would sweep 279, with duplicates
+    ({"literals": ()}, "literal_pool"),
+    ({"max_joins": -1}, "max_joins must be >= 0"),  # would sweep 0
+    ({"replicas": 1}, "replica_count must be >= 2"),
+    ({"max_events": -1}, "max_events must be >= 0"),  # would sweep 0
+])
+def test_sweep_refuses_the_bounds_the_config_refuses(bounds, match):
+    settings = {"max_events": 3, **bounds}
+    with pytest.raises(ValueError, match=match):
+        oracle_sweep(catalog_get("g-set-mrdt"), **settings)
+
+
+def test_sweep_accepts_the_bounds_the_config_accepts():
+    res = oracle_sweep(catalog_get("g-set-mrdt"), 3, literals=(1, 2), replicas=3, max_joins=0)
+    assert res.passed() and res.histories
+    assert oracle_sweep(catalog_get("g-set-mrdt"), 0).histories == 1
+
+
 # ---------------------------------------------------------------------------
 # Bottom-up instances.
 

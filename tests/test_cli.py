@@ -248,6 +248,18 @@ def test_render_rejects_a_config_check_refuses(capsys, in_tmp):
     assert "$.config: replica_count must be >= 2" in capsys.readouterr().err
 
 
+def test_render_rejects_an_edited_seed(capsys, in_tmp):
+    assert main(["check", "g-set-mrdt", "--seed", "42", "--out", "r.json"]) == 0
+    doc = json.loads((in_tmp / "r.json").read_text())
+    doc["seed"] = 7
+    (in_tmp / "r.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["render", "r.json"]) == 2
+    captured = capsys.readouterr()
+    assert "$.seed: 7 differs from $.config.seed 42" in captured.err
+    assert "suite passed" not in captured.out
+
+
 def test_render_missing_file(capsys, in_tmp):
     assert main(["render", "absent.json"]) == 2
 

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +169,39 @@ def test_validate_bad_payload_in_counterexample():
 def test_validate_refuses_a_config_check_config_refuses(key, value):
     d = valid_doc(); d["config"][key] = value
     with pytest.raises(ReportFormatError, match=r"^\$\.config: "):
+        parse_report(json.dumps(d))
+
+
+def test_validate_refuses_a_seed_other_than_the_configs():
+    d = valid_doc(); d["seed"] = d["config"]["seed"] + 35
+    with pytest.raises(ReportFormatError, match=r"^\$\.seed: 42 differs from \$\.config\.seed 7"):
+        parse_report(json.dumps(d))
+
+
+def _edit_first(steps: list, kind: str) -> tuple[int, dict]:
+    return next((i, s) for i, s in enumerate(steps) if s["type"] == kind)
+
+
+@pytest.mark.parametrize("where", ["$.counterexample", "$.verdicts[{v}].counterexample"],
+                         ids=["top", "verdict"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda steps: _edit_first(steps, "apply")[1].update(replica=9),
+     r"\.steps\[{i}\]: apply on unknown replica 9"),
+    (lambda steps: _edit_first(steps, "join")[1].update(source=_edit_first(steps, "join")[1]["target"]),
+     r"\.steps\[{i}\]: join of a replica with itself"),
+    (lambda steps: _edit_first(steps, "apply")[1].update(op={"kind": "inc"}),
+     r"\.steps\[{i}\]\.op\.kind: 'inc' is outside the rdt's payloads"),
+], ids=["replica", "self-join", "payload"])
+def test_validate_refuses_a_recipe_that_cannot_be_replayed(where, edit, message):
+    d = parse_report(render_json(failing_report()))
+    v = next(i for i, vd in enumerate(d["verdicts"]) if "counterexample" in vd)
+    cx = d["counterexample"] if where == "$.counterexample" else d["verdicts"][v]["counterexample"]
+    steps = cx["recipe"]["steps"]
+    edit(steps)
+    kind = "join" if "join" in message else "apply"
+    i = _edit_first(steps, kind)[0]
+    path = re.escape(where.format(v=v) + ".recipe")
+    with pytest.raises(ReportFormatError, match="^" + path + message.format(i=i)):
         parse_report(json.dumps(d))
 
 
