@@ -456,8 +456,9 @@ def _independent(spec: RdtSpec, ex: Execution, e: Event, hist_b: int, concurrent
 
 
 def _peels(spec: RdtSpec, ex: Execution, start: int = 0):
-    """Yield ``(m, e, a_prime, b_node, lhs, rhs)`` for each peelable instance
-    of the bottom-up condition at a merge node ``m >= start``, in order.
+    """Yield ``(m, e, a_prime, b_node, lhs, rhs, probe)`` for each candidate
+    instance of the bottom-up condition at a merge node ``m >= start``, in
+    order; the candidate is peelable when ``_independent(spec, ex, *probe)``.
 
     At a merge of branches a and b over ancestor l, the final event ``e`` of
     branch a may be peeled when its effect is independent of b's concurrent
@@ -469,6 +470,12 @@ def _peels(spec: RdtSpec, ex: Execution, start: int = 0):
     past a live loser; with it, resurrecting a dead loser is still caught.
     The instance holds when ``lhs``, a merged with b, equals ``rhs``, ``e``
     applied on top of a without ``e`` merged with b.
+
+    The sides come first, since they cost one or two merges and one
+    ``apply``, while the commute probes of ``_independent`` cost up to three
+    ``apply`` calls per probe state and concurrent event.  The spec functions
+    are pure, so which check runs first changes no verdict: callers that only
+    need the instances whose sides differ run ``_independent`` on those alone.
     """
     g = ex.graph
     states = ex.states
@@ -483,28 +490,35 @@ def _peels(spec: RdtSpec, ex: Execution, start: int = 0):
             hist_b = masks[b_node]
             if hist_b >> (e.ts - 1) & 1:
                 continue
-            # b's history is closed under happens-before and lacks e, so no
-            # b-event comes after e: the concurrent ones are those e did not see.
-            if not _independent(spec, ex, e, hist_b, hist_b & ~masks[a_node], (lca, a_prime)):
-                continue
             l_state = states[lca]
             lhs = (states[m] if a_node == left  # the execution's merge(l, a, b)
                    else merge_with_lca(spec, l_state, states[a_node], states[b_node]))
             rhs = spec.apply(merge_with_lca(spec, l_state, states[a_prime], states[b_node]), e)
-            yield m, e, a_prime, b_node, lhs, rhs
+            # b's history is closed under happens-before and lacks e, so no
+            # b-event comes after e: the concurrent ones are those e did not see.
+            yield (m, e, a_prime, b_node, lhs, rhs,
+                   (e, hist_b, hist_b & ~masks[a_node], (lca, a_prime)))
 
 
 def bottom_up_instances(spec: RdtSpec, ex: Execution) -> list[BottomUpInstance]:
     """All peelable instances of the bottom-up verification condition (see
-    ``_peels``), with both sides formatted."""
+    ``_peels``), with both sides formatted.  Every candidate is probed for
+    independence, since an instance that holds is listed too."""
     return [BottomUpInstance(m, e, a_prime, b_node, lhs, rhs,
                              spec.format_state(lhs), spec.format_state(rhs), lhs == rhs)
-            for m, e, a_prime, b_node, lhs, rhs in _peels(spec, ex)]
+            for m, e, a_prime, b_node, lhs, rhs, probe in _peels(spec, ex)
+            if _independent(spec, ex, *probe)]
 
 
 def eval_bottom_up_step(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
-    for m, e, _, _, lhs, rhs in _peels(spec, ex, start):
-        if lhs != rhs:
+    """A violation at the first peelable instance at a merge node
+    ``m >= start`` whose sides differ, or ``None``.  A candidate's sides are
+    compared before its independence is probed: a candidate whose sides are
+    equal holds whether or not it is peelable, and the spec functions are
+    pure, so the probes are skipped there and the first violation is the one
+    an independence-first check finds."""
+    for m, e, _, _, lhs, rhs, probe in _peels(spec, ex, start):
+        if lhs != rhs and _independent(spec, ex, *probe):
             return _viol(spec, PropertyId.BOTTOM_UP_STEP, ex, lhs, rhs,
                          f"peeling {e.op.label()} at v{m} changes the merge result",
                          node=m, event=e)

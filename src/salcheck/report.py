@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .catalog import catalog_get
 from .checker import CheckConfig, CounterexampleReport, PropertyId, SuiteReport
-from .history import ApplyOp, Execution, JoinOp, Recipe, RecipeError, build
+from .history import ApplyOp, Execution, JoinOp, Recipe, RecipeError, VersionGraph, build
 from .model import PAYLOAD_KINDS, Event, OpPayload, event_label
 
 
@@ -310,13 +310,10 @@ def config_from_dict(d: dict, path: str = "config") -> CheckConfig:
     return CheckConfig(**values)
 
 
-def graph_to_dict(ex: Execution) -> dict:
-    """The ``{nodes, edges}`` form of an execution's version graph, with each
-    node's display state."""
-    nodes = [{"id": n, "label": f"v{n}", "state": ex.spec.format_state(ex.states[n])}
-             for n in range(len(ex.graph.nodes))]
+def _graph_edges(g: VersionGraph) -> list[dict]:
+    """The ``edges`` list of a version graph's ``{nodes, edges}`` form."""
     edges = []
-    for n, info in enumerate(ex.graph.nodes):
+    for n, info in enumerate(g.nodes):
         if info[0] == "apply":
             _, parent, ev = info
             edges.append({"from": parent, "to": n, "kind": "apply",
@@ -326,7 +323,15 @@ def graph_to_dict(ex: Execution) -> dict:
             edges.append({"from": left, "to": n, "kind": "merge-left"})
             edges.append({"from": right, "to": n, "kind": "merge-right"})
             edges.append({"from": lca, "to": n, "kind": "lca"})
-    return {"nodes": nodes, "edges": edges}
+    return edges
+
+
+def graph_to_dict(ex: Execution) -> dict:
+    """The ``{nodes, edges}`` form of an execution's version graph, with each
+    node's display state."""
+    nodes = [{"id": n, "label": f"v{n}", "state": ex.spec.format_state(ex.states[n])}
+             for n in range(len(ex.graph.nodes))]
+    return {"nodes": nodes, "edges": _graph_edges(ex.graph)}
 
 
 def counterexample_to_dict(cr: CounterexampleReport) -> dict:
@@ -400,11 +405,12 @@ _STATUSES = {"pass", "fail", "vacuous"}
 def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...] | None) -> None:
     """Refuse, among others, a recipe that cannot be replayed: a step ``build``
     refuses, or a payload outside ``payload_types`` (``None``: the rdt is not
-    in the catalog, so its domain is unknown)."""
+    in the catalog, so its domain is unknown); and a graph other than the
+    recipe's, so that the graph drawn is the history a replay checks."""
     rpath = f"{path}.recipe"
     recipe = recipe_from_dict(_require(d, "recipe", dict, path), rpath)
     try:
-        build(recipe)
+        g = build(recipe)
     except RecipeError as exc:
         where = rpath if exc.step is None else f"{rpath}.steps[{exc.step}]"
         raise ReportFormatError(f"{where}: {exc}") from None
@@ -434,6 +440,16 @@ def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...]
             event_from_dict(_require(edge, "event", dict, epath), f"{epath}.event")
         elif "event" in edge:
             raise ReportFormatError(f"{epath}.event: only apply edges carry events")
+    if [nd["id"] for nd in nodes] != list(range(len(g.nodes))):
+        raise ReportFormatError(
+            f"{path}.nodes: ids differ from the recipe's graph, 0 to {len(g.nodes) - 1}")
+    want = _graph_edges(g)
+    for i, (edge, w) in enumerate(zip(edges, want)):
+        if edge != w:
+            raise ReportFormatError(f"{path}.edges[{i}]: differs from the recipe's graph")
+    if len(edges) != len(want):
+        raise ReportFormatError(
+            f"{path}.edges: {len(edges)} edges, the recipe's graph has {len(want)}")
     _require(d, "lhs", str, path)
     _require(d, "rhs", str, path)
     _require(d, "shrink_steps", int, path)

@@ -15,13 +15,15 @@ import random
 
 import pytest
 
-from salcheck.catalog import CATALOG, payload_pool
+from salcheck import checker
+from salcheck.catalog import CATALOG, catalog_get, payload_pool
 from salcheck.checker import (
     EVALUATORS, ORACLE_EVENT_CAP, BottomUpInstance, CheckConfig, PropertyId, Violation,
     bottom_up_instances, linearization_oracle, properties_for, rc_is_vacuous, run_suite,
 )
 from salcheck.history import (
-    build, enumerate_recipes, execute, iter_bits, merge_with_lca, random_recipe,
+    NoUniqueLcaError, build, enumerate_recipes, execute, iter_bits, merge_with_lca,
+    random_recipe,
 )
 from salcheck.model import Inc, MrdtSpec, RcOrder, Write, conflicting, rc_empty, rc_order
 
@@ -335,6 +337,62 @@ CLAMP_LEFT = MrdtSpec(
 SPECS = [e.spec for e in CATALOG] + [IDEM_BREAKING, CLAMP_LEFT]
 
 
+def _differing_sides_probed(spec, ex) -> int:
+    """How many peel candidates with unequal sides an evaluator that compares
+    the sides first must probe for independence: those up to and including
+    the first that the reference finds peelable."""
+    g = ex.graph
+    peelable = {(i.merge_node, i.event, i.b_node)
+                for i in reference_bottom_up_instances(spec, ex)}
+    probed = 0
+    for m in g.merge_nodes():
+        _, left, right, lca = g.nodes[m]
+        for a_node, b_node in ((left, right), (right, left)):
+            if g.kind(a_node) != "apply":
+                continue
+            _, a_prime, e = g.nodes[a_node]
+            if g.event_masks[b_node] >> (e.ts - 1) & 1:
+                continue
+            l_state = ex.states[lca]
+            lhs = merge_with_lca(spec, l_state, ex.states[a_node], ex.states[b_node])
+            rhs = spec.apply(merge_with_lca(spec, l_state, ex.states[a_prime],
+                                            ex.states[b_node]), e)
+            if lhs != rhs:
+                probed += 1
+                if (m, e, b_node) in peelable:
+                    return probed
+    return probed
+
+
+@pytest.mark.parametrize("rdt", ["ew-flag-fixed", "or-set-mrdt"])
+def test_bottom_up_step_probes_only_candidates_whose_sides_differ(monkeypatch, rdt):
+    """ew-flag-fixed peels through its conflict relation and observed
+    replay; or-set-mrdt has no conflicts, so every concurrent event is
+    probed.  Equal sides hold whether or not the peel is independent, so
+    only the candidates with unequal sides may be probed."""
+    spec = catalog_get(rdt).spec
+    calls = 0
+    independent = checker._independent
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return independent(*args)
+
+    monkeypatch.setattr(checker, "_independent", counting)
+    probed = held = 0
+    for recipe in enumerate_recipes(payload_pool(spec), 4, 2, 1):
+        ex = execute(spec, build(recipe))
+        calls = 0
+        got = checker.eval_bottom_up_step(spec, ex)
+        want = _differing_sides_probed(spec, ex)
+        assert calls == want, recipe
+        assert _fields(got) == _fields(reference_bottom_up_step(spec, ex)), recipe
+        probed += want
+        held += sum(i.holds for i in reference_bottom_up_instances(spec, ex))
+    assert probed > 0 and held > 0  # both kinds of candidate occur
+
+
 def test_sweep_checks_the_first_unshared_node(monkeypatch):
     want = assert_sweeps_agree(monkeypatch, IDEM_BREAKING, 4, 2)
     status, _, fields, shared = want[PropertyId.MERGE_IDEM]
@@ -350,16 +408,23 @@ def test_sweep_agrees_on_a_non_commutative_merge(monkeypatch):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_evaluators_agree_on_random_eight_event_histories(spec):
-    rng = random.Random(f"evaluators:{spec.name}")
+    """Two and three replicas; past two, a draw may merge heads with several
+    maximal common ancestors, which ``build`` refuses, so it is redrawn."""
     pool = payload_pool(spec)
     props = properties_for(spec)
-    checked = 0
-    while checked < 200:
-        recipe = random_recipe(rng, pool, max_events=8, max_joins=2)
-        if recipe.event_count() != 8:
-            continue
-        ex = execute(spec, build(recipe))
-        for p in props:
-            assert _fields(EVALUATORS[p](spec, ex)) == _fields(REFERENCE[p](spec, ex)), (p, recipe)
-        assert bottom_up_instances(spec, ex) == reference_bottom_up_instances(spec, ex), recipe
-        checked += 1
+    for replicas in (2, 3):
+        rng = random.Random(f"evaluators:{spec.name}")
+        checked = 0
+        while checked < 200:
+            recipe = random_recipe(rng, pool, max_events=8, replicas=replicas, max_joins=2)
+            if recipe.event_count() != 8:
+                continue
+            try:
+                ex = execute(spec, build(recipe))
+            except NoUniqueLcaError:
+                continue
+            for p in props:
+                assert (_fields(EVALUATORS[p](spec, ex))
+                        == _fields(REFERENCE[p](spec, ex))), (p, recipe)
+            assert bottom_up_instances(spec, ex) == reference_bottom_up_instances(spec, ex), recipe
+            checked += 1

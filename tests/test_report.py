@@ -205,6 +205,32 @@ def test_validate_refuses_a_recipe_that_cannot_be_replayed(where, edit, message)
         parse_report(json.dumps(d))
 
 
+def _flip_first_enable(cx: dict) -> None:
+    step = cx["recipe"]["steps"][0]
+    assert step["op"] == {"kind": "enable"}
+    step["op"] = {"kind": "disable"}  # edge 0 still applies enable at ts 1
+
+
+def _drop_sink(cx: dict) -> None:
+    sink = cx["nodes"].pop()["id"]
+    cx["edges"] = [e for e in cx["edges"] if e["to"] != sink]
+
+
+@pytest.mark.parametrize("where", ["$.counterexample", "$.verdicts[{v}].counterexample"],
+                         ids=["top", "verdict"])
+@pytest.mark.parametrize("edit, message", [
+    (_flip_first_enable, r"\.edges\[0\]: differs from the recipe's graph"),
+    (lambda cx: cx["edges"].pop(), r"\.edges: \d+ edges, the recipe's graph has \d+"),
+    (_drop_sink, r"\.nodes: ids differ from the recipe's graph"),
+], ids=["flipped-step", "dropped-edge", "dropped-node"])
+def test_validate_refuses_a_recipe_other_than_the_graph(where, edit, message):
+    d = parse_report(render_json(failing_report()))
+    v = next(i for i, vd in enumerate(d["verdicts"]) if "counterexample" in vd)
+    edit(d["counterexample"] if where == "$.counterexample" else d["verdicts"][v]["counterexample"])
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where.format(v=v)) + message):
+        parse_report(json.dumps(d))
+
+
 def test_parse_rejects_truncated_json():
     text = render_json(passing_report())[:-20]
     with pytest.raises(ReportFormatError, match=r"\$: not valid JSON"):
