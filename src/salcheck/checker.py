@@ -112,19 +112,27 @@ class CheckConfig:
                            self.max_joins)
 
 
+class SweepBoundError(ValueError):
+    """A bound no exhaustive sweep can run over: ``name`` ``rule``, got ``value``."""
+
+    def __init__(self, name: str, rule: str, value: Any):
+        super().__init__(f"{name} {rule}, got {value}")
+        self.rule = rule
+
+
 def _check_sweep_bounds(max_events: int, literals: tuple[int, ...], replicas: int,
                        max_joins: int) -> None:
-    """Refuse bounds no exhaustive sweep can run over (``ValueError``)."""
+    """Refuse bounds no exhaustive sweep can run over (``SweepBoundError``)."""
     if max_events < 0:
-        raise ValueError(f"max_events must be >= 0, got {max_events}")
+        raise SweepBoundError("max_events", "must be >= 0", max_events)
     if replicas < 2:  # a join needs two replicas
-        raise ValueError(f"replica_count must be >= 2, got {replicas}")
+        raise SweepBoundError("replica_count", "must be >= 2", replicas)
     if max_joins < 0:
-        raise ValueError(f"max_joins must be >= 0, got {max_joins}")
+        raise SweepBoundError("max_joins", "must be >= 0", max_joins)
     # The sweep's canonical literal order (first use 1, 2, 3, ...) reaches
     # every history only over exactly this pool.
     if not literals or literals != tuple(range(1, len(literals) + 1)):
-        raise ValueError(f"literal_pool must be (1, ..., k) with k >= 1, got {literals}")
+        raise SweepBoundError("literal_pool", "must be (1, ..., k) with k >= 1", literals)
 
 
 @dataclass(frozen=True)
@@ -554,11 +562,6 @@ def eval_rc_policy(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | 
     return None
 
 
-def rc_policy_instances(spec: RdtSpec, ex: Execution) -> int:
-    """Count of one-conflict diamonds the rc-policy check applies to."""
-    return sum(1 for _ in _conflict_diamonds(spec, ex))
-
-
 def eval_linearization_exists(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
     if len(ex.graph.events) > ORACLE_EVENT_CAP:
         return None  # out of oracle scope; covered only by smaller histories
@@ -818,8 +821,8 @@ def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
 __all__ = [
     "PropertyId", "MRDT_PROPERTIES", "CRDT_PROPERTIES", "properties_for",
     "CheckConfig", "Violation", "CounterexampleReport", "Verdict", "SuiteReport",
-    "OracleScopeError", "OracleResult", "linearization_oracle",
-    "BottomUpInstance", "bottom_up_instances", "rc_policy_instances",
+    "OracleScopeError", "SweepBoundError", "OracleResult", "linearization_oracle",
+    "BottomUpInstance", "bottom_up_instances",
     "run_suite", "shrink", "EVALUATORS", "ORACLE_EVENT_CAP",
     "SweepResult", "oracle_sweep",
 ]

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .catalog import CATALOG, catalog_get
 from .checker import (
-    CheckConfig, EVALUATORS, ORACLE_EVENT_CAP, PropertyId, bottom_up_instances,
-    oracle_sweep, run_suite,
+    CheckConfig, EVALUATORS, ORACLE_EVENT_CAP, OracleScopeError, PropertyId, SweepBoundError,
+    bottom_up_instances, oracle_sweep, run_suite,
 )
 from .history import Recipe, ApplyOp, JoinOp, run_recipe
 from .model import Add, Dec, Delete, Disable, Enable, Inc, Insert, MapSet, Rem, Write
@@ -141,11 +141,12 @@ def cmd_render(args) -> int:
 
 def cmd_oracle(args) -> int:
     entry = _entry(args.rdt)
-    if args.max_events > ORACLE_EVENT_CAP:
-        raise UsageError(f"--max-events must be <= {ORACLE_EVENT_CAP}")
-    if args.max_events < 0:
-        raise UsageError("--max-events must be >= 0")
-    result = oracle_sweep(entry, args.max_events)
+    try:
+        result = oracle_sweep(entry, args.max_events)
+    except OracleScopeError:
+        raise UsageError(f"--max-events must be <= {ORACLE_EVENT_CAP}") from None
+    except SweepBoundError as exc:  # --max-events is the one bound not at its default
+        raise UsageError(f"--max-events {exc.rule}, got {args.max_events}") from None
     print(f"histories checked: {result.histories}")
     print(f"witnesses found: {result.witnesses}")
     if result.failure is not None:

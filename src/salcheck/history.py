@@ -21,9 +21,9 @@ when ``events[i]`` is the node's own event or an ancestor's.  Happens-before,
 ``node_of`` and ``events_of`` are lookups in this index, and the
 linearization oracle and the peel check work on the masks directly.
 
-The fold and LCA rules live in ``_PartialGraph``.  ``build`` pushes a whole
-recipe onto one, and ``execute`` computes the states of a finished graph,
-checking each payload against the spec.  The exhaustive sweep
+The fold and LCA rules live in ``_PartialGraph`` alone.  ``build`` pushes a
+whole recipe onto one, and ``execute`` computes the states of a finished
+graph, checking each payload against the spec.  The exhaustive sweep
 (``enumerate_executions``) builds and executes incrementally instead: it walks
 the prefix tree of canonical recipes depth-first, pushing one apply or join
 per tree edge together with its state and popping it on the way back.  So each
@@ -31,15 +31,14 @@ tree node's ``apply`` or merge runs once, and a leaf only folds the heads into
 the sink.  Each history it yields equals ``execute(spec, build(recipe))``
 field for field.
 
-A random history is made in one pass too.  ``draw_execution`` draws each step
-of ``random_recipe``'s recipe and pushes it onto one partial graph at once,
-so the recipe, the graph and every node state come out of a single walk over
-the drawn steps.  ``random_recipe`` is the same draw run without a graph.  The
-walk and the draws take their ``ApplyOp``, ``JoinOp`` and ``Event`` values
-from ``StepTables``, built once per suite (and once per walk) rather than
-once per step.  Those events come from a pool made from the spec's payload
-types, so they skip ``check_payload``; a recipe from outside (a shrink
-candidate, a replayed report) still goes through ``build`` and ``execute``.
+A random history is made in one flat pass.  ``_draw``, the only draw, runs
+``rng.randrange``'s rejection loop inline and pushes each step, with its
+state, onto a partial graph as it is drawn.  ``draw_execution`` runs it onto
+a graph, ``random_recipe`` without one.  The walk and the draws take their
+steps and events from ``StepTables``, built once per suite (and once per
+walk), from a pool made from the spec's payload types; so they skip
+``check_payload``, which a recipe from outside (a shrink candidate, a
+replayed report) still gets from ``execute``.
 """
 
 from __future__ import annotations
@@ -116,9 +115,6 @@ class VersionGraph:
         """The merge nodes from node ``start`` on, in order."""
         return [n for n in range(start, len(self.nodes)) if self.nodes[n][0] == "merge"]
 
-    def all_events(self) -> tuple[Event, ...]:
-        return self.events
-
     def _index_of(self, ev: Event) -> int:
         """Index of ``ev`` in ``events``; ``KeyError`` if the graph does not hold it."""
         i = ev.ts - 1
@@ -165,11 +161,12 @@ class _PartialGraph:
     one step per edge of the enumeration tree and cuts back to a ``mark`` on
     the way up.  Given a ``spec``, every node gets its state as it is pushed,
     so a finished graph is already executed.  Those states skip
-    ``check_payload``: the walk and the draws push only pool events.
+    ``check_payload``: the walk and the draws push only pool events.  The
+    spec's ``apply`` and merge are bound per graph, so a copy of a spec with
+    other functions gets its own calls.
     """
 
     def __init__(self, replicas: int, spec: RdtSpec | None = None):
-        self.spec = spec
         self.nodes: list[NodeInfo] = [("root",)]
         self.ancestors: list[int] = [1]  # per node, bit n set when node n is an ancestor (reflexive)
         self.events: list[Event] = []
@@ -177,6 +174,10 @@ class _PartialGraph:
         self.event_masks: list[int] = [0]
         self.states: list = [] if spec is None else [spec.initial]
         self.heads = [0] * replicas
+        crdt = spec is not None and is_crdt(spec)
+        self.spec_apply = None if spec is None else spec.apply
+        self.merge2 = spec.merge2 if crdt else None
+        self.merge3 = spec.merge3 if spec is not None and not crdt else None
 
     def apply(self, ev: Event) -> None:
         """Push ``ev`` on its replica's head; ``ev.ts`` is the next timestamp."""
@@ -185,40 +186,35 @@ class _PartialGraph:
         self.nodes.append(("apply", parent, ev))
         self.ancestors.append(self.ancestors[parent] | 1 << n)
         self.event_masks.append(self.event_masks[parent] | 1 << len(self.events))
-        if self.spec is not None:
-            self.states.append(self.spec.apply(self.states[parent], ev))
+        if self.spec_apply is not None:
+            self.states.append(self.spec_apply(self.states[parent], ev))
         self.events.append(ev)
         self.event_nodes.append(n)
         self.heads[ev.replica] = n
 
-    def _lca(self, left: int, right: int) -> int:
-        ancestors = self.ancestors
-        common = ancestors[left] & ancestors[right]
-        maximal = common
-        for d in iter_bits(common):
-            maximal &= ~ancestors[d] | 1 << d  # drop d's strict ancestors
-        if maximal.bit_count() != 1:
-            raise NoUniqueLcaError(
-                f"merge of nodes {left} and {right} has no unique lowest common ancestor"
-            )
-        return maximal.bit_length() - 1
-
     def fold(self, x: int, y: int) -> int:
         """The head that folding head ``y`` into head ``x`` gives: ``x`` when it
-        already knows ``y``, ``y`` on a fast-forward, else a new merge node."""
+        already knows ``y``, ``y`` on a fast-forward, else a new merge node.
+        Node ids ascend along edges, so the highest common ancestor is the
+        LCA if all the others are its ancestors, and else none is unique."""
         ancestors = self.ancestors
         if x == y or ancestors[x] >> y & 1:
             return x
         if ancestors[y] >> x & 1:
             return y
-        lca = self._lca(x, y)
+        common = ancestors[x] & ancestors[y]
+        lca = common.bit_length() - 1
+        if ancestors[lca] != common:
+            raise NoUniqueLcaError(f"merge of nodes {x} and {y} has no unique lowest common ancestor")
         n = len(self.nodes)
         self.nodes.append(("merge", x, y, lca))
-        self.ancestors.append(ancestors[x] | ancestors[y] | 1 << n)
+        ancestors.append(ancestors[x] | ancestors[y] | 1 << n)
         self.event_masks.append(self.event_masks[x] | self.event_masks[y])
-        if self.spec is not None:
-            states = self.states
-            states.append(merge_with_lca(self.spec, states[lca], states[x], states[y]))
+        states = self.states
+        if self.merge3 is not None:
+            states.append(self.merge3(states[lca], states[x], states[y]))
+        elif self.merge2 is not None:
+            states.append(self.merge2(states[x], states[y]))
         return n
 
     def join(self, step: JoinOp) -> bool:
@@ -413,51 +409,55 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
 
 def _draw(rng: random.Random, tables: StepTables, max_events: int, max_joins: int,
           g: _PartialGraph | None = None, event_cap: int | None = None):
-    """Draw one random recipe's steps, pushing each onto ``g`` as it is drawn.
-
-    Returns the steps and ``g``, or ``None`` in place of ``g`` when no graph
-    was given or the draw is dropped: it has more than ``event_cap`` events,
-    or a join whose merge has no unique LCA.  A dropped draw still draws all
-    of its steps, so the stream moves on exactly as for a kept one.
-    """
+    """Draw one random recipe's steps, pushing each onto ``g`` as it is
+    drawn.  Each choice is ``rng.randrange(n)``'s rejection loop
+    on ``getrandbits``, inline; it would never end for ``n < 1``, so an empty
+    choice raises ``ValueError`` instead.  Returns the steps and ``g``, or
+    ``None`` for ``g`` when none was given or the draw is dropped: more than
+    ``event_cap`` events, or a merge with no unique LCA.  A dropped draw
+    still draws all its steps, so the stream moves on as for a kept one."""
+    replicas, n_pool = tables.replicas, len(tables.pool)
+    if max_events < 1 or max_joins < 0 or replicas < 1 or n_pool < 1:
+        raise ValueError("empty range: no event count, replica or payload to draw")
     bits = rng.getrandbits
-
-    def below(n: int) -> int:  # uniform on range(n), as rng.randrange(n)
-        if n < 1:  # getrandbits(0) is 0, so the loop below would never end
-            raise ValueError("empty range: no replica or payload to draw")
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return r
-
-    n_events = 1 + below(max_events)
-    n_joins = below(max_joins + 1)
+    k = max_events.bit_length()
+    while (n_events := bits(k) + 1) > max_events:
+        pass
+    k = (max_joins + 1).bit_length()
+    while (n_joins := bits(k)) > max_joins:
+        pass
+    if n_joins and replicas < 2:
+        raise ValueError("empty range: a join needs a second replica")
     slots = n_events + n_joins
     positions = list(range(slots - 1))  # rng.sample's draw for a small population
-    join_at = set()
-    for i in range(n_joins):
-        j = below(slots - 1 - i)
-        join_at.add(positions[j])
-        positions[j] = positions[slots - 2 - i]
+    is_join = [False] * slots
+    for n in range(slots - 1, slots - 1 - n_joins, -1):
+        k = n.bit_length()
+        while (j := bits(k)) >= n:
+            pass
+        is_join[positions[j]] = True
+        positions[j] = positions[n - 1]
     if event_cap is not None and n_events > event_cap:
         g = None
-    replicas, n_pool = tables.replicas, len(tables.pool)
+    k_replica, k_source, k_pool = replicas.bit_length(), (replicas - 1).bit_length(), n_pool.bit_length()
     applies, joins, events = tables.applies, tables.joins, tables.events
     steps: list[Step] = []
     ts = 0  # events drawn so far
-    for i in range(slots):
-        if i in join_at:
-            t = below(replicas)
-            step = joins[t][below(replicas - 1)]
+    for join in is_join:
+        while (r := bits(k_replica)) >= replicas:
+            pass
+        if join:
+            while (s := bits(k_source)) >= replicas - 1:
+                pass
+            step = joins[r][s]
             if g is not None:
                 try:
                     g.join(step)
                 except NoUniqueLcaError:
                     g = None
         else:
-            r = below(replicas)
-            p = below(n_pool)
+            while (p := bits(k_pool)) >= n_pool:
+                pass
             step = applies[r][p]
             if g is not None:
                 g.apply(events[ts][r][p])
@@ -470,15 +470,9 @@ def random_recipe(rng: random.Random, pool: tuple[OpPayload, ...], max_events: i
                   replicas: int = 2, max_joins: int = 2) -> Recipe:
     """A random recipe: 1 to ``max_events`` applies on random replicas with
     payloads from ``pool``, and 0 to ``max_joins`` joins at random positions
-    (never the last step).  Every draw is the ``getrandbits`` rejection loop
-    that ``rng.randrange`` runs, called directly rather than through the
-    ``random`` methods layered on it, and the join positions are drawn as
-    ``rng.sample`` draws from a small population.  So the recipes follow the
-    same distribution as with those methods.
-
-    This is the one draw that ``draw_execution`` runs onto a partial graph,
-    here run without one: for the same ``rng`` state the two draw the same
-    steps and leave ``rng`` in the same state."""
+    (never the last step), drawn as ``rng.randrange`` and ``rng.sample`` draw
+    them.  It is ``draw_execution``'s draw without a graph: for the same
+    ``rng`` state both draw the same steps and leave ``rng`` in one state."""
     steps, _ = _draw(rng, StepTables(pool, replicas, 0), max_events, max_joins)
     return Recipe(steps, replicas)
 
@@ -487,11 +481,12 @@ def draw_execution(rng: random.Random, tables: StepTables, spec: RdtSpec, max_ev
                    max_joins: int = 2, event_cap: int | None = None) -> Execution | None:
     """Draw ``recipe = random_recipe(rng, tables.pool, max_events,
     tables.replicas, max_joins)`` and return ``execute(spec, build(recipe))``,
-    made in the one pass that draws the recipe; ``tables`` must hold events
-    up to ``max_events``.  ``None`` means the draw is dropped: ``recipe`` has
-    more than ``event_cap`` events, or ``build(recipe)`` would raise
-    ``NoUniqueLcaError``.  The pool's payloads must be in the spec's domain,
-    as ``payload_pool`` makes them: they are not checked."""
+    made in ``_draw``'s one pass onto a new partial graph of ``spec``;
+    ``tables`` must hold events up to ``max_events``.  ``None`` means the draw
+    is dropped: ``recipe`` has more than ``event_cap`` events, or
+    ``build(recipe)`` would raise ``NoUniqueLcaError``.  The pool's payloads
+    must be in the spec's domain, as ``payload_pool`` makes them: they are
+    not checked."""
     steps, g = _draw(rng, tables, max_events, max_joins,
                      _PartialGraph(tables.replicas, spec), event_cap)
     if g is None:

@@ -16,8 +16,8 @@ from salcheck.history import (
 )
 from salcheck.checker import (
     PropertyId, CheckConfig, OracleScopeError, linearization_oracle,
-    bottom_up_instances, rc_policy_instances, run_suite, oracle_sweep,
-    ORACLE_EVENT_CAP, EVALUATORS, _stream_seed,
+    bottom_up_instances, run_suite, oracle_sweep,
+    ORACLE_EVENT_CAP, EVALUATORS, _conflict_diamonds, _stream_seed,
 )
 
 CORRECT = [e for e in CATALOG if not e.known_buggy]
@@ -65,7 +65,7 @@ def test_config_rejects_bad_bounds():
 def test_oracle_linear_history_returns_the_history():
     g = build(Recipe((ApplyOp(0, Add(1)), ApplyOp(0, Rem(1)), ApplyOp(0, Add(2)))))
     res = linearization_oracle(or_set_mrdt, g)
-    assert res.witness == g.all_events()
+    assert res.witness == g.events
 
 
 def test_oracle_empty_history_trivial_witness():
@@ -79,8 +79,8 @@ def test_oracle_witness_extends_happens_before():
     res = linearization_oracle(or_set_mrdt, g)
     assert res.witness is not None
     pos = {e: i for i, e in enumerate(res.witness)}
-    for e1 in g.all_events():
-        for e2 in g.all_events():
+    for e1 in g.events:
+        for e2 in g.events:
             if g.happens_before(e1, e2):
                 assert pos[e1] < pos[e2]
 
@@ -232,6 +232,11 @@ def test_fig2_sink_instance_holds_on_fixed_flag():
 
 # ---------------------------------------------------------------------------
 # RcPolicy instances.
+
+
+def rc_policy_instances(spec, ex) -> int:
+    """Count of one-conflict diamonds the rc-policy check applies to."""
+    return sum(1 for _ in _conflict_diamonds(spec, ex))
 
 
 def test_rc_policy_counts_true_diamonds_only():

@@ -163,6 +163,16 @@ def test_oracle_rejects_negative_events(capsys, in_tmp):
     assert "histories checked" not in captured.out
 
 
+def test_oracle_does_not_rename_a_specs_own_value_error(capsys, in_tmp, monkeypatch):
+    def sweep(entry, max_events):  # a spec fault worded like the bound check
+        raise ValueError("max_events must be >= 0, got 3")
+    monkeypatch.setattr("salcheck.cli.oracle_sweep", sweep)
+    assert main(["oracle", "ctr-inc-mrdt", "--max-events", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error: max_events must be >= 0, got 3" in err
+    assert "--max-events" not in err
+
+
 # ---------------------------------------------------------------------------
 # demo
 

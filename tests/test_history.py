@@ -1,14 +1,17 @@
 """Recipes, version graphs, execution, and canonical enumeration."""
 
+import dataclasses
 import random
 
 import pytest
 
-from salcheck.model import Inc, Add, Rem, Enable, Disable, Event
-from salcheck.catalog import ctr_inc_mrdt, or_set_mrdt, ew_flag_buggy, payload_pool
+from salcheck import history
+from salcheck.model import Inc, Add, Rem, Enable, Disable, Event, is_crdt
+from salcheck.catalog import catalog_get, ctr_inc_mrdt, or_set_mrdt, ew_flag_buggy, payload_pool
 from salcheck.history import (
-    Recipe, ApplyOp, JoinOp, RecipeError, build, execute, run_recipe,
-    diamond, enumerate_recipes, random_recipe, count_recipes,
+    Recipe, ApplyOp, JoinOp, NoUniqueLcaError, RecipeError, StepTables, build, execute,
+    run_recipe, diamond, draw_execution, enumerate_executions, enumerate_recipes,
+    iter_bits, random_recipe, count_recipes,
 )
 
 
@@ -17,7 +20,7 @@ def test_linear_history_three_nodes():
     assert len(g.nodes) == 3
     assert g.kind(0) == "root"
     assert g.kind(1) == "apply" and g.kind(2) == "apply"
-    assert [e.ts for e in g.all_events()] == [1, 2]
+    assert [e.ts for e in g.events] == [1, 2]
     assert g.sink == 2  # single head: the fold adds no node
 
 
@@ -25,7 +28,7 @@ def test_empty_recipe_is_root_only():
     g = build(Recipe(()))
     assert len(g.nodes) == 1
     assert g.sink == 0
-    assert g.all_events() == ()
+    assert g.events == ()
 
 
 def test_diamond_merges_at_fork():
@@ -77,8 +80,8 @@ def test_join_creates_merge_with_lca():
 def test_timestamps_are_global_and_monotone():
     r = Recipe((ApplyOp(0, Inc()), ApplyOp(1, Inc()), ApplyOp(0, Inc())))
     g = build(r)
-    assert [e.ts for e in g.all_events()] == [1, 2, 3]
-    assert [e.replica for e in g.all_events()] == [0, 1, 0]
+    assert [e.ts for e in g.events] == [1, 2, 3]
+    assert [e.replica for e in g.events] == [0, 1, 0]
 
 
 def test_replica_out_of_range_rejected():
@@ -95,7 +98,7 @@ def test_join_self_rejected():
 
 def test_happens_before_strict_partial_order():
     g = build(diamond((Add(1), Rem(2)), (Add(2),)))
-    events = g.all_events()
+    events = g.events
     for e in events:
         assert not g.happens_before(e, e)
     for e1 in events:
@@ -109,21 +112,21 @@ def test_happens_before_strict_partial_order():
 
 def test_concurrency_across_branches():
     g = build(diamond((Add(1),), (Rem(1),)))
-    a, r = g.all_events()
+    a, r = g.events
     assert g.concurrent(a, r)
     assert not g.happens_before(a, r)
 
 
 def test_same_replica_events_ordered():
     g = build(Recipe((ApplyOp(0, Add(1)), ApplyOp(0, Rem(1)))))
-    a, r = g.all_events()
+    a, r = g.events
     assert g.happens_before(a, r)
     assert not g.concurrent(a, r)
 
 
 def test_lookups_reject_events_not_in_graph():
     g = build(diamond((Add(1),), (Rem(1),)))
-    a, r = g.all_events()
+    a, r = g.events
     assert (g.node_of(a), g.node_of(r)) == (1, 2)
     strangers = (
         Event(a.ts, a.replica, Add(2)),      # same ts, other payload
@@ -237,3 +240,123 @@ def test_random_recipe_deterministic_per_seed():
     a = [random_recipe(random.Random(7), pool, 5) for _ in range(1)]
     b = [random_recipe(random.Random(7), pool, 5) for _ in range(1)]
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# The partial graph's fold and spec calls.
+
+
+def reference_lca(ancestors, x, y):
+    """The LCA of nodes ``x`` and ``y`` from their maximal common ancestors,
+    found bit by bit; ``None`` when there are several."""
+    common = ancestors[x] & ancestors[y]
+    maximal = common
+    for d in iter_bits(common):
+        maximal &= ~ancestors[d] | 1 << d  # drop d's strict ancestors
+    return maximal.bit_length() - 1 if maximal.bit_count() == 1 else None
+
+
+@pytest.mark.parametrize("replicas", [2, 3, 4])
+def test_fold_finds_the_lca_of_the_maximal_common_ancestors(replicas):
+    # Fold every pair of nodes of random graphs and cut each merge back off.
+    pool = payload_pool(ctr_inc_mrdt)
+    rng = random.Random(replicas)
+    merged = refused = 0
+    for _ in range(60):
+        g = history._PartialGraph(replicas)
+        for step in random_recipe(rng, pool, 8, replicas, 6).steps:
+            if isinstance(step, ApplyOp):
+                g.apply(Event(len(g.events) + 1, step.replica, step.payload))
+            else:
+                try:
+                    g.join(step)
+                except NoUniqueLcaError:
+                    break
+        for x in range(len(g.nodes)):
+            for y in range(len(g.nodes)):
+                expected = reference_lca(g.ancestors, x, y)
+                mark = g.mark()
+                try:
+                    n = g.fold(x, y)
+                except NoUniqueLcaError:
+                    assert expected is None
+                    refused += 1
+                    continue
+                if n not in (x, y):
+                    assert g.nodes[n] == ("merge", x, y, expected)
+                    merged += 1
+                g.restore(mark)
+    assert merged > 0
+    assert (refused > 0) == (replicas > 2)
+
+
+def counted(spec):
+    """``spec`` with its ``apply`` and merge counted, copied as a tracer
+    copies it, with ``dataclasses.replace``."""
+    calls = {"apply": 0, "merge": 0}
+    merge_field = "merge2" if is_crdt(spec) else "merge3"
+    apply, merge = spec.apply, getattr(spec, merge_field)
+
+    def counting_apply(*args):
+        calls["apply"] += 1
+        return apply(*args)
+
+    def counting_merge(*args):
+        calls["merge"] += 1
+        return merge(*args)
+
+    changes = {"apply": counting_apply, merge_field: counting_merge}
+    return dataclasses.replace(spec, **changes), calls
+
+
+def node_kinds(g) -> dict:
+    return {kind: sum(1 for info in g.nodes if info[0] == kind) for kind in ("apply", "merge")}
+
+
+@pytest.mark.parametrize("rdt", ["or-set-mrdt", "or-set-crdt"])
+def test_builders_call_the_spec_they_are_given(rdt, monkeypatch):
+    # One apply per apply node and one merge per merge node, on the spec
+    # passed in: a binding cached across specs would hide calls from a
+    # tracer that counts them on a replaced copy.
+    plain = catalog_get(rdt).spec
+    spec, calls = counted(plain)
+    pool = payload_pool(plain)
+    tables = StepTables(pool, 2, 8)
+    rng = random.Random(rdt)
+
+    def spec_calls(run):
+        before = dict(calls)
+        result = run()
+        return result, {k: calls[k] - before[k] for k in calls}
+
+    for _ in range(200):
+        state = rng.getstate()
+        expected, made = spec_calls(lambda: draw_execution(rng, tables, plain, 8, 3))
+        assert made == {"apply": 0, "merge": 0}
+        rng.setstate(state)
+        ex, made = spec_calls(lambda: draw_execution(rng, tables, spec, 8, 3))
+        assert made == node_kinds(ex.graph)
+        assert ex.states == expected.states
+        rebuilt, made = spec_calls(lambda: execute(spec, build(ex.graph.recipe)))
+        assert made == node_kinds(ex.graph)
+        assert rebuilt == ex
+
+    # The walk shares prefixes, so count its pushes rather than its nodes.
+    pushed = {"apply": 0, "merge": 0}
+    push_apply, fold = history._PartialGraph.apply, history._PartialGraph.fold
+
+    def counting_push_apply(self, ev):
+        pushed["apply"] += 1
+        push_apply(self, ev)
+
+    def counting_fold(self, x, y):
+        nodes = len(self.nodes)
+        head = fold(self, x, y)
+        pushed["merge"] += len(self.nodes) - nodes
+        return head
+
+    monkeypatch.setattr(history._PartialGraph, "apply", counting_push_apply)
+    monkeypatch.setattr(history._PartialGraph, "fold", counting_fold)
+    walked, made = spec_calls(lambda: [ex.states for ex in enumerate_executions(spec, pool, 3)])
+    assert made == pushed and pushed["apply"] > 0 and pushed["merge"] > 0
+    assert walked == [ex.states for ex in enumerate_executions(plain, pool, 3)]

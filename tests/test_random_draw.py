@@ -42,7 +42,7 @@ def reference_draw(rng, spec, pool, max_events, replicas, max_joins, cap):
 @pytest.mark.parametrize("cap", [None, ORACLE_EVENT_CAP], ids=["no-cap", "cap"])
 @pytest.mark.parametrize("max_events", [8, 12])
 @pytest.mark.parametrize("max_joins", [1, 2])
-@pytest.mark.parametrize("replicas", [2, 3])
+@pytest.mark.parametrize("replicas", [2, 3, 4])
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.id)
 def test_one_pass_draw_equals_the_three_passes(entry, replicas, max_joins, max_events, cap):
     spec = entry.spec

@@ -20,7 +20,9 @@ from salcheck.catalog import CATALOG, catalog_get, payload_pool
 from salcheck.checker import (
     EVALUATORS, ORACLE_EVENT_CAP, CheckConfig, PropertyId, _stream_seed, run_suite,
 )
-from salcheck.history import ApplyOp, JoinOp, NoUniqueLcaError, Recipe, build, random_recipe
+from salcheck.history import (
+    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, StepTables, build, draw_execution, random_recipe,
+)
 
 LIN = PropertyId.LINEARIZATION_EXISTS
 
@@ -168,6 +170,23 @@ def test_random_recipe_refuses_an_empty_choice():
     with pytest.raises(ValueError):  # a join needs a second replica
         for _ in range(100):
             random_recipe(rng, (1,), 3, replicas=1, max_joins=2)
+
+
+def test_draw_execution_refuses_an_empty_choice():
+    # Each choice is a rejection loop on getrandbits, which would never end
+    # on an empty range: the draw must refuse it instead.
+    spec = catalog_get("or-set-mrdt").spec
+    pool = payload_pool(spec)
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="empty range"):  # no payload
+        draw_execution(rng, StepTables((), 2, 3), spec, 3)
+    with pytest.raises(ValueError, match="empty range"):  # no event count
+        draw_execution(rng, StepTables(pool, 2, 0), spec, 0)
+    with pytest.raises(ValueError, match="empty range"):  # no join count
+        draw_execution(rng, StepTables(pool, 2, 3), spec, 3, max_joins=-1)
+    with pytest.raises(ValueError, match="empty range"):  # a join needs a second replica
+        for _ in range(100):
+            draw_execution(rng, StepTables(pool, 1, 3), spec, 3, max_joins=2)
 
 
 BUG_HUNT_SEEDS = range(5000, 5050)
