@@ -39,7 +39,7 @@ from .catalog import LITERAL_POOL, CatalogEntry, payload_pool
 from .history import (  # perfbench/tracing.py wraps several of these as checker.<name>
     ApplyOp, Execution, JoinOp, Recipe, StepTables, build, draw_execution,
     enumerate_executions, enumerate_recipes, execute, iter_bits, merge_with_lca,
-    random_recipe,
+    random_recipe, sweep_walk,
 )
 from .model import Event, RcOrder, RdtSpec, conflicting, is_crdt, rc_empty, rc_order
 
@@ -103,36 +103,37 @@ class CheckConfig:
         }
         for name, value in bounds.items():
             if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                raise BoundError(name, "must be >= 1", value)
         if self.seed < 0:
-            raise ValueError("seed must be a natural number")
+            raise BoundError("seed", "must be >= 0", self.seed)
         if self.exhaustive_below > self.max_events:
-            raise ValueError("exhaustive_below must not exceed max_events")
+            raise BoundError("exhaustive_below", "must not exceed max_events",
+                             self.exhaustive_below)
         _check_sweep_bounds(self.max_events, self.literal_pool, self.replica_count,
                            self.max_joins)
 
 
-class SweepBoundError(ValueError):
-    """A bound no exhaustive sweep can run over: ``name`` ``rule``, got ``value``."""
+class BoundError(ValueError):
+    """A refused bound, by its ``CheckConfig`` field: ``name`` ``rule``, got ``value``."""
 
     def __init__(self, name: str, rule: str, value: Any):
         super().__init__(f"{name} {rule}, got {value}")
-        self.rule = rule
+        self.name, self.rule, self.value = name, rule, value
 
 
 def _check_sweep_bounds(max_events: int, literals: tuple[int, ...], replicas: int,
                        max_joins: int) -> None:
-    """Refuse bounds no exhaustive sweep can run over (``SweepBoundError``)."""
+    """Refuse bounds no exhaustive sweep can run over (``BoundError``)."""
     if max_events < 0:
-        raise SweepBoundError("max_events", "must be >= 0", max_events)
+        raise BoundError("max_events", "must be >= 0", max_events)
     if replicas < 2:  # a join needs two replicas
-        raise SweepBoundError("replica_count", "must be >= 2", replicas)
+        raise BoundError("replica_count", "must be >= 2", replicas)
     if max_joins < 0:
-        raise SweepBoundError("max_joins", "must be >= 0", max_joins)
+        raise BoundError("max_joins", "must be >= 0", max_joins)
     # The sweep's canonical literal order (first use 1, 2, 3, ...) reaches
     # every history only over exactly this pool.
     if not literals or literals != tuple(range(1, len(literals) + 1)):
-        raise SweepBoundError("literal_pool", "must be (1, ..., k) with k >= 1", literals)
+        raise BoundError("literal_pool", "must be (1, ..., k) with k >= 1", literals)
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,10 @@ class OracleResult:
 
 def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
     """Search every admissible total order for one that explains ``target``,
-    the sink state (``None``: execute ``graph`` to get it).
+    the sink state (``None``: execute ``graph`` to get it).  Only ``graph``'s
+    ``events``, ``event_masks`` and ``event_nodes`` are read, so ``graph`` may
+    also be the sweep walk's live partial graph, which cannot be executed:
+    a ``target`` must then be passed.
 
     Admissible orders extend happens-before; additionally, a conflicting
     concurrent pair may only appear in the direction the conflict relation
@@ -806,22 +810,22 @@ def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
         raise OracleScopeError(
             f"max_events {max_events} exceeds the oracle cap of {ORACLE_EVENT_CAP}")
     _check_sweep_bounds(max_events, literals, replicas, max_joins)
-    entry = _as_entry(target)
-    pool = payload_pool(entry.spec, literals)
-    histories = witnesses = 0
-    for ex in enumerate_executions(entry.spec, pool, max_events, replicas, max_joins):
+    spec = _as_entry(target).spec
+    histories = 0
+    for g, steps, sink in sweep_walk(payload_pool(spec, literals), max_events, replicas,
+                                     max_joins, spec):
         histories += 1
-        if linearization_oracle(entry.spec, ex.graph, ex.sink_state()).witness is not None:
-            witnesses += 1
-        else:
-            return SweepResult(histories, witnesses, ex)
-    return SweepResult(histories, witnesses, None)
+        if linearization_oracle(spec, g, g.states[sink]).witness is None:
+            failure = Execution(spec, g.graph(Recipe(tuple(steps), replicas), sink),
+                                tuple(g.states))
+            return SweepResult(histories, histories - 1, failure)
+    return SweepResult(histories, histories, None)
 
 
 __all__ = [
     "PropertyId", "MRDT_PROPERTIES", "CRDT_PROPERTIES", "properties_for",
     "CheckConfig", "Violation", "CounterexampleReport", "Verdict", "SuiteReport",
-    "OracleScopeError", "SweepBoundError", "OracleResult", "linearization_oracle",
+    "OracleScopeError", "BoundError", "OracleResult", "linearization_oracle",
     "BottomUpInstance", "bottom_up_instances",
     "run_suite", "shrink", "EVALUATORS", "ORACLE_EVENT_CAP",
     "SweepResult", "oracle_sweep",

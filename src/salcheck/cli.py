@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .catalog import CATALOG, catalog_get
 from .checker import (
-    CheckConfig, EVALUATORS, ORACLE_EVENT_CAP, OracleScopeError, PropertyId, SweepBoundError,
+    BoundError, CheckConfig, EVALUATORS, ORACLE_EVENT_CAP, OracleScopeError, PropertyId,
     bottom_up_instances, oracle_sweep, run_suite,
 )
 from .history import Recipe, ApplyOp, JoinOp, run_recipe
@@ -103,6 +103,13 @@ def cmd_check(args) -> int:
         exhaustive_below=min(5, args.max_events),
         shrink_budget=args.shrink_budget,
     )
+    try:  # before run_suite, so that a spec's own ValueError keeps its text
+        cfg.validate()
+    except BoundError as exc:
+        flags = {"tests_per_property": "--tests", "max_events": "--max-events",
+                 "replica_count": "--replicas", "shrink_budget": "--shrink-budget",
+                 "seed": "--seed" if args.seed is not None else "SALCHECK_SEED"}
+        raise UsageError(f"{flags.get(exc.name, exc.name)} {exc.rule}, got {exc.value}") from None
     report = run_suite(entry, cfg, properties=props)
     for v in report.verdicts:
         print(f"{v.property.value:<22} {v.status:<8} ({v.tests} tests)")
@@ -145,7 +152,7 @@ def cmd_oracle(args) -> int:
         result = oracle_sweep(entry, args.max_events)
     except OracleScopeError:
         raise UsageError(f"--max-events must be <= {ORACLE_EVENT_CAP}") from None
-    except SweepBoundError as exc:  # --max-events is the one bound not at its default
+    except BoundError as exc:  # --max-events is the one bound not at its default
         raise UsageError(f"--max-events {exc.rule}, got {args.max_events}") from None
     print(f"histories checked: {result.histories}")
     print(f"witnesses found: {result.witnesses}")

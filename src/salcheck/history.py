@@ -24,12 +24,13 @@ linearization oracle and the peel check work on the masks directly.
 The fold and LCA rules live in ``_PartialGraph`` alone.  ``build`` pushes a
 whole recipe onto one, and ``execute`` computes the states of a finished
 graph, checking each payload against the spec.  The exhaustive sweep
-(``enumerate_executions``) builds and executes incrementally instead: it walks
-the prefix tree of canonical recipes depth-first, pushing one apply or join
-per tree edge together with its state and popping it on the way back.  So each
-tree node's ``apply`` or merge runs once, and a leaf only folds the heads into
-the sink.  Each history it yields equals ``execute(spec, build(recipe))``
-field for field.
+(``sweep_walk``) builds and executes incrementally instead: it walks the
+prefix tree of canonical recipes depth-first, pushing one apply or join per
+tree edge together with its state and popping it on the way back.  So each
+tree node's ``apply`` or merge runs once, and a leaf, yielded from the apply
+loop that pushes its last event, only folds the heads into the sink.  The
+walk yields its live graph: ``enumerate_executions`` copies out every history,
+equal to ``execute(spec, build(recipe))``, and ``oracle_sweep`` a failing one.
 
 A random history is made in one flat pass.  ``_draw``, the only draw, runs
 ``rng.randrange``'s rejection loop inline and pushes each step, with its
@@ -332,8 +333,8 @@ def enumerate_recipes(pool: tuple[OpPayload, ...], max_events: int,
     LCA (three or more replicas, two or more joins) are left out: ``build``
     would refuse them, so every recipe yielded builds.
     """
-    for _, recipe, _ in _walk(pool, max_events, replicas, max_joins):
-        yield recipe
+    for _, steps, _ in sweep_walk(pool, max_events, replicas, max_joins):
+        yield Recipe(tuple(steps), replicas)
 
 
 def enumerate_executions(spec: RdtSpec, pool: tuple[OpPayload, ...], max_events: int,
@@ -344,15 +345,18 @@ def enumerate_executions(spec: RdtSpec, pool: tuple[OpPayload, ...], max_events:
     spec's functions must not mutate their inputs.  The pool's payloads must
     be in the spec's domain, as ``payload_pool`` makes them: they are not
     checked."""
-    for g, recipe, sink in _walk(pool, max_events, replicas, max_joins, spec):
-        yield Execution(spec, g.graph(recipe, sink), tuple(g.states))
+    for g, steps, sink in sweep_walk(pool, max_events, replicas, max_joins, spec):
+        yield Execution(spec, g.graph(Recipe(tuple(steps), replicas), sink), tuple(g.states))
 
 
-def _walk(pool, max_events, replicas, max_joins, spec=None):
+def sweep_walk(pool, max_events, replicas, max_joins, spec=None):
     """Walk the prefix tree of canonical recipes depth-first, keeping one
-    partial graph ``g`` at the current prefix, and yield ``(g, recipe, sink)``
-    at each leaf; ``g`` holds the recipe's whole graph until the walk resumes.
-    A merge with no unique LCA cuts its branch: no recipe below it builds."""
+    partial graph ``g`` at the current prefix, and yield ``(g, steps, sink)``
+    per recipe in ``enumerate_recipes``'s order.  ``g`` and ``steps`` are live:
+    they hold the recipe until the walk resumes.  No recipe ends on a join, so
+    each leaf but the empty recipe (yielded first) is yielded from the apply
+    loop that pushes its last event, and ``rec`` runs only at inner nodes.  A
+    merge with no unique LCA cuts its branch: no recipe below it builds."""
     tables = StepTables(pool, replicas, max_events)
     literals = [p.literals() for p in pool]
     applies = [(r, p, tables.applies[r][p], literals[p])
@@ -362,18 +366,11 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
     g = _PartialGraph(replicas, spec)
     steps: list[Step] = []
 
-    def rec(seen_max, events_left, joins_left):
+    def rec(seen_max, events_left, joins_left):  # events_left >= 1
         mark = g.mark()
-        if not events_left and not joins_left:
-            try:
-                sink = g.sink()
-            except NoUniqueLcaError:
-                pass
-            else:
-                yield g, Recipe(tuple(steps), replicas), sink
-            g.restore(mark)
-            return
-        if events_left:
+        # A trailing join duplicates the final fold, so the last step is an
+        # event, pushed only once every join of the size is spent.
+        if events_left > 1 or not joins_left:
             events = tables.events[len(g.events)]
             for r, p, step, lits in applies if g.events else first_applies:
                 seen = seen_max
@@ -384,10 +381,18 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
                 else:
                     g.apply(events[r][p])
                     steps.append(step)
-                    yield from rec(seen, events_left - 1, joins_left)
+                    if events_left > 1:
+                        yield from rec(seen, events_left - 1, joins_left)
+                    else:
+                        try:
+                            sink = g.sink()
+                        except NoUniqueLcaError:
+                            pass
+                        else:
+                            yield g, steps, sink
                     steps.pop()
                     g.restore(mark)
-        if joins_left and events_left:  # a trailing join duplicates the final fold
+        if joins_left:
             for step in joins:
                 try:
                     moved = g.join(step)
@@ -400,10 +405,10 @@ def _walk(pool, max_events, replicas, max_joins, spec=None):
                 steps.pop()
                 g.restore(mark)
 
-    for n_events in range(max_events + 1):
+    if max_events >= 0:
+        yield g, steps, 0  # the empty recipe: its sink is the root
+    for n_events in range(1, max_events + 1):
         for n_joins in range(max_joins + 1):
-            if n_joins and not n_events:
-                continue  # joins before any event never merge anything
             yield from rec(0, n_events, n_joins)
 
 
@@ -506,6 +511,6 @@ __all__ = [
     "ApplyOp", "JoinOp", "Step", "Recipe", "RecipeError", "NoUniqueLcaError",
     "VersionGraph", "iter_bits",
     "Execution", "build", "execute", "run_recipe", "merge_with_lca", "diamond",
-    "enumerate_recipes", "enumerate_executions", "random_recipe", "count_recipes",
+    "enumerate_recipes", "enumerate_executions", "sweep_walk", "random_recipe", "count_recipes",
     "StepTables", "draw_execution",
 ]

@@ -66,7 +66,34 @@ def test_check_three_replicas_passes(capsys, in_tmp):
 def test_check_one_replica_is_a_usage_error(capsys, in_tmp):
     assert main(["check", "ctr-inc-mrdt", "--replicas", "1", "--seed", "1",
                  "--tests", "50"]) == 2
-    assert "replica_count must be >= 2" in capsys.readouterr().err
+    assert "error: --replicas must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-events", "0", "--max-events must be >= 1, got 0"),
+    ("--tests", "0", "--tests must be >= 1, got 0"),
+    ("--replicas", "0", "--replicas must be >= 2, got 0"),
+    ("--shrink-budget", "0", "--shrink-budget must be >= 1, got 0"),
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+])
+def test_check_names_the_refused_flag(capsys, in_tmp, flag, value, message):
+    args = ["check", "ctr-inc-mrdt", flag, value]
+    assert main(args if flag == "--seed" else args + ["--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_names_a_refused_environment_seed(capsys, in_tmp, monkeypatch):
+    monkeypatch.setenv("SALCHECK_SEED", "-5")
+    assert main(["check", "ctr-inc-mrdt"]) == 2
+    assert capsys.readouterr().err == "error: SALCHECK_SEED must be >= 0, got -5\n"
+
+
+def test_check_does_not_rename_a_specs_own_value_error(capsys, in_tmp, monkeypatch):
+    def suite(*args, **kwargs):
+        raise ValueError("max_events must be >= 1, got 3")
+    monkeypatch.setattr("salcheck.cli.run_suite", suite)
+    assert main(["check", "ctr-inc-mrdt", "--seed", "1", "--max-events", "3"]) == 2
+    assert capsys.readouterr().err == "error: max_events must be >= 1, got 3\n"
 
 
 def test_check_passing_entry_exit_zero_no_report_file(capsys, in_tmp):
