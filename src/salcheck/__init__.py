@@ -13,11 +13,10 @@ from .model import (
     conflicting, event_label, is_crdt, rc_empty, rc_order,
 )
 from .tracked import ExtensionalMap, TrackedSet, element_str, show_set
-from .catalog import CATALOG, CatalogEntry, catalog_get, catalog_ids, payload_pool
+from .catalog import CATALOG, CatalogEntry, catalog_get, payload_pool
 from .history import (
     ApplyOp, Execution, JoinOp, Recipe, RecipeError, VersionGraph, build,
-    diamond, enumerate_recipes, execute, merge_with_lca, random_recipe,
-    run_recipe,
+    diamond, enumerate_recipes, execute, random_recipe, run_recipe,
 )
 from .checker import (
     CheckConfig, CounterexampleReport, OracleScopeError, PropertyId,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .model import (
     Add, CrdtSpec, Dec, Delete, Disable, Enable, Event, Inc, Insert, MapSet,
-    MrdtSpec, OpPayload, RdtSpec, Rem, SpecMismatchError, Write, rc_empty,
+    MrdtSpec, OpPayload, RdtSpec, Rem, SpecMismatchError, Write, is_crdt, rc_empty,
 )
 from .tracked import ExtensionalMap, TrackedSet, show_set
 
@@ -24,10 +24,13 @@ LITERAL_POOL: tuple[int, ...] = (1, 2, 3)
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    kind: str  # "mrdt" | "crdt"
     spec: RdtSpec
     known_buggy: bool
     notes: str
+
+    @property
+    def kind(self) -> str:
+        return "crdt" if is_crdt(self.spec) else "mrdt"
 
 
 def _bool_str(b: bool) -> str:
@@ -444,39 +447,35 @@ or_set_crdt = CrdtSpec(
 # Registry.
 
 CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry("ctr-inc-mrdt", "mrdt", ctr_inc_mrdt, False,
+    CatalogEntry("ctr-inc-mrdt", ctr_inc_mrdt, False,
                  "increment-only counter, three-way merge adds branch deltas"),
-    CatalogEntry("pn-ctr-mrdt", "mrdt", pn_ctr_mrdt, False,
+    CatalogEntry("pn-ctr-mrdt", pn_ctr_mrdt, False,
                  "increment/decrement counter as a pair of grow-only counters"),
-    CatalogEntry("or-set-mrdt", "mrdt", or_set_mrdt, False,
+    CatalogEntry("or-set-mrdt", or_set_mrdt, False,
                  "observed-removed set over (timestamp, element) pairs, adds win"),
-    CatalogEntry("or-set-eff-mrdt", "mrdt", or_set_eff_mrdt, False,
+    CatalogEntry("or-set-eff-mrdt", or_set_eff_mrdt, False,
                  "observed-removed set compacted to one entry per (element, replica)"),
-    CatalogEntry("ew-flag-buggy", "mrdt", ew_flag_buggy, True,
+    CatalogEntry("ew-flag-buggy", ew_flag_buggy, True,
                  "enable-wins flag over an enable counter; merge resurrects dead enables"),
-    CatalogEntry("ew-flag-fixed", "mrdt", ew_flag_fixed, False,
+    CatalogEntry("ew-flag-fixed", ew_flag_fixed, False,
                  "enable-wins flag as an observed-removed set of enable timestamps"),
-    CatalogEntry("g-set-mrdt", "mrdt", g_set_mrdt, False,
+    CatalogEntry("g-set-mrdt", g_set_mrdt, False,
                  "grow-only set, merge is plain union"),
-    CatalogEntry("g-map-mrdt", "mrdt", g_map_mrdt, False,
+    CatalogEntry("g-map-mrdt", g_map_mrdt, False,
                  "map from keys to grow-only sets, merged pointwise"),
-    CatalogEntry("rga-mrdt", "mrdt", rga_mrdt, False,
+    CatalogEntry("rga-mrdt", rga_mrdt, False,
                  "timestamp-ordered sequence with tombstoned deletes, inserts win"),
-    CatalogEntry("mv-reg-mrdt", "mrdt", mv_reg_mrdt, False,
+    CatalogEntry("mv-reg-mrdt", mv_reg_mrdt, False,
                  "multi-value register keeping concurrent writes"),
-    CatalogEntry("ctr-inc-crdt", "crdt", ctr_inc_crdt, False,
+    CatalogEntry("ctr-inc-crdt", ctr_inc_crdt, False,
                  "per-replica increment vector, merged by pointwise max"),
-    CatalogEntry("pn-ctr-crdt", "crdt", pn_ctr_crdt, False,
+    CatalogEntry("pn-ctr-crdt", pn_ctr_crdt, False,
                  "pair of increment vectors for increments and decrements"),
-    CatalogEntry("mv-reg-crdt", "crdt", mv_reg_crdt, False,
+    CatalogEntry("mv-reg-crdt", mv_reg_crdt, False,
                  "register of (timestamp, value) entries, dominated entries pruned"),
-    CatalogEntry("or-set-crdt", "crdt", or_set_crdt, False,
+    CatalogEntry("or-set-crdt", or_set_crdt, False,
                  "add set plus tombstone set, merged by pointwise union"),
 )
-
-
-def catalog_ids() -> list[str]:
-    return [e.id for e in CATALOG]
 
 
 def catalog_get(rdt_id: str) -> CatalogEntry:

@@ -13,6 +13,12 @@ executable verification conditions:
   replays, sequentially from the initial state, to the final merged state,
 * lattice laws for converged (two-way merge) types.
 
+Every merge is computed as the spec's ``merge3``, and a CRDT's ``merge3``
+ignores the ancestor.  So ``LatticeComm`` and ``LatticeIdem`` run the
+``MergeComm`` and ``MergeIdem`` evaluators under their own names, and only
+``LatticeAssoc`` calls ``merge2`` itself.  The spec's class decides nothing
+else but which properties apply (``properties_for``).
+
 A pass is bounded evidence over the generated histories, not a proof.  Every
 suite first sweeps all canonical recipes below ``exhaustive_below`` events and
 then tops up with seeded random recipes, so verdicts are deterministic and
@@ -38,8 +44,8 @@ from typing import Any, Callable
 from .catalog import LITERAL_POOL, CatalogEntry, payload_pool
 from .history import (  # perfbench/tracing.py wraps several of these as checker.<name>
     ApplyOp, Execution, JoinOp, Recipe, StepTables, build, draw_execution,
-    enumerate_executions, enumerate_recipes, execute, iter_bits, merge_with_lca,
-    random_recipe, sweep_walk,
+    enumerate_executions, enumerate_recipes, execute, iter_bits, random_recipe,
+    sweep_walk,
 )
 from .model import Event, RcOrder, RdtSpec, conflicting, is_crdt, rc_empty, rc_order
 
@@ -144,7 +150,6 @@ class Violation:
     rhs: Any
     lhs_str: str
     rhs_str: str
-    detail: str
     node: int | None = None
     event: Event | None = None
     linearizations_tried: int | None = None
@@ -152,19 +157,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    property: PropertyId
-    rdt_id: str
-    original: Execution
+    original: Recipe  # the failing recipe that shrinking started from
     shrunk: Execution
-    lhs: Any
-    rhs: Any
-    lhs_str: str
-    rhs_str: str
-    linearizations_tried: int | None
-    seed: int
     shrink_steps: int
     minimal: bool
-    violation: Violation  # locates the offending node/event in the shrunk graph
+    violation: Violation  # the shrunk history's: property, both sides, node and event
 
 
 @dataclass(frozen=True)
@@ -374,32 +371,30 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
 # a history shares with the previous one.
 
 
-def _viol(spec: RdtSpec, prop: PropertyId, ex: Execution, lhs, rhs, detail: str,
-          node: int | None = None, event: Event | None = None,
-          tried: int | None = None) -> Violation:
+def _viol(spec: RdtSpec, prop: PropertyId, ex: Execution, lhs, rhs,
+          node: int | None = None, event: Event | None = None) -> Violation:
     return Violation(prop, ex.graph.recipe, lhs, rhs,
-                     spec.format_state(lhs), spec.format_state(rhs),
-                     detail, node, event, tried)
+                     spec.format_state(lhs), spec.format_state(rhs), node, event)
 
 
-def eval_merge_idem(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
+def eval_merge_idem(spec: RdtSpec, ex: Execution, start: int = 0,
+                    prop: PropertyId = PropertyId.MERGE_IDEM) -> Violation | None:
     for n, s in enumerate(ex.states[start:], start):
-        merged = merge_with_lca(spec, s, s, s)
+        merged = spec.merge3(s, s, s)
         if merged != s:
-            return _viol(spec, PropertyId.MERGE_IDEM, ex, merged, s,
-                         f"merge of v{n} with itself diverges", node=n)
+            return _viol(spec, prop, ex, merged, s, node=n)
     return None
 
 
-def eval_merge_comm(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
+def eval_merge_comm(spec: RdtSpec, ex: Execution, start: int = 0,
+                    prop: PropertyId = PropertyId.MERGE_COMM) -> Violation | None:
     g = ex.graph
     for m in g.merge_nodes(start):
         _, left, right, lca = g.nodes[m]
-        ab = ex.states[m]  # the execution's merge(lca, left, right)
-        ba = merge_with_lca(spec, ex.states[lca], ex.states[right], ex.states[left])
+        ab = ex.states[m]  # the execution's merge3(lca, left, right)
+        ba = spec.merge3(ex.states[lca], ex.states[right], ex.states[left])
         if ab != ba:
-            return _viol(spec, PropertyId.MERGE_COMM, ex, ab, ba,
-                         f"merge at v{m} depends on argument order", node=m)
+            return _viol(spec, prop, ex, ab, ba, node=m)
     return None
 
 
@@ -409,16 +404,11 @@ def eval_merge_with_lca(spec: RdtSpec, ex: Execution, start: int = 0) -> Violati
         _, left, right, lca = g.nodes[m]
         l = ex.states[lca]
         for branch in (left, right):
-            kept = merge_with_lca(spec, l, l, ex.states[branch])
-            if kept != ex.states[branch]:
-                return _viol(spec, PropertyId.MERGE_WITH_LCA, ex, kept, ex.states[branch],
-                             f"merging v{branch} with its own ancestor does not return it",
-                             node=m)
-            kept = merge_with_lca(spec, l, ex.states[branch], l)
-            if kept != ex.states[branch]:
-                return _viol(spec, PropertyId.MERGE_WITH_LCA, ex, kept, ex.states[branch],
-                             f"merging v{branch} with its own ancestor does not return it",
-                             node=m)
+            s = ex.states[branch]
+            for a, b in ((l, s), (s, l)):
+                kept = spec.merge3(l, a, b)
+                if kept != s:
+                    return _viol(spec, PropertyId.MERGE_WITH_LCA, ex, kept, s, node=m)
     return None
 
 
@@ -503,9 +493,9 @@ def _peels(spec: RdtSpec, ex: Execution, start: int = 0):
             if hist_b >> (e.ts - 1) & 1:
                 continue
             l_state = states[lca]
-            lhs = (states[m] if a_node == left  # the execution's merge(l, a, b)
-                   else merge_with_lca(spec, l_state, states[a_node], states[b_node]))
-            rhs = spec.apply(merge_with_lca(spec, l_state, states[a_prime], states[b_node]), e)
+            lhs = (states[m] if a_node == left  # the execution's merge3(l, a, b)
+                   else spec.merge3(l_state, states[a_node], states[b_node]))
+            rhs = spec.apply(spec.merge3(l_state, states[a_prime], states[b_node]), e)
             # b's history is closed under happens-before and lacks e, so no
             # b-event comes after e: the concurrent ones are those e did not see.
             yield (m, e, a_prime, b_node, lhs, rhs,
@@ -531,9 +521,7 @@ def eval_bottom_up_step(spec: RdtSpec, ex: Execution, start: int = 0) -> Violati
     an independence-first check finds."""
     for m, e, _, _, lhs, rhs, probe in _peels(spec, ex, start):
         if lhs != rhs and _independent(spec, ex, *probe):
-            return _viol(spec, PropertyId.BOTTOM_UP_STEP, ex, lhs, rhs,
-                         f"peeling {e.op.label()} at v{m} changes the merge result",
-                         node=m, event=e)
+            return _viol(spec, PropertyId.BOTTOM_UP_STEP, ex, lhs, rhs, node=m, event=e)
     return None
 
 
@@ -560,9 +548,7 @@ def eval_rc_policy(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | 
         first, second = (ea, eb) if rc_order(spec.rc, ea.op, eb.op) is RcOrder.FIRST else (eb, ea)
         expected = spec.apply(spec.apply(ex.states[lca], first), second)
         if ex.states[m] != expected:
-            return _viol(spec, PropertyId.RC_POLICY, ex, ex.states[m], expected,
-                         f"conflict at v{m} not resolved as "
-                         f"{first.op.label()} then {second.op.label()}", node=m)
+            return _viol(spec, PropertyId.RC_POLICY, ex, ex.states[m], expected, node=m)
     return None
 
 
@@ -574,22 +560,8 @@ def eval_linearization_exists(spec: RdtSpec, ex: Execution, start: int = 0) -> V
     if result.witness is None:
         return Violation(
             PropertyId.LINEARIZATION_EXISTS, ex.graph.recipe, final, None,
-            spec.format_state(final),
-            f"no admissible order (tried {result.orders_tried})",
-            "no admissible order of the events replays to the final state",
+            spec.format_state(final), f"no admissible order (tried {result.orders_tried})",
             node=ex.graph.sink, linearizations_tried=result.orders_tried)
-    return None
-
-
-def eval_lattice_comm(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
-    g = ex.graph
-    for m in g.merge_nodes(start):
-        _, left, right, _ = g.nodes[m]
-        ab = ex.states[m]  # the execution's merge2(left, right)
-        ba = spec.merge2(ex.states[right], ex.states[left])
-        if ab != ba:
-            return _viol(spec, PropertyId.LATTICE_COMM, ex, ab, ba,
-                         f"join at v{m} is not commutative", node=m)
     return None
 
 
@@ -602,17 +574,7 @@ def eval_lattice_assoc(spec: RdtSpec, ex: Execution, start: int = 0) -> Violatio
             nested = spec.merge2(a, spec.merge2(b, c))
             flat = spec.merge2(ab, c)
             if nested != flat:
-                return _viol(spec, PropertyId.LATTICE_ASSOC, ex, nested, flat,
-                             f"join at v{m} is not associative", node=m)
-    return None
-
-
-def eval_lattice_idem(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
-    for n, s in enumerate(ex.states[start:], start):
-        joined = spec.merge2(s, s)
-        if joined != s:
-            return _viol(spec, PropertyId.LATTICE_IDEM, ex, joined, s,
-                         f"join of v{n} with itself diverges", node=n)
+                return _viol(spec, PropertyId.LATTICE_ASSOC, ex, nested, flat, node=m)
     return None
 
 
@@ -623,9 +585,9 @@ EVALUATORS: dict[PropertyId, Callable[[RdtSpec, Execution, int], Violation | Non
     PropertyId.BOTTOM_UP_STEP: eval_bottom_up_step,
     PropertyId.RC_POLICY: eval_rc_policy,
     PropertyId.LINEARIZATION_EXISTS: eval_linearization_exists,
-    PropertyId.LATTICE_COMM: eval_lattice_comm,
+    PropertyId.LATTICE_COMM: functools.partial(eval_merge_comm, prop=PropertyId.LATTICE_COMM),
     PropertyId.LATTICE_ASSOC: eval_lattice_assoc,
-    PropertyId.LATTICE_IDEM: eval_lattice_idem,
+    PropertyId.LATTICE_IDEM: functools.partial(eval_merge_idem, prop=PropertyId.LATTICE_IDEM),
 }
 
 
@@ -646,8 +608,7 @@ def _stream_seed(seed: int, rdt_id: str, prop: PropertyId) -> int:
 def _as_entry(target: CatalogEntry | RdtSpec) -> CatalogEntry:
     if isinstance(target, CatalogEntry):
         return target
-    return CatalogEntry(target.name, "crdt" if is_crdt(target) else "mrdt",
-                        target, False, "ad-hoc")
+    return CatalogEntry(target.name, target, False, "ad-hoc")
 
 
 def _shared_prefix(a: tuple, b: tuple) -> int:
@@ -744,12 +705,10 @@ def shrink(target: CatalogEntry | RdtSpec, prop: PropertyId, recipe: Recipe,
     """Greedy reduction: fewer events first, then fewer joins, then smaller
     literals; each candidate is re-executed and must still fail the same
     property.  Stops at a local minimum or when the budget runs out."""
-    entry = _as_entry(target)
-    spec = entry.spec
+    spec = _as_entry(target).spec
     first = _fails(spec, prop, recipe)
     if first is None:
         raise ValueError("shrink called on a recipe that does not fail the property")
-    original = execute(spec, build(recipe))
     current, current_viol = recipe, first
     budget = cfg.shrink_budget
     steps_taken = 0
@@ -771,21 +730,7 @@ def shrink(target: CatalogEntry | RdtSpec, prop: PropertyId, recipe: Recipe,
             minimal = True
     shrunk = execute(spec, build(current))
     assert EVALUATORS[prop](spec, shrunk) is not None, "shrunk counterexample must re-fail"
-    return CounterexampleReport(
-        property=prop,
-        rdt_id=entry.id,
-        original=original,
-        shrunk=shrunk,
-        lhs=current_viol.lhs,
-        rhs=current_viol.rhs,
-        lhs_str=current_viol.lhs_str,
-        rhs_str=current_viol.rhs_str,
-        linearizations_tried=current_viol.linearizations_tried,
-        seed=cfg.seed,
-        shrink_steps=steps_taken,
-        minimal=minimal,
-        violation=current_viol,
-    )
+    return CounterexampleReport(recipe, shrunk, steps_taken, minimal, current_viol)
 
 
 # ---------------------------------------------------------------------------

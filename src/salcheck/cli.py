@@ -42,7 +42,8 @@ def _entry(rdt_id: str):
         raise UsageError(f"unknown rdt id {rdt_id!r}; known ids: {known}")
 
 
-def _resolve_seed(value: int | None) -> int:
+def _given_seed(value: int | None) -> int | None:
+    """The seed from ``--seed``, else from ``SALCHECK_SEED``; ``None`` for neither."""
     if value is not None:
         return value
     env = os.environ.get("SALCHECK_SEED")
@@ -51,9 +52,7 @@ def _resolve_seed(value: int | None) -> int:
             return int(env)
         except ValueError:
             raise UsageError(f"SALCHECK_SEED must be an integer, got {env!r}")
-    seed = random.SystemRandom().randrange(2**32)
-    print(f"picked seed: {seed}")
-    return seed
+    return None
 
 
 def _parse_props(raw: str | None) -> tuple[PropertyId, ...] | None:
@@ -93,11 +92,11 @@ def cmd_list(args) -> int:
 
 def cmd_check(args) -> int:
     entry = _entry(args.rdt)
-    seed = _resolve_seed(args.seed)
+    seed = _given_seed(args.seed)
     props = _parse_props(args.props)
     cfg = CheckConfig(
         tests_per_property=args.tests,
-        seed=seed,
+        seed=random.SystemRandom().randrange(2**32) if seed is None else seed,
         max_events=args.max_events,
         replica_count=args.replicas,
         exhaustive_below=min(5, args.max_events),
@@ -110,6 +109,8 @@ def cmd_check(args) -> int:
                  "replica_count": "--replicas", "shrink_budget": "--shrink-budget",
                  "seed": "--seed" if args.seed is not None else "SALCHECK_SEED"}
         raise UsageError(f"{flags.get(exc.name, exc.name)} {exc.rule}, got {exc.value}") from None
+    if seed is None:  # printed only for a run that goes ahead, so that it can be repeated
+        print(f"picked seed: {cfg.seed}")
     report = run_suite(entry, cfg, properties=props)
     for v in report.verdicts:
         print(f"{v.property.value:<22} {v.status:<8} ({v.tests} tests)")

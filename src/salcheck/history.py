@@ -17,9 +17,10 @@ with happens-before.
 ``build`` also indexes the graph's events once.  ``VersionGraph.events`` lists
 them in timestamp order, and the event with timestamp ``t`` sits at index
 ``t - 1``.  Every node carries an int bitmask of its history: bit ``i`` is set
-when ``events[i]`` is the node's own event or an ancestor's.  Happens-before,
-``node_of`` and ``events_of`` are lookups in this index, and the
-linearization oracle and the peel check work on the masks directly.
+when ``events[i]`` is the node's own event or an ancestor's: ``events[i]``
+happens before ``events[j]`` when bit ``i`` of the mask of ``events[j]``'s
+node (``event_nodes[j]``) is set.  The linearization oracle and the peel
+check read happens-before from the masks directly.
 
 The fold and LCA rules live in ``_PartialGraph`` alone.  ``build`` pushes a
 whole recipe onto one, and ``execute`` computes the states of a finished
@@ -31,6 +32,9 @@ tree node's ``apply`` or merge runs once, and a leaf, yielded from the apply
 loop that pushes its last event, only folds the heads into the sink.  The
 walk yields its live graph: ``enumerate_executions`` copies out every history,
 equal to ``execute(spec, build(recipe))``, and ``oracle_sweep`` a failing one.
+Every merge, in ``execute`` and on a partial graph alike, is the spec's
+``merge3`` of the LCA's state and the two heads' states; a CRDT's ``merge3``
+ignores the LCA.
 
 A random history is made in one flat pass.  ``_draw``, the only draw, runs
 ``rng.randrange``'s rejection loop inline and pushes each step, with its
@@ -47,7 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import Event, OpPayload, RdtSpec, check_payload, is_crdt
+from .model import Event, OpPayload, RdtSpec, check_payload
 
 
 class RecipeError(ValueError):
@@ -116,26 +120,6 @@ class VersionGraph:
         """The merge nodes from node ``start`` on, in order."""
         return [n for n in range(start, len(self.nodes)) if self.nodes[n][0] == "merge"]
 
-    def _index_of(self, ev: Event) -> int:
-        """Index of ``ev`` in ``events``; ``KeyError`` if the graph does not hold it."""
-        i = ev.ts - 1
-        if not 0 <= i < len(self.events) or self.events[i] != ev:
-            raise KeyError(ev)
-        return i
-
-    def node_of(self, ev: Event) -> int:
-        return self.event_nodes[self._index_of(ev)]
-
-    def events_of(self, n: int) -> frozenset[Event]:
-        return frozenset(self.events[i] for i in iter_bits(self.event_masks[n]))
-
-    def happens_before(self, e1: Event, e2: Event) -> bool:
-        i, j = self._index_of(e1), self._index_of(e2)
-        return i != j and self.event_masks[self.event_nodes[j]] >> i & 1 == 1
-
-    def concurrent(self, e1: Event, e2: Event) -> bool:
-        return e1 != e2 and not self.happens_before(e1, e2) and not self.happens_before(e2, e1)
-
 
 class StepTables:
     """The step and event values that the draws or the walk over one pool share.
@@ -163,8 +147,8 @@ class _PartialGraph:
     the way up.  Given a ``spec``, every node gets its state as it is pushed,
     so a finished graph is already executed.  Those states skip
     ``check_payload``: the walk and the draws push only pool events.  The
-    spec's ``apply`` and merge are bound per graph, so a copy of a spec with
-    other functions gets its own calls.
+    spec's ``apply`` and ``merge3`` are bound per graph, so a copy of a spec
+    with other functions gets its own calls.
     """
 
     def __init__(self, replicas: int, spec: RdtSpec | None = None):
@@ -175,10 +159,8 @@ class _PartialGraph:
         self.event_masks: list[int] = [0]
         self.states: list = [] if spec is None else [spec.initial]
         self.heads = [0] * replicas
-        crdt = spec is not None and is_crdt(spec)
         self.spec_apply = None if spec is None else spec.apply
-        self.merge2 = spec.merge2 if crdt else None
-        self.merge3 = spec.merge3 if spec is not None and not crdt else None
+        self.merge3 = None if spec is None else spec.merge3
 
     def apply(self, ev: Event) -> None:
         """Push ``ev`` on its replica's head; ``ev.ts`` is the next timestamp."""
@@ -214,8 +196,6 @@ class _PartialGraph:
         states = self.states
         if self.merge3 is not None:
             states.append(self.merge3(states[lca], states[x], states[y]))
-        elif self.merge2 is not None:
-            states.append(self.merge2(states[x], states[y]))
         return n
 
     def join(self, step: JoinOp) -> bool:
@@ -280,13 +260,6 @@ class Execution:
         return self.states[self.graph.sink]
 
 
-def merge_with_lca(spec: RdtSpec, lca_state, a, b):
-    """Uniform three-way merge; converged types simply ignore the ancestor."""
-    if is_crdt(spec):
-        return spec.merge2(a, b)
-    return spec.merge3(lca_state, a, b)
-
-
 def execute(spec: RdtSpec, graph: VersionGraph) -> Execution:
     for ev in graph.events:
         check_payload(spec, ev)
@@ -296,7 +269,7 @@ def execute(spec: RdtSpec, graph: VersionGraph) -> Execution:
             states.append(spec.apply(states[info[1]], info[2]))
         else:
             _, left, right, lca = info
-            states.append(merge_with_lca(spec, states[lca], states[left], states[right]))
+            states.append(spec.merge3(states[lca], states[left], states[right]))
     return Execution(spec, graph, tuple(states))
 
 
@@ -503,14 +476,10 @@ def draw_execution(rng: random.Random, tables: StepTables, spec: RdtSpec, max_ev
     return Execution(spec, g.graph(Recipe(steps, tables.replicas), sink), tuple(g.states))
 
 
-def count_recipes(pool, max_events, replicas=2, max_joins=1) -> int:
-    return sum(1 for _ in enumerate_recipes(pool, max_events, replicas, max_joins))
-
-
 __all__ = [
     "ApplyOp", "JoinOp", "Step", "Recipe", "RecipeError", "NoUniqueLcaError",
     "VersionGraph", "iter_bits",
-    "Execution", "build", "execute", "run_recipe", "merge_with_lca", "diamond",
-    "enumerate_recipes", "enumerate_executions", "sweep_walk", "random_recipe", "count_recipes",
+    "Execution", "build", "execute", "run_recipe", "diamond",
+    "enumerate_recipes", "enumerate_executions", "sweep_walk", "random_recipe",
     "StepTables", "draw_execution",
 ]

@@ -1,10 +1,11 @@
 """Core model for replicated data types under test.
 
 An RDT is described by an initial state, a deterministic ``apply`` step that
-folds one timestamped event into a state, a merge function (three-way with a
-lowest common ancestor for MRDTs, two-way for state-based CRDTs), and a
-conflict-resolution relation ``rc`` that orders concurrent conflicting
-operations (e.g. a remove before the add that should win over it).
+folds one timestamped event into a state, a three-way merge ``merge3(lca, a,
+b)``, and a conflict-resolution relation ``rc`` that orders concurrent
+conflicting operations (e.g. a remove before the add that should win over
+it).  A state-based CRDT declares a two-way ``merge2`` instead, and its
+``merge3`` ignores the ancestor, so every merge is computed as ``merge3``.
 
 States are opaque to the rest of the workbench: it only ever applies events,
 merges states, compares them with ``==`` and renders them with the spec's
@@ -235,7 +236,8 @@ class CrdtSpec:
 
     ``merge2`` is intended to be a join-semilattice operation; the checker
     verifies commutativity, associativity and idempotence rather than
-    assuming them.
+    assuming them.  ``merge3`` exposes it as a three-way merge that ignores
+    the ancestor, the form every merge is computed in.
     """
 
     name: str
@@ -247,6 +249,9 @@ class CrdtSpec:
     format_state: Callable[[Any], str]
     # See MrdtSpec.replay_apply.
     replay_apply: Callable[[Any, Event, frozenset], Any] | None = None
+
+    def merge3(self, lca, a, b):
+        return self.merge2(a, b)
 
 
 RdtSpec = MrdtSpec | CrdtSpec

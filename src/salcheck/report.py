@@ -335,19 +335,20 @@ def graph_to_dict(ex: Execution) -> dict:
 
 
 def counterexample_to_dict(cr: CounterexampleReport) -> dict:
+    v = cr.violation
     out = {
         "recipe": recipe_to_dict(cr.shrunk.graph.recipe),
         **graph_to_dict(cr.shrunk),
-        "lhs": cr.lhs_str,
-        "rhs": cr.rhs_str,
+        "lhs": v.lhs_str,
+        "rhs": v.rhs_str,
         "shrink_steps": cr.shrink_steps,
     }
-    if cr.linearizations_tried is not None:
-        out["linearizations_tried"] = cr.linearizations_tried
-    if cr.violation.node is not None:
-        out["node"] = cr.violation.node
-    if cr.violation.event is not None:
-        out["event"] = event_to_dict(cr.violation.event)
+    if v.linearizations_tried is not None:
+        out["linearizations_tried"] = v.linearizations_tried
+    if v.node is not None:
+        out["node"] = v.node
+    if v.event is not None:
+        out["event"] = event_to_dict(v.event)
     return out
 
 

@@ -9,12 +9,13 @@ from salcheck.model import (
 )
 from salcheck.tracked import ExtensionalMap, TrackedSet
 from salcheck.catalog import (
-    CATALOG, catalog_ids, catalog_get, payload_pool, LITERAL_POOL,
+    CATALOG, catalog_get, payload_pool, LITERAL_POOL,
     ctr_inc_mrdt, pn_ctr_mrdt, pn_value, or_set_mrdt, or_set_eff_mrdt,
     ew_flag_buggy, ew_flag_fixed, flag_value, g_set_mrdt, g_map_mrdt,
     rga_mrdt, rga_read, mv_reg_mrdt, mv_reg_read, ctr_inc_crdt, vec_value,
     pn_ctr_crdt, pn_vec_value, mv_reg_crdt, or_set_crdt, orset_crdt_members,
 )
+from salcheck.checker import _as_entry
 from salcheck.history import Recipe, ApplyOp, diamond, run_recipe
 
 SUITE = settings(max_examples=1000, derandomize=True)
@@ -22,7 +23,7 @@ SUITE = settings(max_examples=1000, derandomize=True)
 
 def test_catalog_has_fourteen_entries_with_unique_ids():
     assert len(CATALOG) == 14
-    ids = catalog_ids()
+    ids = [e.id for e in CATALOG]
     assert len(set(ids)) == 14
 
 
@@ -35,6 +36,9 @@ def test_kind_matches_spec_shape():
     for e in CATALOG:
         assert e.kind == ("crdt" if is_crdt(e.spec) else "mrdt")
         assert e.id == e.spec.name
+    # A bare spec, as run_suite and shrink take one, gets its kind the same way.
+    for spec in (ctr_inc_mrdt, ctr_inc_crdt):
+        assert _as_entry(spec).kind == ("crdt" if is_crdt(spec) else "mrdt")
 
 
 def test_catalog_get_unknown_raises():

@@ -12,7 +12,7 @@ from salcheck.model import Inc, Add, Rem, Enable, Disable, Event
 from salcheck.catalog import CATALOG, catalog_get, payload_pool, ctr_inc_mrdt, or_set_mrdt
 from salcheck.history import (
     Recipe, ApplyOp, JoinOp, NoUniqueLcaError, build, execute, run_recipe, diamond,
-    random_recipe,
+    iter_bits, random_recipe,
 )
 from salcheck.checker import (
     PropertyId, CheckConfig, OracleScopeError, linearization_oracle,
@@ -79,10 +79,10 @@ def test_oracle_witness_extends_happens_before():
     res = linearization_oracle(or_set_mrdt, g)
     assert res.witness is not None
     pos = {e: i for i, e in enumerate(res.witness)}
-    for e1 in g.events:
-        for e2 in g.events:
-            if g.happens_before(e1, e2):
-                assert pos[e1] < pos[e2]
+    for j, e2 in enumerate(g.events):
+        # events[i] happens before e2 when bit i of e2's node's history is set.
+        for i in iter_bits(g.event_masks[g.event_nodes[j]] & ~(1 << j)):
+            assert pos[g.events[i]] < pos[e2]
 
 
 def test_oracle_add_wins_cycle_history_has_witness():
@@ -285,7 +285,7 @@ def test_buggy_flag_counterexample_is_small_and_refails():
     ce = rep.verdict(PropertyId.BOTTOM_UP_STEP).counterexample
     assert ce is not None
     assert ce.shrunk.graph.recipe.event_count() <= 4
-    assert ce.lhs_str == "(2, true)" and ce.rhs_str == "(2, false)"
+    assert ce.violation.lhs_str == "(2, true)" and ce.violation.rhs_str == "(2, false)"
     # the recorded recipe really does violate the property when re-executed
     replayed = run_recipe(catalog_get("ew-flag-buggy").spec, ce.shrunk.graph.recipe)
     viol = EVALUATORS[PropertyId.BOTTOM_UP_STEP](catalog_get("ew-flag-buggy").spec, replayed)
@@ -396,12 +396,13 @@ def test_exhaustive_phase_counts_toward_test_budget():
 def test_shrunk_counterexample_marked_minimal():
     ce = buggy_default_suite().verdict(PropertyId.BOTTOM_UP_STEP).counterexample
     assert ce.minimal
-    assert ce.shrunk.graph.recipe.event_count() <= ce.original.graph.recipe.event_count()
+    assert ce.shrunk.graph.recipe.event_count() <= ce.original.event_count()
 
 
 def test_unlinearizable_counterexample_reports_orders_tried():
     ce = buggy_default_suite().verdict(PropertyId.LINEARIZATION_EXISTS).counterexample
     assert ce is not None
     assert ce.violation.property is PropertyId.LINEARIZATION_EXISTS
-    assert ce.rhs_str.startswith("no admissible order")
-    assert ce.linearizations_tried is not None and ce.linearizations_tried >= 1
+    assert ce.violation.rhs_str.startswith("no admissible order")
+    tried = ce.violation.linearizations_tried
+    assert tried is not None and tried >= 1

@@ -153,6 +153,13 @@ def test_check_picks_and_prints_seed_when_unset(capsys, in_tmp):
     assert "picked seed: " in capsys.readouterr().out
 
 
+def test_check_refused_bound_picks_no_seed(capsys, in_tmp):
+    assert main(["check", "ctr-inc-mrdt", "--max-events", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --max-events must be >= 1, got 0\n"
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -22,26 +22,34 @@ from salcheck.checker import (
     bottom_up_instances, linearization_oracle, properties_for, rc_is_vacuous, run_suite,
 )
 from salcheck.history import (
-    NoUniqueLcaError, build, enumerate_recipes, execute, iter_bits, merge_with_lca,
-    random_recipe,
+    NoUniqueLcaError, build, enumerate_recipes, execute, iter_bits, random_recipe,
 )
-from salcheck.model import Inc, MrdtSpec, RcOrder, Write, conflicting, rc_empty, rc_order
+from salcheck.model import (
+    Inc, MrdtSpec, RcOrder, Write, conflicting, is_crdt, rc_empty, rc_order,
+)
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 
 
-def _viol(spec, prop, ex, lhs, rhs, detail, node=None, event=None, tried=None):
+def merge_with_lca(spec, lca_state, a, b):
+    """The uniform three-way merge as it was before ``spec.merge3`` took its
+    place: converged types ignore the ancestor."""
+    if is_crdt(spec):
+        return spec.merge2(a, b)
+    return spec.merge3(lca_state, a, b)
+
+
+def _viol(spec, prop, ex, lhs, rhs, node=None, event=None, tried=None):
     return Violation(prop, ex.graph.recipe, lhs, rhs,
                      spec.format_state(lhs), spec.format_state(rhs),
-                     detail, node, event, tried)
+                     node, event, tried)
 
 
 def reference_merge_idem(spec, ex):
     for n, s in enumerate(ex.states):
         merged = merge_with_lca(spec, s, s, s)
         if merged != s:
-            return _viol(spec, PropertyId.MERGE_IDEM, ex, merged, s,
-                         f"merge of v{n} with itself diverges", node=n)
+            return _viol(spec, PropertyId.MERGE_IDEM, ex, merged, s, node=n)
     return None
 
 
@@ -52,8 +60,7 @@ def reference_merge_comm(spec, ex):
         ab = merge_with_lca(spec, ex.states[lca], ex.states[left], ex.states[right])
         ba = merge_with_lca(spec, ex.states[lca], ex.states[right], ex.states[left])
         if ab != ba:
-            return _viol(spec, PropertyId.MERGE_COMM, ex, ab, ba,
-                         f"merge at v{m} depends on argument order", node=m)
+            return _viol(spec, PropertyId.MERGE_COMM, ex, ab, ba, node=m)
     return None
 
 
@@ -67,7 +74,6 @@ def reference_merge_with_lca(spec, ex):
                          merge_with_lca(spec, l, ex.states[branch], l)):
                 if kept != ex.states[branch]:
                     return _viol(spec, PropertyId.MERGE_WITH_LCA, ex, kept, ex.states[branch],
-                                 f"merging v{branch} with its own ancestor does not return it",
                                  node=m)
     return None
 
@@ -126,8 +132,6 @@ def reference_bottom_up_step(spec, ex):
     for inst in reference_bottom_up_instances(spec, ex):
         if not inst.holds:
             return _viol(spec, PropertyId.BOTTOM_UP_STEP, ex, inst.lhs, inst.rhs,
-                         f"peeling {inst.event.op.label()} at v{inst.merge_node} "
-                         f"changes the merge result",
                          node=inst.merge_node, event=inst.event)
     return None
 
@@ -146,9 +150,7 @@ def reference_rc_policy(spec, ex):
         first, second = (ea, eb) if rc_order(spec.rc, ea.op, eb.op) is RcOrder.FIRST else (eb, ea)
         expected = spec.apply(spec.apply(ex.states[lca], first), second)
         if ex.states[m] != expected:
-            return _viol(spec, PropertyId.RC_POLICY, ex, ex.states[m], expected,
-                         f"conflict at v{m} not resolved as "
-                         f"{first.op.label()} then {second.op.label()}", node=m)
+            return _viol(spec, PropertyId.RC_POLICY, ex, ex.states[m], expected, node=m)
     return None
 
 
@@ -162,7 +164,6 @@ def reference_linearization_exists(spec, ex):
             PropertyId.LINEARIZATION_EXISTS, ex.graph.recipe, final, None,
             spec.format_state(final),
             f"no admissible order (tried {result.orders_tried})",
-            "no admissible order of the events replays to the final state",
             node=ex.graph.sink, linearizations_tried=result.orders_tried)
     return None
 
@@ -174,8 +175,7 @@ def reference_lattice_comm(spec, ex):
         ab = spec.merge2(ex.states[left], ex.states[right])
         ba = spec.merge2(ex.states[right], ex.states[left])
         if ab != ba:
-            return _viol(spec, PropertyId.LATTICE_COMM, ex, ab, ba,
-                         f"join at v{m} is not commutative", node=m)
+            return _viol(spec, PropertyId.LATTICE_COMM, ex, ab, ba, node=m)
     return None
 
 
@@ -188,8 +188,7 @@ def reference_lattice_assoc(spec, ex):
             nested = spec.merge2(a, spec.merge2(b, c))
             flat = spec.merge2(spec.merge2(a, b), c)
             if nested != flat:
-                return _viol(spec, PropertyId.LATTICE_ASSOC, ex, nested, flat,
-                             f"join at v{m} is not associative", node=m)
+                return _viol(spec, PropertyId.LATTICE_ASSOC, ex, nested, flat, node=m)
     return None
 
 
@@ -197,8 +196,7 @@ def reference_lattice_idem(spec, ex):
     for n, s in enumerate(ex.states):
         joined = spec.merge2(s, s)
         if joined != s:
-            return _viol(spec, PropertyId.LATTICE_IDEM, ex, joined, s,
-                         f"join of v{n} with itself diverges", node=n)
+            return _viol(spec, PropertyId.LATTICE_IDEM, ex, joined, s, node=n)
     return None
 
 
@@ -218,7 +216,7 @@ REFERENCE = {
 def _fields(v: Violation | None):
     if v is None:
         return None
-    return (v.property, v.recipe, v.node, v.event, v.lhs_str, v.rhs_str, v.detail,
+    return (v.property, v.recipe, v.node, v.event, v.lhs_str, v.rhs_str,
             v.linearizations_tried)
 
 

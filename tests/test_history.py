@@ -8,10 +8,11 @@ import pytest
 from salcheck import history
 from salcheck.model import Inc, Add, Rem, Enable, Disable, Event, is_crdt
 from salcheck.catalog import catalog_get, ctr_inc_mrdt, or_set_mrdt, ew_flag_buggy, payload_pool
+from salcheck.checker import EVALUATORS, PropertyId
 from salcheck.history import (
     Recipe, ApplyOp, JoinOp, NoUniqueLcaError, RecipeError, StepTables, build, execute,
     run_recipe, diamond, draw_execution, enumerate_executions, enumerate_recipes,
-    iter_bits, random_recipe, count_recipes,
+    iter_bits, random_recipe,
 )
 
 
@@ -96,57 +97,42 @@ def test_join_self_rejected():
         build(Recipe((ApplyOp(0, Inc()), JoinOp(0, 0))))
 
 
+def past(g, j: int) -> int:
+    """The events that happen before ``g.events[j]``, as the mask the oracle
+    reads: the history of its apply node without the event itself."""
+    return g.event_masks[g.event_nodes[j]] & ~(1 << j)
+
+
 def test_happens_before_strict_partial_order():
     g = build(diamond((Add(1), Rem(2)), (Add(2),)))
-    events = g.events
-    for e in events:
-        assert not g.happens_before(e, e)
-    for e1 in events:
-        for e2 in events:
-            if g.happens_before(e1, e2):
-                assert not g.happens_before(e2, e1)
-                for e3 in events:
-                    if g.happens_before(e2, e3):
-                        assert g.happens_before(e1, e3)
+    for j in range(len(g.events)):
+        assert g.event_masks[g.event_nodes[j]] >> j & 1  # a node's history holds its event
+        assert past(g, j) < 1 << j  # timestamps extend happens-before
+        for i in iter_bits(past(g, j)):
+            assert not past(g, i) >> j & 1  # antisymmetric
+            assert past(g, i) & ~past(g, j) == 0  # transitive
 
 
 def test_concurrency_across_branches():
     g = build(diamond((Add(1),), (Rem(1),)))
-    a, r = g.events
-    assert g.concurrent(a, r)
-    assert not g.happens_before(a, r)
+    assert not past(g, 1) >> 0 & 1 and not past(g, 0) >> 1 & 1
 
 
 def test_same_replica_events_ordered():
     g = build(Recipe((ApplyOp(0, Add(1)), ApplyOp(0, Rem(1)))))
-    a, r = g.events
-    assert g.happens_before(a, r)
-    assert not g.concurrent(a, r)
+    assert past(g, 1) >> 0 & 1
+    assert not past(g, 0) >> 1 & 1
 
 
-def test_lookups_reject_events_not_in_graph():
+def test_event_nodes_locate_each_event():
     g = build(diamond((Add(1),), (Rem(1),)))
-    a, r = g.events
-    assert (g.node_of(a), g.node_of(r)) == (1, 2)
-    strangers = (
-        Event(a.ts, a.replica, Add(2)),      # same ts, other payload
-        Event(a.ts, r.replica, a.op),        # same ts, other replica
-        Event(0, 0, Add(1)),                 # ts 0
-        Event(len(g.events) + 1, 0, Add(1)),  # ts past the last event
-    )
-    for stranger in strangers:
-        with pytest.raises(KeyError):
-            g.node_of(stranger)
-        with pytest.raises(KeyError):
-            g.happens_before(stranger, r)
-        with pytest.raises(KeyError):
-            g.happens_before(r, stranger)
+    assert g.event_nodes == (1, 2)
 
 
 def test_events_of_accumulates_history():
     g = build(diamond((Add(1),), (Rem(1),)))
-    assert g.events_of(0) == frozenset()
-    assert len(g.events_of(g.sink)) == 2
+    assert g.event_masks[0] == 0
+    assert g.event_masks[g.sink] == 0b11
 
 
 def test_build_is_deterministic():
@@ -182,7 +168,7 @@ def test_final_fold_merges_all_heads():
 def test_enumerate_counts_match_count_recipes():
     pool = payload_pool(or_set_mrdt)
     listed = list(enumerate_recipes(pool, max_events=2, replicas=2, max_joins=1))
-    assert len(listed) == count_recipes(pool, max_events=2)
+    assert len(listed) == sum(1 for _ in enumerate_recipes(pool, max_events=2))
     assert len(set(listed)) == len(listed)  # no duplicates
 
 
@@ -292,7 +278,8 @@ def test_fold_finds_the_lca_of_the_maximal_common_ancestors(replicas):
 
 def counted(spec):
     """``spec`` with its ``apply`` and merge counted, copied as a tracer
-    copies it, with ``dataclasses.replace``."""
+    copies it, with ``dataclasses.replace``: a CRDT's ``merge2`` is replaced,
+    and its ``merge3`` reaches the counted one."""
     calls = {"apply": 0, "merge": 0}
     merge_field = "merge2" if is_crdt(spec) else "merge3"
     apply, merge = spec.apply, getattr(spec, merge_field)
@@ -317,12 +304,15 @@ def node_kinds(g) -> dict:
 def test_builders_call_the_spec_they_are_given(rdt, monkeypatch):
     # One apply per apply node and one merge per merge node, on the spec
     # passed in: a binding cached across specs would hide calls from a
-    # tracer that counts them on a replaced copy.
+    # tracer that counts them on a replaced copy.  Every merge goes through
+    # ``merge3``, so the commutativity checks make one merge per merge node
+    # too, under MergeComm and, for a CRDT, under LatticeComm.
     plain = catalog_get(rdt).spec
     spec, calls = counted(plain)
     pool = payload_pool(plain)
     tables = StepTables(pool, 2, 8)
     rng = random.Random(rdt)
+    comms = (PropertyId.MERGE_COMM,) + ((PropertyId.LATTICE_COMM,) if is_crdt(plain) else ())
 
     def spec_calls(run):
         before = dict(calls)
@@ -340,6 +330,10 @@ def test_builders_call_the_spec_they_are_given(rdt, monkeypatch):
         rebuilt, made = spec_calls(lambda: execute(spec, build(ex.graph.recipe)))
         assert made == node_kinds(ex.graph)
         assert rebuilt == ex
+        for prop in comms:
+            violation, made = spec_calls(lambda: EVALUATORS[prop](spec, ex))
+            assert violation is None
+            assert made == {"apply": 0, "merge": node_kinds(ex.graph)["merge"]}
 
     # The walk shares prefixes, so count its pushes rather than its nodes.
     pushed = {"apply": 0, "merge": 0}

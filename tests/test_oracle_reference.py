@@ -27,9 +27,9 @@ from salcheck.checker import (
 )
 from salcheck.history import (
     NoUniqueLcaError, StepTables, build, draw_execution, enumerate_executions,
-    enumerate_recipes, execute, iter_bits, merge_with_lca, random_recipe,
+    enumerate_recipes, execute, iter_bits, random_recipe,
 )
-from salcheck.model import Event, RdtSpec, conflicting, rc_empty
+from salcheck.model import Event, RdtSpec, conflicting, is_crdt, rc_empty
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 DEEP_SWEEPS = os.environ.get("SALCHECK_DEEP_SWEEPS") == "1"
@@ -37,6 +37,14 @@ DEEP_SWEEPS = os.environ.get("SALCHECK_DEEP_SWEEPS") == "1"
 # SALCHECK_DEEP_SWEEPS=1.  or-set-mrdt, the largest with replay_apply and a
 # real rc, always runs.
 DEEP = {"or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
+
+
+def merge_with_lca(spec: RdtSpec, lca_state, a, b):
+    """The uniform three-way merge as it was before ``spec.merge3`` took its
+    place: converged types ignore the ancestor."""
+    if is_crdt(spec):
+        return spec.merge2(a, b)
+    return spec.merge3(lca_state, a, b)
 
 
 class RefGraph:

@@ -13,8 +13,8 @@ import pytest
 from salcheck.catalog import CATALOG, ctr_inc_mrdt, payload_pool
 from salcheck.checker import linearization_oracle
 from salcheck.history import (
-    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, build, count_recipes,
-    enumerate_executions, execute,
+    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, build, enumerate_executions,
+    enumerate_recipes, execute,
 )
 from salcheck.model import Add, Delete, Insert, MapSet, Rem, Write
 
@@ -130,5 +130,5 @@ def test_ctr_three_replica_two_join_sweep_skips_merges_without_unique_lca():
     pool = payload_pool(ctr_inc_mrdt)
     assert sum(1 for _ in reference_recipes(pool, 4, 3, 2)) == 2177
     assert assert_sweep_matches(ctr_inc_mrdt, 4, 3, 2) == 150
-    assert count_recipes(pool, 4, 3, 2) == 2027
+    assert sum(1 for _ in enumerate_recipes(pool, 4, 3, 2)) == 2027
     assert sum(1 for _ in enumerate_executions(ctr_inc_mrdt, pool, 4, 3, 2)) == 2027
