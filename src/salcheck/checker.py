@@ -157,7 +157,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    original: Recipe  # the failing recipe that shrinking started from
     shrunk: Execution
     shrink_steps: int
     minimal: bool
@@ -730,7 +729,7 @@ def shrink(target: CatalogEntry | RdtSpec, prop: PropertyId, recipe: Recipe,
             minimal = True
     shrunk = execute(spec, build(current))
     assert EVALUATORS[prop](spec, shrunk) is not None, "shrunk counterexample must re-fail"
-    return CounterexampleReport(recipe, shrunk, steps_taken, minimal, current_viol)
+    return CounterexampleReport(shrunk, steps_taken, minimal, current_viol)
 
 
 # ---------------------------------------------------------------------------

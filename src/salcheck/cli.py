@@ -24,9 +24,9 @@ from .checker import (
 from .history import Recipe, ApplyOp, JoinOp, run_recipe
 from .model import Add, Dec, Delete, Disable, Enable, Inc, Insert, MapSet, Rem, Write
 from .report import (
-    RenderModel, ReportFormatError, equation_panels, event_to_dict, graph_to_dict,
-    model_from_execution, model_from_report_dict, parse_report, recipe_from_dict,
-    render_dot, render_html, render_json, render_text, suite_report_to_dict,
+    RenderModel, ReportFormatError, equation_panels, model_from_execution, model_from_report_dict,
+    parse_report, recipe_from_dict, render_dot, render_html, render_json, render_text,
+    suite_report_to_dict,
 )
 
 
@@ -201,8 +201,7 @@ def demo_model(entry, ex) -> RenderModel:
     if not sink_insts:
         return base
     inst = sink_insts[-1]
-    panels = equation_panels(graph_to_dict(ex), inst.merge_node, event_to_dict(inst.event),
-                             inst.lhs_str, inst.rhs_str)
+    panels = equation_panels(ex.graph, inst.merge_node, inst.event, inst.lhs_str, inst.rhs_str)
     mismatch = not inst.holds
     title = base.title + (" (anomalous merge)" if mismatch else " (merge agrees)")
     return RenderModel(title, base.nodes, base.edges,

@@ -6,9 +6,10 @@ never recomputed here), so identical models give byte-identical text, DOT,
 HTML, and JSON.  The JSON format is versioned as ``salcheck/1`` and round-trips
 losslessly through :func:`parse_report`.
 
-Every model that shows a version graph is read from the document's
-``{nodes, edges}`` form (:func:`graph_to_dict`), so ``salcheck check`` and
-``salcheck render`` of the report it wrote show the same view.
+Every model that shows a version graph walks a ``VersionGraph``: an
+execution's, or the one ``build`` makes of a report's recipe, which
+``validate_report`` holds equal to the document's ``{nodes, edges}``; so
+``salcheck check`` and ``salcheck render`` of the report it wrote agree.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class ReportFormatError(ValueError):
 
 
 SCHEMA = "salcheck/1"
-EDGE_KINDS = ("apply", "merge-left", "merge-right", "lca")
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ class RenderNode:
 class RenderEdge:
     src: str
     dst: str
-    kind: str  # one of EDGE_KINDS
+    kind: str  # "apply", "merge-left", "merge-right" or "lca"
     op: str | None = None
 
 
@@ -326,19 +326,13 @@ def _graph_edges(g: VersionGraph) -> list[dict]:
     return edges
 
 
-def graph_to_dict(ex: Execution) -> dict:
-    """The ``{nodes, edges}`` form of an execution's version graph, with each
-    node's display state."""
-    nodes = [{"id": n, "label": f"v{n}", "state": ex.spec.format_state(ex.states[n])}
-             for n in range(len(ex.graph.nodes))]
-    return {"nodes": nodes, "edges": _graph_edges(ex.graph)}
-
-
 def counterexample_to_dict(cr: CounterexampleReport) -> dict:
-    v = cr.violation
+    v, ex = cr.violation, cr.shrunk
     out = {
-        "recipe": recipe_to_dict(cr.shrunk.graph.recipe),
-        **graph_to_dict(cr.shrunk),
+        "recipe": recipe_to_dict(ex.graph.recipe),
+        "nodes": [{"id": n, "label": f"v{n}", "state": ex.spec.format_state(state)}
+                  for n, state in enumerate(ex.states)],
+        "edges": _graph_edges(ex.graph),
         "lhs": v.lhs_str,
         "rhs": v.rhs_str,
         "shrink_steps": cr.shrink_steps,
@@ -392,9 +386,7 @@ def _require(d: dict, key: str, typ, path: str):
     if key not in d:
         raise ReportFormatError(f"{path}.{key}: missing")
     val = d[key]
-    if typ is int and isinstance(val, bool):
-        raise ReportFormatError(f"{path}.{key}: expected {typ.__name__}")
-    if not isinstance(val, typ):
+    if not isinstance(val, typ) or typ is int and isinstance(val, bool):
         raise ReportFormatError(f"{path}.{key}: expected {typ.__name__}")
     return val
 
@@ -421,34 +413,22 @@ def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...]
             raise ReportFormatError(
                 f"{rpath}.steps[{i}].op.kind: {step.payload.kind!r} is outside the rdt's payloads")
     nodes = _require(d, "nodes", list, path)
-    ids = set()
     for i, nd in enumerate(nodes):
         npath = f"{path}.nodes[{i}]"
-        ids.add(_require(nd, "id", int, npath))
-        _require(nd, "label", str, npath)
+        n = _require(nd, "id", int, npath)
+        if _require(nd, "label", str, npath) != f"v{n}":
+            raise ReportFormatError(f"{npath}.label: expected 'v{n}'")
         _require(nd, "state", str, npath)
-    edges = _require(d, "edges", list, path)
-    for i, edge in enumerate(edges):
-        epath = f"{path}.edges[{i}]"
-        src = _require(edge, "from", int, epath)
-        dst = _require(edge, "to", int, epath)
-        kind = _require(edge, "kind", str, epath)
-        if kind not in EDGE_KINDS:
-            raise ReportFormatError(f"{epath}.kind: expected one of {EDGE_KINDS}")
-        if src not in ids or dst not in ids:
-            raise ReportFormatError(f"{epath}: endpoint not among node ids")
-        if kind == "apply":
-            event_from_dict(_require(edge, "event", dict, epath), f"{epath}.event")
-        elif "event" in edge:
-            raise ReportFormatError(f"{epath}.event: only apply edges carry events")
     if [nd["id"] for nd in nodes] != list(range(len(g.nodes))):
         raise ReportFormatError(
             f"{path}.nodes: ids differ from the recipe's graph, 0 to {len(g.nodes) - 1}")
+    # Compared as JSON text, so that neither false nor 1.0 passes for an int.
+    edges = _require(d, "edges", list, path)
     want = _graph_edges(g)
-    for i, (edge, w) in enumerate(zip(edges, want)):
-        if edge != w:
-            raise ReportFormatError(f"{path}.edges[{i}]: differs from the recipe's graph")
-    if len(edges) != len(want):
+    if json.dumps(edges, sort_keys=True) != json.dumps(want, sort_keys=True):
+        for i, (edge, w) in enumerate(zip(edges, want)):
+            if json.dumps(edge, sort_keys=True) != json.dumps(w, sort_keys=True):
+                raise ReportFormatError(f"{path}.edges[{i}]: differs from the recipe's graph")
         raise ReportFormatError(
             f"{path}.edges: {len(edges)} edges, the recipe's graph has {len(want)}")
     _require(d, "lhs", str, path)
@@ -456,11 +436,11 @@ def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...]
     _require(d, "shrink_steps", int, path)
     if "linearizations_tried" in d and not isinstance(d["linearizations_tried"], int):
         raise ReportFormatError(f"{path}.linearizations_tried: expected int")
-    if "node" in d and _require(d, "node", int, path) not in ids:
+    if "node" in d and _require(d, "node", int, path) not in range(len(g.nodes)):
         raise ReportFormatError(f"{path}.node: not among node ids")
     if "event" in d:
-        event_from_dict(_require(d, "event", dict, path), f"{path}.event")
-        if _peel(d, d.get("node"), d["event"]) is None:
+        ev = event_from_dict(_require(d, "event", dict, path), f"{path}.event")
+        if event_to_dict(ev) != d["event"] or _peel(g, d.get("node"), ev) is None:
             raise ReportFormatError(
                 f"{path}.event: not the event of an apply edge into a side of merge node")
 
@@ -476,9 +456,6 @@ def validate_report(d) -> None:
         payload_types = catalog_get(rdt).spec.payload_types
     except KeyError:
         payload_types = None
-    prop = d.get("property")
-    if prop is not None and prop not in _PROPERTY_NAMES:
-        raise ReportFormatError(f"$.property: unknown property {prop!r}")
     seed = _require(d, "seed", int, "$")
     if seed < 0:
         raise ReportFormatError("$.seed: must be non-negative")
@@ -499,9 +476,20 @@ def validate_report(d) -> None:
         if status not in _STATUSES:
             raise ReportFormatError(f"{vpath}.status: expected one of {sorted(_STATUSES)}")
         _require(v, "tests", int, vpath)
+        if ("counterexample" in v) != (status == "fail"):
+            raise ReportFormatError(f"{vpath}.counterexample: " + (
+                "missing" if status == "fail" else f"present in a {status!r} verdict"))
         if "counterexample" in v:
             _validate_counterexample(_require(v, "counterexample", dict, vpath),
                                      f"{vpath}.counterexample", payload_types)
+    prop = d.get("property")
+    first = next((v["property"] for v in verdicts if v["status"] == "fail"), None)
+    if prop != first:
+        raise ReportFormatError(
+            f"$.property: expected the first failing verdict's, {first!r}, got {prop!r}")
+    if ("counterexample" in d) != (prop is not None):
+        raise ReportFormatError("$.counterexample: " + (
+            "missing" if prop is not None else "present in a report with no failing verdict"))
     if "counterexample" in d:
         _validate_counterexample(_require(d, "counterexample", dict, "$"),
                                  "$.counterexample", payload_types)
@@ -517,82 +505,75 @@ def parse_report(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Render models, all read from the document's ``{nodes, edges}`` graph form.
+# Render models, all read from a ``VersionGraph``.
 
 
-def _read_graph(gd: dict) -> tuple[tuple[RenderNode, ...], tuple[RenderEdge, ...],
-                                   tuple[RenderStep, ...], str]:
-    """Nodes, edges, history steps and sink state of a ``{nodes, edges}`` dict.
+def _read_graph(g: VersionGraph, states: list[str]) -> tuple[
+        tuple[RenderNode, ...], tuple[RenderEdge, ...], tuple[RenderStep, ...], str]:
+    """Nodes, edges, history steps and sink state of graph ``g`` whose node
+    ``n`` shows ``states[n]``.
 
     Each node but the root gets one step, in node order: ``parent --op--> node``
-    for an apply edge, ``merge(left, right | lca=l) --> node`` for a complete
-    set of merge edges.  The sink is the last node with no outgoing edge.
+    for an apply node, ``merge(left, right | lca=l) --> node`` for a merge.
     """
-    by_id = {nd["id"]: nd for nd in gd["nodes"]}
-    tag = {i: f"{nd['label']} [{nd['state']}]" for i, nd in by_id.items()}
-    nodes = tuple(RenderNode(by_id[i]["label"], by_id[i]["state"]) for i in sorted(by_id))
+    label = [f"v{n}" for n in range(len(g.nodes))]
+    tag = [f"{name} [{state}]" for name, state in zip(label, states)]
     edges: list[RenderEdge] = []
-    steps: dict[int, RenderStep] = {}  # by node id
-    merges: dict[int, dict[str, str]] = {}  # merge node id -> edge kind -> source label
-    for e in gd["edges"]:
-        src, dst, kind = e["from"], e["to"], e["kind"]
-        if kind == "apply":
-            op = event_label(event_from_dict(e["event"]))
-            steps[dst] = RenderStep(tag[src], op, tag[dst])
-        else:
-            op = None
-            merges.setdefault(dst, {})[kind] = by_id[src]["label"]
-        edges.append(RenderEdge(by_id[src]["label"], by_id[dst]["label"], kind, op))
-    for dst, parts in merges.items():
-        if len(parts) == 3:
-            steps[dst] = RenderStep(f"merge({parts['merge-left']}, {parts['merge-right']} | "
-                                    f"lca={parts['lca']})", None, tag[dst])
-    ordered = tuple(steps[i] for i in sorted(steps))
-    if not ordered and nodes:
-        ordered = (RenderStep(None, None, tag[min(by_id)]),)
-    froms = {e["from"] for e in gd["edges"]}
-    sinks = [i for i in by_id if i not in froms]
-    return nodes, tuple(edges), ordered, by_id[max(sinks)]["state"] if sinks else ""
+    steps: list[RenderStep] = []
+    for n, info in enumerate(g.nodes):
+        if info[0] == "apply":
+            _, parent, ev = info
+            op = event_label(ev)
+            edges.append(RenderEdge(label[parent], label[n], "apply", op))
+            steps.append(RenderStep(tag[parent], op, tag[n]))
+        elif info[0] == "merge":
+            _, left, right, lca = info
+            edges += (RenderEdge(label[left], label[n], "merge-left"),
+                      RenderEdge(label[right], label[n], "merge-right"),
+                      RenderEdge(label[lca], label[n], "lca"))
+            steps.append(RenderStep(f"merge({label[left]}, {label[right]} | lca={label[lca]})",
+                                    None, tag[n]))
+    return (tuple(map(RenderNode, label, states)), tuple(edges),
+            tuple(steps) or (RenderStep(None, None, tag[0]),), states[g.sink])
 
 
-def _peel(gd: dict, node: int | None, event: dict) -> tuple[int, int, int, int] | None:
+def _peel(g: VersionGraph, node: int | None, event: Event) -> tuple[int, int, int, int] | None:
     """``(a', a, b, lca)`` when ``node`` merges ``a`` and ``b`` over ``lca`` and
     ``a`` applies ``event`` to ``a'``; ``None`` when no side of ``node`` does."""
-    into = {e["kind"]: e for e in gd["edges"] if e["to"] == node}
-    if not {"merge-left", "merge-right", "lca"} <= set(into):
+    if node is None or g.nodes[node][0] != "merge":
         return None
-    left, right, lca = (into[k]["from"] for k in ("merge-left", "merge-right", "lca"))
+    _, left, right, lca = g.nodes[node]
     for a, b in ((left, right), (right, left)):
-        apply = next((e for e in gd["edges"] if e["to"] == a and e["kind"] == "apply"), None)
-        if apply is not None and apply["event"] == event:
-            return apply["from"], a, b, lca
+        info = g.nodes[a]
+        if info[0] == "apply" and info[2] == event:
+            return info[1], a, b, lca
     return None
 
 
-def equation_panels(gd: dict, node: int | None, event: dict | None,
+def equation_panels(g: VersionGraph, node: int | None, event: Event | None,
                     lhs: str, rhs: str) -> tuple[Panel, Panel]:
-    """The LHS/RHS panels of a violation at ``node`` of graph ``gd``.
+    """The LHS/RHS panels of a violation at ``node`` of graph ``g``.
 
-    Given the peeled ``event`` (an event dict, as for BottomUpStep), they show
-    the two sides of the bottom-up equation at merge ``node``: the merge of the
-    branch holding ``event`` with the other branch, against the merge without
+    Given the peeled ``event`` (as for BottomUpStep), they show the two sides
+    of the bottom-up equation at merge ``node``: the merge of the branch
+    holding ``event`` with the other branch, against the merge without
     ``event`` with ``event`` applied on top.  Otherwise they show the computed
     and the expected state.
     """
-    label = {nd["id"]: nd["label"] for nd in gd["nodes"]}
     if event is None:
-        where = f" at {label[node]}" if node is not None else ""
+        where = f" at v{node}" if node is not None else ""
         return (Panel("LHS", (RenderStep(None, None, f"computed{where}: [{lhs}]"),), lhs),
                 Panel("RHS", (RenderStep(None, None, f"expected{where}: [{rhs}]"),), rhs))
-    a_prime, a, b, lca = (label[n] for n in _peel(gd, node, event))
+    a_prime, a, b, lca = (f"v{n}" for n in _peel(g, node, event))
     return (Panel("LHS", (RenderStep(f"merge({a}, {b} | lca={lca})", None,
-                                     f"{label[node]} [{lhs}]"),), lhs),
+                                     f"v{node} [{lhs}]"),), lhs),
             Panel("RHS", (RenderStep(f"merge({a_prime}, {b} | lca={lca})",
-                                     event_label(event_from_dict(event)), f"[{rhs}]"),), rhs))
+                                     event_label(event), f"[{rhs}]"),), rhs))
 
 
 def model_from_execution(ex: Execution, title: str | None = None) -> RenderModel:
-    nodes, edges, steps, final = _read_graph(graph_to_dict(ex))
+    states = [ex.spec.format_state(state) for state in ex.states]
+    nodes, edges, steps, final = _read_graph(ex.graph, states)
     name = title if title is not None else f"{ex.spec.name}: execution trace"
     return RenderModel(name, nodes, edges, None, (Panel("Trace", steps, final),), False)
 
@@ -615,26 +596,27 @@ def model_from_report_dict(d: dict) -> RenderModel:
         status = "suite passed" if prop is None else f"{prop} failed"
         return RenderModel(f"{d['rdt']}: {status} (seed {d['seed']})",
                            (), (), None, (Panel("Verdicts", steps, status),), False)
-    nodes, edges, steps, final = _read_graph(cx)
-    events = sum(1 for s in cx["recipe"]["steps"] if s["type"] == "apply")
+    g = build(recipe_from_dict(cx["recipe"]))
+    nodes, edges, steps, final = _read_graph(g, [nd["state"] for nd in cx["nodes"]])
     title = (f"{d['rdt']}: {prop} violation "
-             f"(shrunk to {events} events in {cx['shrink_steps']} steps)")
+             f"(shrunk to {len(g.events)} events in {cx['shrink_steps']} steps)")
     if prop == PropertyId.LINEARIZATION_EXISTS.value:
         tried = f" (tried {cx['linearizations_tried']})" if "linearizations_tried" in cx else ""
         note = RenderStep(None, None, f"!! no admissible order replays to [{cx['lhs']}]{tried}")
         return RenderModel(title, nodes, edges, None,
                            (Panel("Trace", steps + (note,), final),), True)
-    panels = equation_panels(cx, cx.get("node"), cx.get("event"), cx["lhs"], cx["rhs"])
+    event = event_from_dict(cx["event"]) if "event" in cx else None
+    panels = equation_panels(g, cx.get("node"), event, cx["lhs"], cx["rhs"])
     return RenderModel(title, nodes, edges, Panel("History", steps, final), panels, True)
 
 
 __all__ = [
-    "ReportFormatError", "SCHEMA", "EDGE_KINDS",
+    "ReportFormatError", "SCHEMA",
     "RenderNode", "RenderEdge", "RenderStep", "Panel", "RenderModel",
     "equation_panels", "model_from_execution", "model_from_suite", "model_from_report_dict",
     "render_text", "render_dot", "render_html", "render_json",
     "payload_to_dict", "payload_from_dict", "event_to_dict", "event_from_dict",
     "recipe_to_dict", "recipe_from_dict", "config_to_dict", "config_from_dict",
-    "graph_to_dict", "counterexample_to_dict", "suite_report_to_dict",
+    "counterexample_to_dict", "suite_report_to_dict",
     "parse_report", "validate_report",
 ]

@@ -16,7 +16,7 @@ from salcheck.history import (
 )
 from salcheck.checker import (
     PropertyId, CheckConfig, OracleScopeError, linearization_oracle,
-    bottom_up_instances, run_suite, oracle_sweep,
+    bottom_up_instances, run_suite, oracle_sweep, shrink,
     ORACLE_EVENT_CAP, EVALUATORS, _conflict_diamonds, _stream_seed,
 )
 
@@ -394,9 +394,10 @@ def test_exhaustive_phase_counts_toward_test_budget():
 
 
 def test_shrunk_counterexample_marked_minimal():
-    ce = buggy_default_suite().verdict(PropertyId.BOTTOM_UP_STEP).counterexample
+    recipe = Recipe((ApplyOp(0, Disable()),) + fig2_recipe().steps)  # one event to spare
+    ce = shrink(catalog_get("ew-flag-buggy"), PropertyId.BOTTOM_UP_STEP, recipe, CheckConfig(seed=42))
     assert ce.minimal
-    assert ce.shrunk.graph.recipe.event_count() <= ce.original.event_count()
+    assert ce.shrunk.graph.recipe.event_count() <= recipe.event_count()
 
 
 def test_unlinearizable_counterexample_reports_orders_tried():

@@ -182,8 +182,18 @@ def _edit_first(steps: list, kind: str) -> tuple[int, dict]:
     return next((i, s) for i, s in enumerate(steps) if s["type"] == kind)
 
 
-@pytest.mark.parametrize("where", ["$.counterexample", "$.verdicts[{v}].counterexample"],
-                         ids=["top", "verdict"])
+def _counterexample_at(d: dict, where: str) -> tuple[dict, str]:
+    """The counterexample at ``where``, the top level's or a verdict's, and its path."""
+    v = next(i for i, vd in enumerate(d["verdicts"]) if "counterexample" in vd)
+    cx = d["counterexample"] if where == "$.counterexample" else d["verdicts"][v]["counterexample"]
+    return cx, where.format(v=v)
+
+
+EVERY_COUNTEREXAMPLE = pytest.mark.parametrize(
+    "where", ["$.counterexample", "$.verdicts[{v}].counterexample"], ids=["top", "verdict"])
+
+
+@EVERY_COUNTEREXAMPLE
 @pytest.mark.parametrize("edit, message", [
     (lambda steps: _edit_first(steps, "apply")[1].update(replica=9),
      r"\.steps\[{i}\]: apply on unknown replica 9"),
@@ -194,13 +204,12 @@ def _edit_first(steps: list, kind: str) -> tuple[int, dict]:
 ], ids=["replica", "self-join", "payload"])
 def test_validate_refuses_a_recipe_that_cannot_be_replayed(where, edit, message):
     d = parse_report(render_json(failing_report()))
-    v = next(i for i, vd in enumerate(d["verdicts"]) if "counterexample" in vd)
-    cx = d["counterexample"] if where == "$.counterexample" else d["verdicts"][v]["counterexample"]
+    cx, where = _counterexample_at(d, where)
     steps = cx["recipe"]["steps"]
     edit(steps)
     kind = "join" if "join" in message else "apply"
     i = _edit_first(steps, kind)[0]
-    path = re.escape(where.format(v=v) + ".recipe")
+    path = re.escape(where + ".recipe")
     with pytest.raises(ReportFormatError, match="^" + path + message.format(i=i)):
         parse_report(json.dumps(d))
 
@@ -216,8 +225,7 @@ def _drop_sink(cx: dict) -> None:
     cx["edges"] = [e for e in cx["edges"] if e["to"] != sink]
 
 
-@pytest.mark.parametrize("where", ["$.counterexample", "$.verdicts[{v}].counterexample"],
-                         ids=["top", "verdict"])
+@EVERY_COUNTEREXAMPLE
 @pytest.mark.parametrize("edit, message", [
     (_flip_first_enable, r"\.edges\[0\]: differs from the recipe's graph"),
     (lambda cx: cx["edges"].pop(), r"\.edges: \d+ edges, the recipe's graph has \d+"),
@@ -225,10 +233,103 @@ def _drop_sink(cx: dict) -> None:
 ], ids=["flipped-step", "dropped-edge", "dropped-node"])
 def test_validate_refuses_a_recipe_other_than_the_graph(where, edit, message):
     d = parse_report(render_json(failing_report()))
-    v = next(i for i, vd in enumerate(d["verdicts"]) if "counterexample" in vd)
-    edit(d["counterexample"] if where == "$.counterexample" else d["verdicts"][v]["counterexample"])
-    with pytest.raises(ReportFormatError, match="^" + re.escape(where.format(v=v)) + message):
+    cx, where = _counterexample_at(d, where)
+    edit(cx)
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where) + message):
         parse_report(json.dumps(d))
+
+
+# Each edit takes the first edge of a kind to one that differs from the
+# recipe's only in a type or in shape.  Edge 0 applies event 1 to v0, giving
+# v1, so false and 1.0 compare equal to its endpoints under ``==``.
+EDGE_EDITS = {
+    "bool-from": ("apply", lambda e: {**e, "from": False}),
+    "float-to": ("apply", lambda e: {**e, "to": 1.0}),
+    "float-ts": ("apply", lambda e: {**e, "event": {**e["event"], "ts": 1.0}}),
+    "unknown-kind": ("apply", lambda e: {**e, "kind": "frobnicate"}),
+    "endpoint-99": ("apply", lambda e: {**e, "to": 99}),
+    "merge-with-event": ("merge-left", lambda e: {**e, "event": {"ts": 1, "replica": 0,
+                                                                 "op": {"kind": "enable"}}}),
+    "non-object": ("apply", lambda e: "edge"),
+}
+
+
+@EVERY_COUNTEREXAMPLE
+@pytest.mark.parametrize("edit", sorted(EDGE_EDITS))
+def test_validate_refuses_an_edge_of_another_type_or_shape(where, edit):
+    d = parse_report(render_json(failing_report()))
+    cx, where = _counterexample_at(d, where)
+    edges = cx["edges"]
+    assert edges[0] == {"from": 0, "to": 1, "kind": "apply",
+                        "event": {"ts": 1, "replica": 0, "op": {"kind": "enable"}}}
+    kind, change = EDGE_EDITS[edit]
+    i = next(i for i, e in enumerate(edges) if e["kind"] == kind)
+    edges[i] = change(edges[i])
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where + f".edges[{i}]")):
+        parse_report(json.dumps(d))
+
+
+@EVERY_COUNTEREXAMPLE
+def test_validate_refuses_a_node_label_other_than_its_id(where):
+    d = parse_report(render_json(failing_report()))
+    cx, where = _counterexample_at(d, where)
+    cx["nodes"][0]["label"] = "root"
+    path = re.escape(where + ".nodes[0].label: expected 'v0'")
+    with pytest.raises(ReportFormatError, match="^" + path):
+        parse_report(json.dumps(d))
+
+
+def _drop_counterexample(d: dict) -> None:
+    d["property"] = None
+    del d["counterexample"]
+
+
+@pytest.mark.parametrize("rdt, edit, message", [
+    ("ew-flag-buggy", lambda d: d.update(property=None), "'BottomUpStep', got None"),
+    ("ew-flag-buggy", lambda d: d.update(property="MergeIdem"), "'BottomUpStep', got 'MergeIdem'"),
+    ("ew-flag-buggy", _drop_counterexample, "'BottomUpStep', got None"),
+    ("ctr-inc-mrdt", lambda d: d.update(property="MergeComm"), "None, got 'MergeComm'"),
+], ids=["null-property", "passing-property", "null-property-no-counterexample",
+        "failed-property-on-passing-suite"])
+def test_validate_refuses_a_property_other_than_the_first_failing_verdicts(rdt, edit, message):
+    report = failing_report() if rdt == "ew-flag-buggy" else run_suite(catalog_get(rdt), SMALL)
+    d = parse_report(render_json(report))
+    edit(d)
+    with pytest.raises(ReportFormatError,
+                       match=r"^\$\.property: expected the first failing verdict's, " + message):
+        parse_report(json.dumps(d))
+
+
+def test_validate_refuses_a_failing_verdict_without_counterexample():
+    d = parse_report(render_json(failing_report()))
+    v = next(i for i, vd in enumerate(d["verdicts"]) if vd["status"] == "fail")
+    del d["verdicts"][v]["counterexample"]
+    with pytest.raises(ReportFormatError, match=rf"^\$\.verdicts\[{v}\]\.counterexample: missing"):
+        parse_report(json.dumps(d))
+
+
+def test_validate_refuses_a_counterexample_on_a_passing_verdict():
+    d = parse_report(render_json(failing_report()))
+    v = next(i for i, vd in enumerate(d["verdicts"]) if vd["status"] == "pass")
+    d["verdicts"][v]["counterexample"] = d["counterexample"]
+    with pytest.raises(ReportFormatError,
+                       match=rf"^\$\.verdicts\[{v}\]\.counterexample: present in a 'pass' verdict"):
+        parse_report(json.dumps(d))
+
+
+def test_validate_refuses_a_top_level_counterexample_without_property():
+    d = valid_doc()
+    d["counterexample"] = suite_report_to_dict(failing_report())["counterexample"]
+    with pytest.raises(ReportFormatError,
+                       match=r"^\$\.counterexample: present in a report with no failing verdict"):
+        validate_report(d)
+
+
+def test_validate_refuses_a_failing_property_without_top_level_counterexample():
+    d = parse_report(render_json(failing_report()))
+    del d["counterexample"]
+    with pytest.raises(ReportFormatError, match=r"^\$\.counterexample: missing"):
+        validate_report(d)
 
 
 def test_parse_rejects_truncated_json():
