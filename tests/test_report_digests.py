@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).parent / "golden" / "report-digests.json"
 SMALL = {"exhaustive_below": 3, "tests_per_property": 200}
 CASES = {f"{e.id}/seed{seed}/small": (e.id, CheckConfig(seed=seed, **SMALL))
          for e in CATALOG for seed in (1, 42)}
-CASES["ew-flag-buggy/seed42/default"] = ("ew-flag-buggy", CheckConfig(seed=42))
+CASES.update({f"{e.id}/seed42/default": (e.id, CheckConfig(seed=42)) for e in CATALOG})
 
 
 def digest(rdt_id: str, cfg: CheckConfig) -> str:
