@@ -23,13 +23,16 @@ A pass is bounded evidence over the generated histories, not a proof.  Every
 suite first sweeps all canonical recipes below ``exhaustive_below`` events and
 then tops up with seeded random recipes, so verdicts are deterministic and
 the first failure found in the sweep is already event-minimal.  The sweep
-checks every open property on each history it builds.  The random phase gives
-each property its own stream, one ``random.Random`` seeded once per (seed,
-entry, property), so the properties of a suite check independent histories
-and each gets its own chance to catch a bug.  ``draw_execution`` draws,
-builds and executes each random history in one pass.  A draw whose merge has
-no unique LCA is redrawn, and so is a draw above ``ORACLE_EVENT_CAP`` events
-for ``LinearizationExists``; neither counts as a test.
+checks every open property on each history of ``sweep_walk``, on the walk's
+live graph, from the first node the history does not share with the previous
+one.  The random phase gives each property its own stream, one
+``random.Random`` seeded once per (seed, entry, property), so the properties
+of a suite check independent histories and each gets its own chance to catch
+a bug.  ``draw_history`` draws each onto one partial graph, cut back to its
+root between draws.  A draw whose merge has no unique LCA is
+redrawn, and so is a draw above ``ORACLE_EVENT_CAP`` events for
+``LinearizationExists``; neither counts as a test.  Only a property's first
+failing history becomes a ``Recipe``, which ``shrink`` builds and executes.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from typing import Any, Callable
 
 from .catalog import LITERAL_POOL, CatalogEntry, payload_pool
 from .history import (  # perfbench/tracing.py wraps several of these as checker.<name>
-    ApplyOp, Execution, JoinOp, Recipe, StepTables, build, draw_execution,
-    enumerate_executions, enumerate_recipes, execute, iter_bits, random_recipe,
-    sweep_walk,
+    ApplyOp, Execution, JoinOp, Recipe, StepTables, _PartialGraph, build, draw_history,
+    enumerate_recipes, execute, iter_bits, random_recipe, sweep_walk,
 )
 from .model import Event, RcOrder, RdtSpec, conflicting, is_crdt, rc_empty, rc_order
 
@@ -145,7 +147,6 @@ def _check_sweep_bounds(max_events: int, literals: tuple[int, ...], replicas: in
 @dataclass(frozen=True)
 class Violation:
     property: PropertyId
-    recipe: Recipe
     lhs: Any
     rhs: Any
     lhs_str: str
@@ -363,51 +364,53 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
 
 # ---------------------------------------------------------------------------
 # Per-history property evaluators.  Each returns the first violation or None.
-# All but LinearizationExists, which reads the sink and ignores ``start``, are
-# node-local: the verdict at node n reads only nodes, states, events and masks
-# at or below n.  So each checks only the nodes (merge nodes for the merge
-# laws) from ``start`` on; the sweep passes the length of the node prefix that
-# a history shares with the previous one.
+# A history ``h`` is an ``Execution`` or the live ``_PartialGraph`` of the
+# sweep walk or a random draw, its sink folded: both hold ``nodes``,
+# ``states``, ``events``, ``event_nodes``, ``event_masks`` and ``merge_nodes``,
+# and the sink is the last node.  All evaluators but LinearizationExists, which
+# reads the sink and ignores ``start``, are node-local: the verdict at node n
+# reads only nodes, states, events and masks at or below n.  So each checks
+# only the nodes (merge nodes for the merge laws) from ``start`` on; the sweep
+# passes the first node that a history does not share with the previous one.
 
 
-def _viol(spec: RdtSpec, prop: PropertyId, ex: Execution, lhs, rhs,
+def _viol(spec: RdtSpec, prop: PropertyId, lhs, rhs,
           node: int | None = None, event: Event | None = None) -> Violation:
-    return Violation(prop, ex.graph.recipe, lhs, rhs,
-                     spec.format_state(lhs), spec.format_state(rhs), node, event)
+    return Violation(prop, lhs, rhs, spec.format_state(lhs), spec.format_state(rhs), node, event)
 
 
-def eval_merge_idem(spec: RdtSpec, ex: Execution, start: int = 0,
+def eval_merge_idem(spec: RdtSpec, h, start: int = 0,
                     prop: PropertyId = PropertyId.MERGE_IDEM) -> Violation | None:
-    for n, s in enumerate(ex.states[start:], start):
+    for n, s in enumerate(h.states[start:], start):
         merged = spec.merge3(s, s, s)
         if merged != s:
-            return _viol(spec, prop, ex, merged, s, node=n)
+            return _viol(spec, prop, merged, s, node=n)
     return None
 
 
-def eval_merge_comm(spec: RdtSpec, ex: Execution, start: int = 0,
+def eval_merge_comm(spec: RdtSpec, h, start: int = 0,
                     prop: PropertyId = PropertyId.MERGE_COMM) -> Violation | None:
-    g = ex.graph
-    for m in g.merge_nodes(start):
-        _, left, right, lca = g.nodes[m]
-        ab = ex.states[m]  # the execution's merge3(lca, left, right)
-        ba = spec.merge3(ex.states[lca], ex.states[right], ex.states[left])
+    nodes, states = h.nodes, h.states
+    for m in h.merge_nodes(start):
+        _, left, right, lca = nodes[m]
+        ab = states[m]  # the history's merge3(lca, left, right)
+        ba = spec.merge3(states[lca], states[right], states[left])
         if ab != ba:
-            return _viol(spec, prop, ex, ab, ba, node=m)
+            return _viol(spec, prop, ab, ba, node=m)
     return None
 
 
-def eval_merge_with_lca(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
-    g = ex.graph
-    for m in g.merge_nodes(start):
-        _, left, right, lca = g.nodes[m]
-        l = ex.states[lca]
+def eval_merge_with_lca(spec: RdtSpec, h, start: int = 0) -> Violation | None:
+    nodes, states = h.nodes, h.states
+    for m in h.merge_nodes(start):
+        _, left, right, lca = nodes[m]
+        l = states[lca]
         for branch in (left, right):
-            s = ex.states[branch]
+            s = states[branch]
             for a, b in ((l, s), (s, l)):
                 kept = spec.merge3(l, a, b)
                 if kept != s:
-                    return _viol(spec, PropertyId.MERGE_WITH_LCA, ex, kept, s, node=m)
+                    return _viol(spec, PropertyId.MERGE_WITH_LCA, kept, s, node=m)
     return None
 
 
@@ -424,30 +427,29 @@ class BottomUpInstance:
     holds: bool
 
 
-def _independent(spec: RdtSpec, ex: Execution, e: Event, hist_b: int, concurrent: int,
+def _independent(spec: RdtSpec, h, e: Event, hist_b: int, concurrent: int,
                  probe_nodes: tuple[int, int]) -> bool:
     """Whether ``e`` may be peeled past the b-events in ``concurrent`` (see
     ``_peels``); the commute probes are the initial state and the states at
     ``probe_nodes``."""
-    g = ex.graph
-    masks = g.event_masks
+    masks, events, event_nodes = h.event_masks, h.events, h.event_nodes
     rc = spec.rc
     applied = None  # (probe, apply(probe, e)), built at the first commute check
     for j in iter_bits(concurrent):
-        o = g.events[j]
+        o = events[j]
         ahead = rc(e.op, o.op)
         if ahead or rc(o.op, e.op):
             # Every b-event after o is concurrent with e too, so none of them
             # lies in the LCA's history.
             if ahead and not any(
-                masks[g.event_nodes[k]] >> j & 1 and conflicting(rc, o.op, g.events[k].op)
+                masks[event_nodes[k]] >> j & 1 and conflicting(rc, o.op, events[k].op)
                 for k in iter_bits(hist_b & ~(1 << j))
             ):
                 return False
             continue
         if applied is None:
             applied = []
-            for s in (spec.initial, *(ex.states[n] for n in probe_nodes)):
+            for s in (spec.initial, *(h.states[n] for n in probe_nodes)):
                 if not any(s is p for p, _ in applied):  # one state, one probe
                     applied.append((s, spec.apply(s, e)))
         for s, se in applied:
@@ -456,10 +458,10 @@ def _independent(spec: RdtSpec, ex: Execution, e: Event, hist_b: int, concurrent
     return True
 
 
-def _peels(spec: RdtSpec, ex: Execution, start: int = 0):
+def _peels(spec: RdtSpec, h, start: int = 0):
     """Yield ``(m, e, a_prime, b_node, lhs, rhs, probe)`` for each candidate
     instance of the bottom-up condition at a merge node ``m >= start``, in
-    order; the candidate is peelable when ``_independent(spec, ex, *probe)``.
+    order; the candidate is peelable when ``_independent(spec, h, *probe)``.
 
     At a merge of branches a and b over ancestor l, the final event ``e`` of
     branch a may be peeled when its effect is independent of b's concurrent
@@ -478,13 +480,11 @@ def _peels(spec: RdtSpec, ex: Execution, start: int = 0):
     are pure, so which check runs first changes no verdict: callers that only
     need the instances whose sides differ run ``_independent`` on those alone.
     """
-    g = ex.graph
-    states = ex.states
-    masks = g.event_masks
-    for m in g.merge_nodes(start):
-        _, left, right, lca = g.nodes[m]
+    nodes, states, masks = h.nodes, h.states, h.event_masks
+    for m in h.merge_nodes(start):
+        _, left, right, lca = nodes[m]
         for a_node, b_node in ((left, right), (right, left)):
-            info = g.nodes[a_node]
+            info = nodes[a_node]
             if info[0] != "apply":
                 continue
             _, a_prime, e = info
@@ -492,7 +492,7 @@ def _peels(spec: RdtSpec, ex: Execution, start: int = 0):
             if hist_b >> (e.ts - 1) & 1:
                 continue
             l_state = states[lca]
-            lhs = (states[m] if a_node == left  # the execution's merge3(l, a, b)
+            lhs = (states[m] if a_node == left  # the history's merge3(l, a, b)
                    else spec.merge3(l_state, states[a_node], states[b_node]))
             rhs = spec.apply(spec.merge3(l_state, states[a_prime], states[b_node]), e)
             # b's history is closed under happens-before and lacks e, so no
@@ -511,73 +511,73 @@ def bottom_up_instances(spec: RdtSpec, ex: Execution) -> list[BottomUpInstance]:
             if _independent(spec, ex, *probe)]
 
 
-def eval_bottom_up_step(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
+def eval_bottom_up_step(spec: RdtSpec, h, start: int = 0) -> Violation | None:
     """A violation at the first peelable instance at a merge node
     ``m >= start`` whose sides differ, or ``None``.  A candidate's sides are
     compared before its independence is probed: a candidate whose sides are
     equal holds whether or not it is peelable, and the spec functions are
     pure, so the probes are skipped there and the first violation is the one
     an independence-first check finds."""
-    for m, e, _, _, lhs, rhs, probe in _peels(spec, ex, start):
-        if lhs != rhs and _independent(spec, ex, *probe):
-            return _viol(spec, PropertyId.BOTTOM_UP_STEP, ex, lhs, rhs, node=m, event=e)
+    for m, e, _, _, lhs, rhs, probe in _peels(spec, h, start):
+        if lhs != rhs and _independent(spec, h, *probe):
+            return _viol(spec, PropertyId.BOTTOM_UP_STEP, lhs, rhs, node=m, event=e)
     return None
 
 
-def _conflict_diamonds(spec: RdtSpec, ex: Execution, start: int = 0):
+def _conflict_diamonds(spec: RdtSpec, h, start: int = 0):
     """Merges whose two branches are single events applied directly to the
     LCA version.  Only there does replaying both events from the LCA state
     reproduce exactly what each event observed; an event forked elsewhere may
     have seen a different past, so the sequential comparison would be unfair.
     """
-    g = ex.graph
-    for m in g.merge_nodes(start):
-        _, left, right, lca = g.nodes[m]
-        if g.kind(left) != "apply" or g.kind(right) != "apply":
+    nodes = h.nodes
+    for m in h.merge_nodes(start):
+        _, left, right, lca = nodes[m]
+        a, b = nodes[left], nodes[right]
+        if a[0] != "apply" or b[0] != "apply" or a[1] != lca or b[1] != lca:
             continue
-        if g.nodes[left][1] != lca or g.nodes[right][1] != lca:
-            continue
-        ea, eb = g.nodes[left][2], g.nodes[right][2]
+        ea, eb = a[2], b[2]
         if conflicting(spec.rc, ea.op, eb.op):
             yield m, lca, ea, eb
 
 
-def eval_rc_policy(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
-    for m, lca, ea, eb in _conflict_diamonds(spec, ex, start):
+def eval_rc_policy(spec: RdtSpec, h, start: int = 0) -> Violation | None:
+    states = h.states
+    for m, lca, ea, eb in _conflict_diamonds(spec, h, start):
         first, second = (ea, eb) if rc_order(spec.rc, ea.op, eb.op) is RcOrder.FIRST else (eb, ea)
-        expected = spec.apply(spec.apply(ex.states[lca], first), second)
-        if ex.states[m] != expected:
-            return _viol(spec, PropertyId.RC_POLICY, ex, ex.states[m], expected, node=m)
+        expected = spec.apply(spec.apply(states[lca], first), second)
+        if states[m] != expected:
+            return _viol(spec, PropertyId.RC_POLICY, states[m], expected, node=m)
     return None
 
 
-def eval_linearization_exists(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
-    if len(ex.graph.events) > ORACLE_EVENT_CAP:
+def eval_linearization_exists(spec: RdtSpec, h, start: int = 0) -> Violation | None:
+    if len(h.events) > ORACLE_EVENT_CAP:
         return None  # out of oracle scope; covered only by smaller histories
-    final = ex.sink_state()
-    result = linearization_oracle(spec, ex.graph, final)
+    final = h.states[-1]
+    result = linearization_oracle(spec, h, final)
     if result.witness is None:
         return Violation(
-            PropertyId.LINEARIZATION_EXISTS, ex.graph.recipe, final, None,
+            PropertyId.LINEARIZATION_EXISTS, final, None,
             spec.format_state(final), f"no admissible order (tried {result.orders_tried})",
-            node=ex.graph.sink, linearizations_tried=result.orders_tried)
+            node=len(h.nodes) - 1, linearizations_tried=result.orders_tried)
     return None
 
 
-def eval_lattice_assoc(spec: RdtSpec, ex: Execution, start: int = 0) -> Violation | None:
-    g = ex.graph
-    for m in g.merge_nodes(start):
-        _, left, right, lca = g.nodes[m]
-        a, b, ab = ex.states[left], ex.states[right], ex.states[m]
-        for c in (ex.states[lca], spec.initial):
+def eval_lattice_assoc(spec: RdtSpec, h, start: int = 0) -> Violation | None:
+    nodes, states = h.nodes, h.states
+    for m in h.merge_nodes(start):
+        _, left, right, lca = nodes[m]
+        a, b, ab = states[left], states[right], states[m]
+        for c in (states[lca], spec.initial):
             nested = spec.merge2(a, spec.merge2(b, c))
             flat = spec.merge2(ab, c)
             if nested != flat:
-                return _viol(spec, PropertyId.LATTICE_ASSOC, ex, nested, flat, node=m)
+                return _viol(spec, PropertyId.LATTICE_ASSOC, nested, flat, node=m)
     return None
 
 
-EVALUATORS: dict[PropertyId, Callable[[RdtSpec, Execution, int], Violation | None]] = {
+EVALUATORS: dict[PropertyId, Callable[..., Violation | None]] = {
     PropertyId.MERGE_IDEM: eval_merge_idem,
     PropertyId.MERGE_COMM: eval_merge_comm,
     PropertyId.MERGE_WITH_LCA: eval_merge_with_lca,
@@ -610,11 +610,6 @@ def _as_entry(target: CatalogEntry | RdtSpec) -> CatalogEntry:
     return CatalogEntry(target.name, target, False, "ad-hoc")
 
 
-def _shared_prefix(a: tuple, b: tuple) -> int:
-    """Length of the longest common prefix of ``a`` and ``b``."""
-    return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-
-
 def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
               properties: tuple[PropertyId, ...] | None = None) -> SuiteReport:
     """Check every applicable property; deterministic for a given config."""
@@ -625,37 +620,39 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
     pool = payload_pool(spec, cfg.literal_pool)
     vacuous_rc = rc_is_vacuous(spec, cfg.literal_pool)
 
-    # Per-property state, indexed like ``props``.
+    # Per-property state, indexed like ``props``; ``found`` holds the first failing recipe.
     evaluators = [EVALUATORS[p] for p in props]
     tests = [0] * len(props)
-    found: list[Violation | None] = [None] * len(props)
+    found: list[Recipe | None] = [None] * len(props)
     live = [i for i, p in enumerate(props) if not (p is PropertyId.RC_POLICY and vacuous_rc)]
 
     if live:
-        previous: tuple = ()
-        for ex in enumerate_executions(spec, pool, cfg.exhaustive_below - 1,
-                                       cfg.replica_count, cfg.max_joins):
+        for g, steps, _ in sweep_walk(pool, cfg.exhaustive_below - 1, cfg.replica_count,
+                                      cfg.max_joins, spec):
             # Every live property passed the nodes shared with the previous history.
-            nodes = ex.graph.nodes
-            start = _shared_prefix(previous, nodes)
+            start = g.unchecked()
             for i in live:
-                found[i] = evaluators[i](spec, ex, start)
+                if evaluators[i](spec, g, start) is not None:
+                    found[i] = Recipe(tuple(steps), cfg.replica_count)
                 tests[i] += 1
             live = [i for i in live if found[i] is None]
             if not live:
                 break
-            previous = nodes
 
     tables = StepTables(pool, cfg.replica_count, cfg.max_events)
+    g = _PartialGraph(cfg.replica_count, spec)
+    root = g.mark()
     for i in live:
         p = props[i]
         cap = ORACLE_EVENT_CAP if p is PropertyId.LINEARIZATION_EXISTS else None
         rng = random.Random(_stream_seed(cfg.seed, entry.id, p))
         while tests[i] < cfg.tests_per_property and found[i] is None:
-            ex = draw_execution(rng, tables, spec, cfg.max_events, cfg.max_joins + 1, cap)
-            if ex is None:
+            g.restore(root)
+            steps, drawn = draw_history(rng, tables, cfg.max_events, cfg.max_joins + 1, g, cap)
+            if drawn is None:
                 continue  # above the cap, or a criss-cross merge (3+ replicas): redraw, not a test
-            found[i] = evaluators[i](spec, ex)
+            if evaluators[i](spec, g) is not None:
+                found[i] = Recipe(steps, cfg.replica_count)
             tests[i] += 1
 
     verdicts = []
@@ -665,7 +662,7 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
         elif found[i] is None:
             verdicts.append(Verdict(p, "pass", tests[i]))
         else:
-            report = shrink(entry, p, found[i].recipe, cfg)
+            report = shrink(entry, p, found[i], cfg)
             verdicts.append(Verdict(p, "fail", tests[i], report))
     return SuiteReport(entry.id, cfg.seed, cfg, tuple(verdicts))
 
@@ -686,9 +683,7 @@ def _reductions(recipe: Recipe):
     steps = recipe.steps
     apply_idx = [i for i, s in enumerate(steps) if isinstance(s, ApplyOp)]
     join_idx = [i for i, s in enumerate(steps) if isinstance(s, JoinOp)]
-    for i in reversed(apply_idx):
-        yield replace(recipe, steps=steps[:i] + steps[i + 1:])
-    for i in reversed(join_idx):
+    for i in [*reversed(apply_idx), *reversed(join_idx)]:
         yield replace(recipe, steps=steps[:i] + steps[i + 1:])
     collapsed = tuple(ApplyOp(0, s.payload) for s in steps if isinstance(s, ApplyOp))
     if collapsed != steps:

@@ -30,20 +30,20 @@ prefix tree of canonical recipes depth-first, pushing one apply or join per
 tree edge together with its state and popping it on the way back.  So each
 tree node's ``apply`` or merge runs once, and a leaf, yielded from the apply
 loop that pushes its last event, only folds the heads into the sink.  The
-walk yields its live graph: ``enumerate_executions`` copies out every history,
-equal to ``execute(spec, build(recipe))``, and ``oracle_sweep`` a failing one.
-Every merge, in ``execute`` and on a partial graph alike, is the spec's
-``merge3`` of the LCA's state and the two heads' states; a CRDT's ``merge3``
-ignores the LCA.
+walk yields its live graph, on which ``run_suite`` and ``oracle_sweep`` check
+each history; only a failing one is copied out, as a recipe or an
+``Execution`` equal to ``execute(spec, build(recipe))``.  Every merge, in
+``execute`` and on a partial graph alike, is the spec's ``merge3`` of the
+LCA's state and the two heads' states; a CRDT's ``merge3`` ignores the LCA.
 
-A random history is made in one flat pass.  ``_draw``, the only draw, runs
-``rng.randrange``'s rejection loop inline and pushes each step, with its
-state, onto a partial graph as it is drawn.  ``draw_execution`` runs it onto
-a graph, ``random_recipe`` without one.  The walk and the draws take their
-steps and events from ``StepTables``, built once per suite (and once per
-walk), from a pool made from the spec's payload types; so they skip
-``check_payload``, which a recipe from outside (a shrink candidate, a
-replayed report) still gets from ``execute``.
+A random history is made in one flat pass.  ``draw_history``, the only draw,
+runs ``rng.randrange``'s rejection loop inline and pushes each step, with
+its state, onto a partial graph as it is drawn: ``run_suite`` reuses one
+graph for all its draws, and ``random_recipe`` draws without one.  The
+walk and the draws take their steps and events from ``StepTables``, built
+once per suite (and once per walk), from a pool made from the spec's payload
+types; so they skip ``check_payload``, which a recipe from outside (a shrink
+candidate, a replayed report) still gets from ``execute``.
 """
 
 from __future__ import annotations
@@ -151,6 +151,8 @@ class _PartialGraph:
     with other functions gets its own calls.
     """
 
+    merge_nodes = VersionGraph.merge_nodes
+
     def __init__(self, replicas: int, spec: RdtSpec | None = None):
         self.nodes: list[NodeInfo] = [("root",)]
         self.ancestors: list[int] = [1]  # per node, bit n set when node n is an ancestor (reflexive)
@@ -161,6 +163,8 @@ class _PartialGraph:
         self.heads = [0] * replicas
         self.spec_apply = None if spec is None else spec.apply
         self.merge3 = None if spec is None else spec.merge3
+        self.low = 0  # the lowest node count cut back to since ``unchecked``
+        self.checked: list[NodeInfo] = []  # the nodes at the last ``unchecked``
 
     def apply(self, ev: Event) -> None:
         """Push ``ev`` on its replica's head; ``ev.ts`` is the next timestamp."""
@@ -205,7 +209,8 @@ class _PartialGraph:
         return self.heads[step.target] != head
 
     def sink(self) -> int:
-        """Fold every head into replica 0's, in replica order."""
+        """Fold every head into replica 0's, in replica order.  The sink knows
+        every node, and node ids ascend along edges: it is the last node."""
         sink = self.heads[0]
         for head in self.heads[1:]:
             sink = self.fold(sink, head)
@@ -216,9 +221,22 @@ class _PartialGraph:
 
     def restore(self, mark: tuple) -> None:
         n_nodes, n_events, heads = mark
+        if n_nodes < self.low:
+            self.low = n_nodes
         del self.nodes[n_nodes:], self.ancestors[n_nodes:], self.event_masks[n_nodes:]
         del self.states[n_nodes:], self.events[n_events:], self.event_nodes[n_events:]
         self.heads[:] = heads
+
+    def unchecked(self) -> int:
+        """The first node that differs from the nodes at the last call (0 at
+        the first).  None below ``low`` was cut; past it the walk may push
+        back a node equal to the one cut (each size restarts at the root)."""
+        nodes, checked = self.nodes, self.checked
+        n, stop = self.low, min(len(nodes), len(checked))
+        while n < stop and nodes[n] == checked[n]:
+            n += 1
+        self.low, self.checked = len(nodes), nodes[:]
+        return n
 
     def graph(self, recipe: Recipe, sink: int) -> VersionGraph:
         return VersionGraph(recipe, tuple(self.nodes), sink, tuple(self.events),
@@ -255,6 +273,13 @@ class Execution:
     spec: RdtSpec = field(compare=False)
     graph: VersionGraph
     states: tuple  # node id -> state
+
+    # The graph's fields, named as on a live ``_PartialGraph``: the evaluators read either.
+    nodes = property(lambda self: self.graph.nodes)
+    events = property(lambda self: self.graph.events)
+    event_nodes = property(lambda self: self.graph.event_nodes)
+    event_masks = property(lambda self: self.graph.event_masks)
+    merge_nodes = property(lambda self: self.graph.merge_nodes)
 
     def sink_state(self):
         return self.states[self.graph.sink]
@@ -310,26 +335,16 @@ def enumerate_recipes(pool: tuple[OpPayload, ...], max_events: int,
         yield Recipe(tuple(steps), replicas)
 
 
-def enumerate_executions(spec: RdtSpec, pool: tuple[OpPayload, ...], max_events: int,
-                         replicas: int = 2, max_joins: int = 1):
-    """Yield ``execute(spec, build(r))`` for each ``r`` of ``enumerate_recipes``,
-    in the same order.  Each apply or merge of a recipe prefix runs once, and
-    every history that extends the prefix shares its state objects, so the
-    spec's functions must not mutate their inputs.  The pool's payloads must
-    be in the spec's domain, as ``payload_pool`` makes them: they are not
-    checked."""
-    for g, steps, sink in sweep_walk(pool, max_events, replicas, max_joins, spec):
-        yield Execution(spec, g.graph(Recipe(tuple(steps), replicas), sink), tuple(g.states))
-
-
 def sweep_walk(pool, max_events, replicas, max_joins, spec=None):
     """Walk the prefix tree of canonical recipes depth-first, keeping one
     partial graph ``g`` at the current prefix, and yield ``(g, steps, sink)``
     per recipe in ``enumerate_recipes``'s order.  ``g`` and ``steps`` are live:
-    they hold the recipe until the walk resumes.  No recipe ends on a join, so
-    each leaf but the empty recipe (yielded first) is yielded from the apply
-    loop that pushes its last event, and ``rec`` runs only at inner nodes.  A
-    merge with no unique LCA cuts its branch: no recipe below it builds."""
+    they hold the recipe until the walk resumes, and the recipes below one
+    prefix share its state objects, so the spec's functions must not mutate
+    their inputs.  No recipe ends on a join, so each leaf but the empty recipe
+    (yielded first) is yielded from the apply loop that pushes its last event,
+    and ``rec`` runs only at inner nodes.  A merge with no unique LCA cuts its
+    branch: no recipe below it builds."""
     tables = StepTables(pool, replicas, max_events)
     literals = [p.literals() for p in pool]
     applies = [(r, p, tables.applies[r][p], literals[p])
@@ -385,15 +400,16 @@ def sweep_walk(pool, max_events, replicas, max_joins, spec=None):
             yield from rec(0, n_events, n_joins)
 
 
-def _draw(rng: random.Random, tables: StepTables, max_events: int, max_joins: int,
-          g: _PartialGraph | None = None, event_cap: int | None = None):
+def draw_history(rng: random.Random, tables: StepTables, max_events: int, max_joins: int,
+                 g: _PartialGraph | None = None, event_cap: int | None = None):
     """Draw one random recipe's steps, pushing each onto ``g`` as it is
-    drawn.  Each choice is ``rng.randrange(n)``'s rejection loop
-    on ``getrandbits``, inline; it would never end for ``n < 1``, so an empty
-    choice raises ``ValueError`` instead.  Returns the steps and ``g``, or
-    ``None`` for ``g`` when none was given or the draw is dropped: more than
-    ``event_cap`` events, or a merge with no unique LCA.  A dropped draw
-    still draws all its steps, so the stream moves on as for a kept one."""
+    drawn and then folding its sink; ``g`` must be at its root.  Each choice
+    is ``rng.randrange(n)``'s rejection loop on ``getrandbits``, inline; it
+    would never end for ``n < 1``, so an empty choice raises ``ValueError``
+    instead.  Returns the steps and ``g``, or ``None`` for ``g`` when none
+    was given or the draw is dropped: more than ``event_cap`` events, or a
+    merge with no unique LCA.  A dropped draw still draws all its steps, so
+    the stream moves on as for a kept one."""
     replicas, n_pool = tables.replicas, len(tables.pool)
     if max_events < 1 or max_joins < 0 or replicas < 1 or n_pool < 1:
         raise ValueError("empty range: no event count, replica or payload to draw")
@@ -441,6 +457,11 @@ def _draw(rng: random.Random, tables: StepTables, max_events: int, max_joins: in
                 g.apply(events[ts][r][p])
             ts += 1
         steps.append(step)
+    if g is not None:
+        try:
+            g.sink()
+        except NoUniqueLcaError:
+            g = None
     return tuple(steps), g
 
 
@@ -449,37 +470,15 @@ def random_recipe(rng: random.Random, pool: tuple[OpPayload, ...], max_events: i
     """A random recipe: 1 to ``max_events`` applies on random replicas with
     payloads from ``pool``, and 0 to ``max_joins`` joins at random positions
     (never the last step), drawn as ``rng.randrange`` and ``rng.sample`` draw
-    them.  It is ``draw_execution``'s draw without a graph: for the same
-    ``rng`` state both draw the same steps and leave ``rng`` in one state."""
-    steps, _ = _draw(rng, StepTables(pool, replicas, 0), max_events, max_joins)
+    them.  It is ``draw_history`` without a graph: for the same ``rng``
+    state both draw the same steps and leave ``rng`` in one state."""
+    steps, _ = draw_history(rng, StepTables(pool, replicas, 0), max_events, max_joins)
     return Recipe(steps, replicas)
-
-
-def draw_execution(rng: random.Random, tables: StepTables, spec: RdtSpec, max_events: int,
-                   max_joins: int = 2, event_cap: int | None = None) -> Execution | None:
-    """Draw ``recipe = random_recipe(rng, tables.pool, max_events,
-    tables.replicas, max_joins)`` and return ``execute(spec, build(recipe))``,
-    made in ``_draw``'s one pass onto a new partial graph of ``spec``;
-    ``tables`` must hold events up to ``max_events``.  ``None`` means the draw
-    is dropped: ``recipe`` has more than ``event_cap`` events, or
-    ``build(recipe)`` would raise ``NoUniqueLcaError``.  The pool's payloads
-    must be in the spec's domain, as ``payload_pool`` makes them: they are
-    not checked."""
-    steps, g = _draw(rng, tables, max_events, max_joins,
-                     _PartialGraph(tables.replicas, spec), event_cap)
-    if g is None:
-        return None
-    try:
-        sink = g.sink()
-    except NoUniqueLcaError:
-        return None
-    return Execution(spec, g.graph(Recipe(steps, tables.replicas), sink), tuple(g.states))
 
 
 __all__ = [
     "ApplyOp", "JoinOp", "Step", "Recipe", "RecipeError", "NoUniqueLcaError",
     "VersionGraph", "iter_bits",
     "Execution", "build", "execute", "run_recipe", "diamond",
-    "enumerate_recipes", "enumerate_executions", "sweep_walk", "random_recipe",
-    "StepTables", "draw_execution",
+    "enumerate_recipes", "sweep_walk", "random_recipe", "StepTables", "draw_history",
 ]

@@ -271,8 +271,6 @@ def recipe_from_dict(d: dict, path: str = "recipe") -> Recipe:
     steps: list = []
     for i, sd in enumerate(raw):
         spath = f"{path}.steps[{i}]"
-        if not isinstance(sd, dict):
-            raise ReportFormatError(f"{spath}: expected object")
         stype = _require(sd, "type", str, spath)
         if stype == "apply":
             steps.append(ApplyOp(_require(sd, "replica", int, spath),
@@ -391,6 +389,12 @@ def _require(d: dict, key: str, typ, path: str):
     return val
 
 
+def _count(d: dict, key: str, path: str) -> int:
+    if (val := _require(d, key, int, path)) < 0:
+        raise ReportFormatError(f"{path}.{key}: must be non-negative")
+    return val
+
+
 _PROPERTY_NAMES = {p.value for p in PropertyId}
 _STATUSES = {"pass", "fail", "vacuous"}
 
@@ -433,9 +437,9 @@ def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...]
             f"{path}.edges: {len(edges)} edges, the recipe's graph has {len(want)}")
     _require(d, "lhs", str, path)
     _require(d, "rhs", str, path)
-    _require(d, "shrink_steps", int, path)
-    if "linearizations_tried" in d and not isinstance(d["linearizations_tried"], int):
-        raise ReportFormatError(f"{path}.linearizations_tried: expected int")
+    _count(d, "shrink_steps", path)
+    if "linearizations_tried" in d:
+        _count(d, "linearizations_tried", path)
     if "node" in d and _require(d, "node", int, path) not in range(len(g.nodes)):
         raise ReportFormatError(f"{path}.node: not among node ids")
     if "event" in d:
@@ -456,9 +460,7 @@ def validate_report(d) -> None:
         payload_types = catalog_get(rdt).spec.payload_types
     except KeyError:
         payload_types = None
-    seed = _require(d, "seed", int, "$")
-    if seed < 0:
-        raise ReportFormatError("$.seed: must be non-negative")
+    seed = _count(d, "seed", "$")
     cfg = config_from_dict(_require(d, "config", dict, "$"), "$.config")
     try:
         cfg.validate()
@@ -475,7 +477,7 @@ def validate_report(d) -> None:
         status = _require(v, "status", str, vpath)
         if status not in _STATUSES:
             raise ReportFormatError(f"{vpath}.status: expected one of {sorted(_STATUSES)}")
-        _require(v, "tests", int, vpath)
+        _count(v, "tests", vpath)
         if ("counterexample" in v) != (status == "fail"):
             raise ReportFormatError(f"{vpath}.counterexample: " + (
                 "missing" if status == "fail" else f"present in a {status!r} verdict"))
@@ -493,6 +495,10 @@ def validate_report(d) -> None:
     if "counterexample" in d:
         _validate_counterexample(_require(d, "counterexample", dict, "$"),
                                  "$.counterexample", payload_types)
+        want = next(v["counterexample"] for v in verdicts if v["status"] == "fail")
+        if any(json.dumps(val, sort_keys=True) != json.dumps(want.get(k), sort_keys=True)
+               for k, val in d["counterexample"].items()):  # node and event may be left out
+            raise ReportFormatError("$.counterexample: differs from the first failing verdict's")
 
 
 def parse_report(text: str) -> dict:

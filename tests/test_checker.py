@@ -368,7 +368,7 @@ def test_oracle_scope_redraws_histories_above_the_cap(monkeypatch):
         check = EVALUATORS[p]
 
         def record(spec, ex, *rest):
-            sizes[p].append(len(ex.graph.events))
+            sizes[p].append(len(ex.events))
             return check(spec, ex, *rest)
         return record
 

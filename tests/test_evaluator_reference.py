@@ -40,8 +40,7 @@ def merge_with_lca(spec, lca_state, a, b):
 
 
 def _viol(spec, prop, ex, lhs, rhs, node=None, event=None, tried=None):
-    return Violation(prop, ex.graph.recipe, lhs, rhs,
-                     spec.format_state(lhs), spec.format_state(rhs),
+    return Violation(prop, lhs, rhs, spec.format_state(lhs), spec.format_state(rhs),
                      node, event, tried)
 
 
@@ -161,7 +160,7 @@ def reference_linearization_exists(spec, ex):
     result = linearization_oracle(spec, ex.graph, final)
     if result.witness is None:
         return Violation(
-            PropertyId.LINEARIZATION_EXISTS, ex.graph.recipe, final, None,
+            PropertyId.LINEARIZATION_EXISTS, final, None,
             spec.format_state(final),
             f"no admissible order (tried {result.orders_tried})",
             node=ex.graph.sink, linearizations_tried=result.orders_tried)
@@ -213,10 +212,12 @@ REFERENCE = {
 }
 
 
-def _fields(v: Violation | None):
+def _fields(v: Violation | None, recipe=None):
+    """A violation's fields, with the recipe of the history it was found on
+    (a ``Violation`` does not hold it)."""
     if v is None:
         return None
-    return (v.property, v.recipe, v.node, v.event, v.lhs_str, v.rhs_str,
+    return (v.property, recipe, v.node, v.event, v.lhs_str, v.rhs_str,
             v.linearizations_tried)
 
 
@@ -234,6 +235,7 @@ def reference_sweep(spec, max_events, replicas):
     vacuous = rc_is_vacuous(spec, (1, 2, 3))
     tests = {p: 0 for p in props}
     found = {p: None for p in props}
+    recipes = {}
     shared_at = {}
     live = [p for p in props if not (p is PropertyId.RC_POLICY and vacuous)]
     previous = ()
@@ -244,6 +246,7 @@ def reference_sweep(spec, max_events, replicas):
             tests[p] += 1
             if v is not None:
                 found[p] = v
+                recipes[p] = recipe
                 shared_at[p] = _shared(previous, ex.graph.nodes)
         live = [p for p in live if found[p] is None]
         if not live:
@@ -251,14 +254,23 @@ def reference_sweep(spec, max_events, replicas):
         previous = ex.graph.nodes
     return {p: ("vacuous" if p is PropertyId.RC_POLICY and vacuous
                 else "pass" if found[p] is None else "fail",
-                tests[p], _fields(found[p]), shared_at.get(p))
+                tests[p], _fields(found[p], recipes.get(p)), shared_at.get(p))
             for p in props}
 
 
 def suite_sweep(monkeypatch, spec, max_events, replicas):
     """``run_suite`` held to its sweep (one test per property suffices, so no
-    random phase runs), with the first violation each evaluator returned."""
+    random phase runs), with the first violation each evaluator returned and
+    the recipe ``shrink`` was handed for it: the failing history's."""
     first = {}
+    recipes = {}
+    shrink = checker.shrink
+
+    def recording_shrink(target, prop, recipe, cfg):
+        recipes[prop] = recipe
+        return shrink(target, prop, recipe, cfg)
+
+    monkeypatch.setattr(checker, "shrink", recording_shrink)
     for p, fn in list(EVALUATORS.items()):
         def recording(*args, p=p, fn=fn):
             v = fn(*args)
@@ -269,7 +281,8 @@ def suite_sweep(monkeypatch, spec, max_events, replicas):
     cfg = CheckConfig(tests_per_property=1, max_events=max_events + 1,
                       exhaustive_below=max_events + 1, replica_count=replicas)
     report = run_suite(spec, cfg)
-    return {v.property: (v.status, v.tests, _fields(first.get(v.property)))
+    return {v.property: (v.status, v.tests,
+                         _fields(first.get(v.property), recipes.get(v.property)))
             for v in report.verdicts}
 
 

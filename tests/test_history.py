@@ -11,9 +11,9 @@ from salcheck.catalog import catalog_get, ctr_inc_mrdt, or_set_mrdt, ew_flag_bug
 from salcheck.checker import EVALUATORS, PropertyId
 from salcheck.history import (
     Recipe, ApplyOp, JoinOp, NoUniqueLcaError, RecipeError, StepTables, build, execute,
-    run_recipe, diamond, draw_execution, enumerate_executions, enumerate_recipes,
-    iter_bits, random_recipe,
+    run_recipe, diamond, enumerate_recipes, iter_bits, random_recipe,
 )
+from walkers import draw_execution, enumerate_executions
 
 
 def test_linear_history_three_nodes():

@@ -26,10 +26,10 @@ from salcheck.checker import (
     bottom_up_instances, linearization_oracle,
 )
 from salcheck.history import (
-    NoUniqueLcaError, StepTables, build, draw_execution, enumerate_executions,
-    enumerate_recipes, execute, iter_bits, random_recipe,
+    NoUniqueLcaError, StepTables, build, enumerate_recipes, execute, iter_bits, random_recipe,
 )
 from salcheck.model import Event, RdtSpec, conflicting, is_crdt, rc_empty
+from walkers import draw_execution, enumerate_executions
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 DEEP_SWEEPS = os.environ.get("SALCHECK_DEEP_SWEEPS") == "1"

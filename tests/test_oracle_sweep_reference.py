@@ -21,7 +21,8 @@ from salcheck.checker import (
     ORACLE_EVENT_CAP, OracleScopeError, SweepResult, _as_entry, _check_sweep_bounds,
     linearization_oracle, oracle_sweep,
 )
-from salcheck.history import Recipe, build, enumerate_executions, execute, sweep_walk
+from salcheck.history import Recipe, build, execute, sweep_walk
+from walkers import enumerate_executions
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 DEEP_SWEEPS = os.environ.get("SALCHECK_DEEP_SWEEPS") == "1"

@@ -17,10 +17,11 @@ from salcheck import checker
 from salcheck.catalog import CATALOG, catalog_get, ctr_inc_mrdt, payload_pool
 from salcheck.checker import ORACLE_EVENT_CAP, CheckConfig, PropertyId, run_suite
 from salcheck.history import (
-    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, StepTables, build, draw_execution,
-    execute, random_recipe, run_recipe,
+    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, StepTables, build, execute, random_recipe,
+    run_recipe,
 )
 from salcheck.model import Add, Event, SpecMismatchError
+from walkers import draw_execution
 
 DRAWS = 150
 MAX_DRAWS = 5000  # bound on the search for draws that each drop rule refuses
@@ -131,16 +132,16 @@ def test_recipes_from_outside_still_check_payloads():
 
 
 def test_run_suite_draws_through_the_checker_namespace(monkeypatch):
-    # A tracer wraps checker.draw_execution by name, so run_suite must look
+    # A tracer wraps checker.draw_history by name, so run_suite must look
     # it up there for every random draw.
     calls = []
-    original = checker.draw_execution
+    original = checker.draw_history
 
     def counting(*args):
-        calls.append(args[4])  # the draw's max_joins
+        calls.append(args[3])  # the draw's max_joins
         return original(*args)
 
-    monkeypatch.setattr(checker, "draw_execution", counting)
+    monkeypatch.setattr(checker, "draw_history", counting)
     cfg = CheckConfig(tests_per_property=30, exhaustive_below=1)
     rep = run_suite(ctr_inc_mrdt, cfg, (PropertyId.MERGE_IDEM,))
     assert rep.verdict(PropertyId.MERGE_IDEM).tests == 30

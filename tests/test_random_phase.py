@@ -10,31 +10,47 @@ first violation or when its budget is full.
 The evaluators in ``EVALUATORS`` are wrapped to record the histories they
 check.  With ``exhaustive_below=1`` the sweep is the single empty history,
 so every recorded history after a property's first is a random draw.
+``run_suite`` checks each on the live partial graph of its draw, so
+``checker.draw_history`` is wrapped too, to keep each graph's last recipe.
 """
 
 import random
 
 import pytest
 
+from salcheck import checker
 from salcheck.catalog import CATALOG, catalog_get, payload_pool
 from salcheck.checker import (
     EVALUATORS, ORACLE_EVENT_CAP, CheckConfig, PropertyId, _stream_seed, run_suite,
 )
 from salcheck.history import (
-    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, StepTables, build, draw_execution, random_recipe,
+    ApplyOp, Execution, JoinOp, NoUniqueLcaError, Recipe, StepTables, build, random_recipe,
 )
+from walkers import draw_execution
 
 LIN = PropertyId.LINEARIZATION_EXISTS
 
 
 def record_evaluations(monkeypatch) -> list:
     """Route every evaluator through a recorder; the returned list fills with
-    ``(property, recipe)`` in call order."""
+    ``(property, recipe)`` in call order.  A live graph that no draw made is
+    the sweep's, at its empty history."""
     calls = []
+    drawn = {}  # per partial graph, the recipe of its last kept draw
+    draw = checker.draw_history
+
+    def drawing(rng, tables, *rest):
+        steps, g = draw(rng, tables, *rest)
+        if g is not None:
+            drawn[g] = Recipe(steps, tables.replicas)
+        return steps, g
+
+    monkeypatch.setattr(checker, "draw_history", drawing)
     for p, fn in list(EVALUATORS.items()):
-        def recording(spec, ex, *rest, p=p, fn=fn):
-            calls.append((p, ex.graph.recipe))
-            return fn(spec, ex, *rest)
+        def recording(spec, h, *rest, p=p, fn=fn):
+            recipe = h.graph.recipe if isinstance(h, Execution) else drawn.get(h, Recipe(()))
+            calls.append((p, recipe))
+            return fn(spec, h, *rest)
         monkeypatch.setitem(EVALUATORS, p, recording)
     return calls
 

@@ -13,12 +13,13 @@ import pytest
 
 from salcheck.catalog import CATALOG, payload_pool
 from salcheck.checker import bottom_up_instances
-from salcheck.history import Execution, VersionGraph, enumerate_executions
+from salcheck.history import Execution, VersionGraph
 from salcheck.model import event_label
 from salcheck.report import (
     Panel, RenderEdge, RenderModel, RenderNode, RenderStep, equation_panels, event_from_dict,
     event_to_dict, model_from_execution,
 )
+from walkers import enumerate_executions
 
 
 def previous_graph_edges(g: VersionGraph) -> list[dict]:

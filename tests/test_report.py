@@ -332,6 +332,48 @@ def test_validate_refuses_a_failing_property_without_top_level_counterexample():
         validate_report(d)
 
 
+def _verdict_of(d: dict, prop: PropertyId) -> int:
+    return next(i for i, vd in enumerate(d["verdicts"]) if vd["property"] == prop.value)
+
+
+def test_validate_refuses_a_top_level_counterexample_other_than_the_first_failing_verdicts():
+    d = parse_report(render_json(failing_report()))
+    assert d["property"] == PropertyId.BOTTOM_UP_STEP.value
+    d["counterexample"] = d["verdicts"][_verdict_of(d, PropertyId.LINEARIZATION_EXISTS)][
+        "counterexample"]
+    with pytest.raises(ReportFormatError,
+                       match=r"^\$\.counterexample: differs from the first failing verdict's"):
+        parse_report(json.dumps(d))
+
+
+@pytest.mark.parametrize("value, message", [(True, "expected int"), (-1, "must be non-negative")],
+                         ids=["bool", "negative"])
+def test_validate_refuses_linearizations_tried_other_than_a_count(value, message):
+    d = parse_report(render_json(failing_report()))
+    v = _verdict_of(d, PropertyId.LINEARIZATION_EXISTS)
+    d["verdicts"][v]["counterexample"]["linearizations_tried"] = value
+    with pytest.raises(ReportFormatError, match=rf"^\$\.verdicts\[{v}\]\.counterexample"
+                                                rf"\.linearizations_tried: {message}"):
+        parse_report(json.dumps(d))
+
+
+@EVERY_COUNTEREXAMPLE
+def test_validate_refuses_negative_shrink_steps(where):
+    d = parse_report(render_json(failing_report()))
+    cx, where = _counterexample_at(d, where)
+    cx["shrink_steps"] = -5
+    with pytest.raises(ReportFormatError,
+                       match="^" + re.escape(where) + r"\.shrink_steps: must be non-negative"):
+        parse_report(json.dumps(d))
+
+
+def test_validate_refuses_negative_tests():
+    d = parse_report(render_json(failing_report()))
+    d["verdicts"][0]["tests"] = -7
+    with pytest.raises(ReportFormatError, match=r"^\$\.verdicts\[0\]\.tests: must be non-negative"):
+        parse_report(json.dumps(d))
+
+
 def test_parse_rejects_truncated_json():
     text = render_json(passing_report())[:-20]
     with pytest.raises(ReportFormatError, match=r"\$: not valid JSON"):

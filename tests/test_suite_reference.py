@@ -19,13 +19,15 @@ import random
 
 import pytest
 
-from salcheck.catalog import CATALOG, payload_pool
+from salcheck import checker, history
+from salcheck.catalog import CATALOG, catalog_get, payload_pool
 from salcheck.checker import (
     EVALUATORS, ORACLE_EVENT_CAP, CheckConfig, PropertyId, SuiteReport, Verdict,
     _stream_seed, properties_for, rc_is_vacuous, run_suite, shrink,
 )
-from salcheck.history import StepTables, draw_execution, enumerate_executions
+from salcheck.history import StepTables, sweep_walk
 from salcheck.model import is_crdt
+from walkers import draw_execution, enumerate_executions
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 
@@ -145,3 +147,70 @@ def test_random_phase_agrees_on_dropped_draws(rdt):
     cfg = CheckConfig(tests_per_property=200, exhaustive_below=2, max_events=12,
                       replica_count=3, max_joins=2, seed=7)
     assert_same_suite(entry, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Guards: a passing history builds nothing, and the sweep's first checked node
+# is the first node a history does not share with the previous one.
+
+
+def count_builds(monkeypatch) -> dict:
+    """Count the ``VersionGraph``s (all made by ``_PartialGraph.graph``) and
+    ``Execution``s made inside ``shrink`` and outside it."""
+    made = {"graph": 0, "execution": 0, "graph in shrink": 0, "execution in shrink": 0}
+    inside = []
+    graph, init, shrink_ = history._PartialGraph.graph, history.Execution.__init__, checker.shrink
+
+    def counted(name, fn):
+        def call(*args):
+            made[name + (" in shrink" if inside else "")] += 1
+            return fn(*args)
+        return call
+
+    def shrinking(*args):
+        inside.append(True)
+        try:
+            return shrink_(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(history._PartialGraph, "graph", counted("graph", graph))
+    monkeypatch.setattr(history.Execution, "__init__", counted("execution", init))
+    monkeypatch.setattr(checker, "shrink", shrinking)
+    return made
+
+
+def test_a_passing_suite_builds_no_graph(monkeypatch):
+    made = count_builds(monkeypatch)
+    cfg = CheckConfig(tests_per_property=200, exhaustive_below=3, seed=1)
+    assert run_suite(catalog_get("pn-ctr-mrdt"), cfg).passed()
+    assert made == {"graph": 0, "execution": 0, "graph in shrink": 0, "execution in shrink": 0}
+
+
+def test_a_failing_history_is_built_only_by_shrink(monkeypatch):
+    # run_suite hands shrink the failing history's recipe; shrink builds and
+    # executes it and its reductions.  No checked history is built outside.
+    made = count_builds(monkeypatch)
+    report = run_suite(catalog_get("ew-flag-buggy"), CheckConfig(seed=42))
+    failing = [v for v in report.verdicts if v.status == "fail"]
+    assert len(failing) == 2
+    assert made["graph"] == made["execution"] == 0
+    assert made["graph in shrink"] >= len(failing) and made["execution in shrink"] >= len(failing)
+
+
+@pytest.mark.parametrize("replicas, max_joins", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.id)
+def test_sweep_starts_at_the_first_unshared_node(entry, replicas, max_joins):
+    # The walk's start: the low-water mark of restore, extended over nodes
+    # the walk pushed back equal to the ones it cut.  It must never pass a
+    # node that changed, and it checks no shared node again.
+    max_events = 4 if replicas == 2 else 3
+    previous, extended = (), 0
+    for g, _, _ in sweep_walk(payload_pool(entry.spec), max_events, replicas, max_joins,
+                              entry.spec):
+        low, start = g.low, g.unchecked()
+        assert start == _shared_prefix(previous, tuple(g.nodes))
+        extended += start > low and bool(previous)
+        previous = tuple(g.nodes)
+    if entry.id == "ctr-inc-mrdt":
+        assert extended  # each size restarts at the root: equal nodes come back

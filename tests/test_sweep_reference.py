@@ -13,10 +13,10 @@ import pytest
 from salcheck.catalog import CATALOG, ctr_inc_mrdt, payload_pool
 from salcheck.checker import linearization_oracle
 from salcheck.history import (
-    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, build, enumerate_executions,
-    enumerate_recipes, execute,
+    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, build, enumerate_recipes, execute,
 )
 from salcheck.model import Add, Delete, Insert, MapSet, Rem, Write
+from walkers import enumerate_executions
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 
