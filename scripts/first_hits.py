@@ -46,7 +46,7 @@ def main() -> int:
         print(f"error: unknown catalog entry {args.rdt!r}", file=sys.stderr)
         return 2
     try:
-        props = _parse_props(args.props)
+        props = _parse_props(args.props, entry)
         CheckConfig(exhaustive_below=args.exhaustive_below,
                     tests_per_property=args.tests).validate()
     except (UsageError, ValueError) as exc:

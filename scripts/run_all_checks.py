@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the full property suite over every catalog entry and print a table.
 
-Exit status is 1 if any entry other than a known-buggy one fails, so the
-script doubles as a coarse regression gate.  Known-buggy entries are expected
-to fail and are reported as such.
+Exit status is 1 if any entry other than a known-buggy one fails, or if a
+known-buggy entry passes every property, so the script doubles as a coarse
+regression gate.  Known-buggy entries are expected to fail and are reported
+as such.
 """
 
 import argparse
@@ -25,7 +26,7 @@ def main() -> int:
                       max_events=args.max_events,
                       exhaustive_below=min(5, args.max_events))
     width = max(len(e.id) for e in CATALOG)
-    unexpected = []
+    unexpected, missing = [], []
     print(f"{'entry':<{width}}  {'kind':<4}  result")
     print("-" * (width + 40))
     for entry in sorted(CATALOG, key=lambda e: e.id):
@@ -35,6 +36,8 @@ def main() -> int:
         failing = report.first_failure()
         if failing is None:
             result = "all properties pass"
+            if entry.known_buggy:
+                missing.append(entry.id)
         else:
             names = ", ".join(v.property.value for v in report.verdicts
                               if v.status == "fail")
@@ -45,8 +48,9 @@ def main() -> int:
         print(f"{entry.id:<{width}}  {entry.kind:<4}  {result}  [{elapsed:.1f}s]")
     if unexpected:
         print(f"\nunexpected failures: {', '.join(unexpected)}", file=sys.stderr)
-        return 1
-    return 0
+    for rdt_id in missing:
+        print(f"expected failure not found: {rdt_id}", file=sys.stderr)
+    return 1 if unexpected or missing else 0
 
 
 if __name__ == "__main__":

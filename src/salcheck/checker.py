@@ -212,9 +212,9 @@ class OracleResult:
 def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
     """Search every admissible total order for one that explains ``target``,
     the sink state (``None``: execute ``graph`` to get it).  Only ``graph``'s
-    ``events``, ``event_masks`` and ``event_nodes`` are read, so ``graph`` may
-    also be the sweep walk's live partial graph, which cannot be executed:
-    a ``target`` must then be passed.
+    ``events`` and ``past`` are read, so ``graph`` may also be the sweep
+    walk's live partial graph, which cannot be executed: a ``target`` must
+    then be passed.
 
     Admissible orders extend happens-before; additionally, a conflicting
     concurrent pair may only appear in the direction the conflict relation
@@ -229,11 +229,15 @@ def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
     admissible order was tried and none matched.
 
     The search is a depth-first walk that fills the order from its last
-    position back, trying the frontier's events lowest index first.  For a
-    conflict-free spec (``rc`` is ``rc_empty``) no candidate is ever pruned,
-    so the walk's first complete order depends on happens-before alone; it
-    is memoized per happens-before shape (``_first_order``) and replayed
-    before any search, which resumes at the second order only if it fails.
+    position back, trying the frontier's allowed events lowest index first.
+    Its first complete order takes the first allowed event at every position,
+    so it is computed directly (``_greedy_order``) and replayed before any
+    search, which then resumes at the second order only if the replay
+    misses.  For a conflict-free spec (``rc`` is ``rc_empty``) no candidate
+    is ever pruned, so that order depends on happens-before alone and is
+    memoized per happens-before shape (``_first_order``).  When some
+    position has no allowed event, the walk backtracks before its first
+    complete order, and the search runs from the start.
     """
     events = graph.events
     n = len(events)
@@ -247,14 +251,15 @@ def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
         return OracleResult(() if spec.initial == target else None, 1)
     # past[i]: the events that happen before events[i].  Timestamps extend
     # happens-before, so past[i] holds only indices below i.
-    masks, nodes = graph.event_masks, graph.event_nodes
-    past = tuple([masks[nodes[i]] & ~(1 << i) for i in range(n)])
+    past = tuple(graph.past)
     rc = None if spec.rc is rc_empty else spec.rc
     if rc is None:
         first = _first_order(past)
-        if _replays_to(spec, events, past, first, target):
-            return OracleResult(tuple([events[i] for i in first]), 1)
-    order, tried = _search(spec, events, past, target, rc, 1 if rc is None else 0)
+    else:
+        first = _greedy_order(_later(past), [ev.op for ev in events], rc)
+    if first is not None and _replays_to(spec, events, past, first, target):
+        return OracleResult(tuple([events[i] for i in first]), 1)
+    order, tried = _search(spec, events, past, target, rc, 0 if first is None else 1)
     return OracleResult(None if order is None else tuple([events[i] for i in order]), tried)
 
 
@@ -278,30 +283,59 @@ def _replays_to(spec: RdtSpec, events, past: tuple[int, ...], order, target) -> 
     return s == target
 
 
-def _later(past: tuple[int, ...]) -> list[int]:
+@functools.lru_cache(maxsize=1024)
+def _later(past: tuple[int, ...]) -> tuple[int, ...]:
     """later[j]: the events that happen after events[j]."""
     later = [0] * len(past)
     for i, before in enumerate(past):
         for j in iter_bits(before):
             later[j] |= 1 << i
-    return later
+    return tuple(later)
+
+
+def _allowed(remaining: int, later, ops, rc) -> list[int]:
+    """The events that may take the last of the positions the events in
+    ``remaining`` fill, lowest index first: those that no remaining event
+    happens after, less any that must precede (per ``rc``) another of them."""
+    frontier = []
+    m = remaining
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        if not later[i] & remaining:
+            frontier.append(i)
+        m ^= low
+    if rc is None or len(frontier) < 2:
+        return frontier
+    allowed = []
+    for i in frontier:
+        op = ops[i]
+        for j in frontier:
+            if j != i and rc(op, ops[j]):
+                break
+        else:
+            allowed.append(i)
+    return allowed
+
+
+def _greedy_order(later, ops, rc) -> tuple[int, ...] | None:
+    """The search's first complete order: each position, from the last back,
+    takes the first of its ``_allowed`` events; ``None`` where one has none."""
+    remaining = (1 << len(later)) - 1
+    order = []
+    while remaining:
+        allowed = _allowed(remaining, later, ops, rc)
+        if not allowed:
+            return None
+        order.append(allowed[0])
+        remaining ^= 1 << allowed[0]
+    return tuple(reversed(order))
 
 
 @functools.lru_cache(maxsize=1024)
 def _first_order(past: tuple[int, ...]) -> tuple[int, ...]:
-    """The search's first complete order when ``rc`` prunes nothing: each
-    position, from the last back, takes the lowest-index event that no
-    remaining event happens after."""
-    later = _later(past)
-    remaining = (1 << len(past)) - 1
-    order = []
-    while remaining:
-        i = 0
-        while not remaining >> i & 1 or later[i] & remaining:
-            i += 1
-        order.append(i)
-        remaining ^= 1 << i
-    return tuple(reversed(order))
+    """``_greedy_order`` when ``rc`` prunes nothing, by happens-before shape."""
+    return _greedy_order(_later(past), None, None)
 
 
 def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int):
@@ -313,35 +347,14 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
     later = _later(past)
     ops = [ev.op for ev in events]
     order = [0] * n  # filled from position n - 1 down to 0
-    cands: list[list[int]] = [[]] * n  # per position, its admissible events
+    cands: list[list[int]] = [[]] * n  # per position, its allowed events
     at = [-1] * n  # per position, the next candidate to try; -1: not listed yet
     tried = 0
     remaining = (1 << n) - 1  # the events at positions 0..pos
     pos = n - 1
     while True:
         if at[pos] < 0:
-            # The frontier: remaining events that no remaining event follows.
-            frontier = []
-            m = remaining
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                if not later[i] & remaining:
-                    frontier.append(i)
-                m ^= low
-            if rc is not None and len(frontier) > 1:
-                # events[i] may not be ordered last while a concurrent event
-                # it must precede (per rc) is still on the frontier.
-                allowed = []
-                for i in frontier:
-                    op = ops[i]
-                    for j in frontier:
-                        if j != i and rc(op, ops[j]):
-                            break
-                    else:
-                        allowed.append(i)
-                frontier = allowed
-            cands[pos] = frontier
+            cands[pos] = _allowed(remaining, later, ops, rc)
             at[pos] = 0
         k = at[pos]
         if k == len(cands[pos]):  # exhausted: undo the choice one position up
@@ -671,12 +684,14 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
 # Shrinking.
 
 
-def _fails(spec: RdtSpec, prop: PropertyId, recipe: Recipe) -> Violation | None:
+def _fails(spec: RdtSpec, prop: PropertyId, recipe: Recipe) -> tuple[Execution, Violation] | None:
+    """``(execution, violation)`` when ``recipe`` fails ``prop``, else ``None``."""
     try:
         ex = execute(spec, build(recipe))
     except Exception:
         return None  # a reduction that breaks the recipe is not a failure
-    return EVALUATORS[prop](spec, ex)
+    v = EVALUATORS[prop](spec, ex)
+    return None if v is None else (ex, v)
 
 
 def _reductions(recipe: Recipe):
@@ -700,10 +715,10 @@ def shrink(target: CatalogEntry | RdtSpec, prop: PropertyId, recipe: Recipe,
     literals; each candidate is re-executed and must still fail the same
     property.  Stops at a local minimum or when the budget runs out."""
     spec = _as_entry(target).spec
-    first = _fails(spec, prop, recipe)
-    if first is None:
+    failing = _fails(spec, prop, recipe)
+    if failing is None:
         raise ValueError("shrink called on a recipe that does not fail the property")
-    current, current_viol = recipe, first
+    current, (shrunk, violation) = recipe, failing  # shrunk: execute(spec, build(current))
     budget = cfg.shrink_budget
     steps_taken = 0
     minimal = False
@@ -714,17 +729,15 @@ def shrink(target: CatalogEntry | RdtSpec, prop: PropertyId, recipe: Recipe,
             if budget <= 0:
                 break
             budget -= 1
-            v = _fails(spec, prop, candidate)
-            if v is not None:
-                current, current_viol = candidate, v
+            found = _fails(spec, prop, candidate)
+            if found is not None:
+                current, (shrunk, violation) = candidate, found
                 steps_taken += 1
                 improved = True
                 break
         else:
             minimal = True
-    shrunk = execute(spec, build(current))
-    assert EVALUATORS[prop](spec, shrunk) is not None, "shrunk counterexample must re-fail"
-    return CounterexampleReport(shrunk, steps_taken, minimal, current_viol)
+    return CounterexampleReport(shrunk, steps_taken, minimal, violation)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 from .catalog import CATALOG, catalog_get
 from .checker import (
     BoundError, CheckConfig, EVALUATORS, ORACLE_EVENT_CAP, OracleScopeError, PropertyId,
-    bottom_up_instances, oracle_sweep, run_suite,
+    bottom_up_instances, oracle_sweep, properties_for, run_suite,
 )
 from .history import Recipe, ApplyOp, JoinOp, run_recipe
 from .model import Add, Dec, Delete, Disable, Enable, Inc, Insert, MapSet, Rem, Write
@@ -55,10 +55,12 @@ def _given_seed(value: int | None) -> int | None:
     return None
 
 
-def _parse_props(raw: str | None) -> tuple[PropertyId, ...] | None:
+def _parse_props(raw: str | None, entry) -> tuple[PropertyId, ...] | None:
+    """The properties named in ``--props``; each must apply to ``entry``'s kind."""
     if raw is None:
         return None
     by_name = {p.value: p for p in PropertyId}
+    applicable = properties_for(entry.spec)
     props = []
     for name in raw.split(","):
         name = name.strip()
@@ -67,6 +69,10 @@ def _parse_props(raw: str | None) -> tuple[PropertyId, ...] | None:
             raise UsageError(f"unknown property {name!r}; valid: {valid}")
         if by_name[name] in props:
             raise UsageError(f"property {name} listed twice")
+        if by_name[name] not in applicable:
+            names = ", ".join(p.value for p in applicable)
+            raise UsageError(f"property {name} does not apply to {entry.id} ({entry.kind}); "
+                             f"applicable: {names}")
         props.append(by_name[name])
     if not props:
         raise UsageError("--props given but empty")
@@ -93,7 +99,7 @@ def cmd_list(args) -> int:
 def cmd_check(args) -> int:
     entry = _entry(args.rdt)
     seed = _given_seed(args.seed)
-    props = _parse_props(args.props)
+    props = _parse_props(args.props, entry)
     cfg = CheckConfig(
         tests_per_property=args.tests,
         seed=random.SystemRandom().randrange(2**32) if seed is None else seed,

@@ -19,8 +19,10 @@ them in timestamp order, and the event with timestamp ``t`` sits at index
 ``t - 1``.  Every node carries an int bitmask of its history: bit ``i`` is set
 when ``events[i]`` is the node's own event or an ancestor's: ``events[i]``
 happens before ``events[j]`` when bit ``i`` of the mask of ``events[j]``'s
-node (``event_nodes[j]``) is set.  The linearization oracle and the peel
-check read happens-before from the masks directly.
+node (``event_nodes[j]``) is set.  ``past[j]``, the mask of the node's
+parent, holds the events that happen before ``events[j]``.  The peel check
+reads happens-before from the masks, and the linearization oracle from
+``past``.
 
 The fold and LCA rules live in ``_PartialGraph`` alone.  ``build`` pushes a
 whole recipe onto one, and ``execute`` computes the states of a finished
@@ -112,6 +114,7 @@ class VersionGraph:
     events: tuple[Event, ...]  # timestamp order: the event with ts t is events[t - 1]
     event_nodes: tuple[int, ...]  # per event index, the apply node holding it
     event_masks: tuple[int, ...]  # per node, bit i set when events[i] is in its history
+    past: tuple[int, ...]  # per event index, bit i set when events[i] happens before it
 
     def kind(self, n: int) -> str:
         return self.nodes[n][0]
@@ -159,6 +162,7 @@ class _PartialGraph:
         self.events: list[Event] = []
         self.event_nodes: list[int] = []
         self.event_masks: list[int] = [0]
+        self.past: list[int] = []
         self.states: list = [] if spec is None else [spec.initial]
         self.heads = [0] * replicas
         self.spec_apply = None if spec is None else spec.apply
@@ -172,7 +176,9 @@ class _PartialGraph:
         n = len(self.nodes)
         self.nodes.append(("apply", parent, ev))
         self.ancestors.append(self.ancestors[parent] | 1 << n)
-        self.event_masks.append(self.event_masks[parent] | 1 << len(self.events))
+        before = self.event_masks[parent]
+        self.event_masks.append(before | 1 << len(self.events))
+        self.past.append(before)
         if self.spec_apply is not None:
             self.states.append(self.spec_apply(self.states[parent], ev))
         self.events.append(ev)
@@ -225,6 +231,7 @@ class _PartialGraph:
             self.low = n_nodes
         del self.nodes[n_nodes:], self.ancestors[n_nodes:], self.event_masks[n_nodes:]
         del self.states[n_nodes:], self.events[n_events:], self.event_nodes[n_events:]
+        del self.past[n_events:]
         self.heads[:] = heads
 
     def unchecked(self) -> int:
@@ -240,7 +247,7 @@ class _PartialGraph:
 
     def graph(self, recipe: Recipe, sink: int) -> VersionGraph:
         return VersionGraph(recipe, tuple(self.nodes), sink, tuple(self.events),
-                            tuple(self.event_nodes), tuple(self.event_masks))
+                            tuple(self.event_nodes), tuple(self.event_masks), tuple(self.past))
 
 
 def build(recipe: Recipe) -> VersionGraph:
@@ -279,6 +286,7 @@ class Execution:
     events = property(lambda self: self.graph.events)
     event_nodes = property(lambda self: self.graph.event_nodes)
     event_masks = property(lambda self: self.graph.event_masks)
+    past = property(lambda self: self.graph.past)
     merge_nodes = property(lambda self: self.graph.merge_nodes)
 
     def sink_state(self):

@@ -400,6 +400,30 @@ def test_shrunk_counterexample_marked_minimal():
     assert ce.shrunk.graph.recipe.event_count() <= recipe.event_count()
 
 
+def test_shrink_builds_each_recipe_once(monkeypatch):
+    # One build for the recipe handed in and one per candidate tried: the
+    # shrunk history is the last failing candidate's execution, not rebuilt.
+    from salcheck import checker
+    calls = {"build": 0, "candidates": 0}
+    build_, reductions_ = checker.build, checker._reductions
+
+    def counted_build(recipe):
+        calls["build"] += 1
+        return build_(recipe)
+
+    def counted_reductions(recipe):
+        for candidate in reductions_(recipe):
+            calls["candidates"] += 1
+            yield candidate
+
+    monkeypatch.setattr(checker, "build", counted_build)
+    monkeypatch.setattr(checker, "_reductions", counted_reductions)
+    report = run_suite(catalog_get("ew-flag-buggy"), CheckConfig(seed=42))
+    failing = [v for v in report.verdicts if v.status == "fail"]
+    assert failing and all(v.counterexample.minimal for v in failing)  # no budget cut a pass short
+    assert calls["build"] == calls["candidates"] + len(failing)
+
+
 def test_unlinearizable_counterexample_reports_orders_tried():
     ce = buggy_default_suite().verdict(PropertyId.LINEARIZATION_EXISTS).counterexample
     assert ce is not None

@@ -131,6 +131,20 @@ def test_check_duplicated_property_is_a_usage_error(capsys, in_tmp):
     assert "MergeIdem" not in out
 
 
+@pytest.mark.parametrize("rdt, prop", [("ctr-inc-mrdt", "LatticeAssoc"),
+                                       ("ctr-inc-crdt", "MergeWithLca")])
+def test_check_refuses_a_property_the_kind_does_not_have(capsys, in_tmp, rdt, prop):
+    # Exit 1 is kept for a replayed counterexample: an MRDT has no merge2 to
+    # check, and a CRDT's merge ignores the ancestor MergeWithLca is about.
+    assert main(["check", rdt, "--seed", "1", "--props", prop]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: property {prop} does not apply to {rdt}")
+    applicable = err.split("applicable: ")[1].strip().split(", ")
+    assert prop not in applicable and "MergeIdem" in applicable
+    assert not list(in_tmp.glob("*.json"))
+
+
 def test_check_seed_from_environment(capsys, in_tmp, monkeypatch):
     args = ["check", "g-set-mrdt", "--tests", "10", "--props", "MergeIdem"]
     monkeypatch.setenv("SALCHECK_SEED", "13")

@@ -11,6 +11,12 @@ none of the event index that the checked code reads.
 replaced, kept verbatim.  The current one must try the same orders in the
 same sequence, so the two agree on the witness, on ``orders_tried`` and on
 every ``apply`` and ``replay_apply`` call.
+
+``dfs_first_leaf`` is that DFS cut at its first complete order: the order
+that ``_greedy_order`` computes without a search, and ``None`` exactly when
+the DFS backtracks before it.  Those tests also check the ``past`` masks
+that the graphs carry, on every ``VersionGraph`` and on the live partial
+graph after each cut back.
 """
 
 import dataclasses
@@ -21,12 +27,14 @@ import sys
 import pytest
 
 from salcheck.catalog import CATALOG, payload_pool
+from salcheck import checker
 from salcheck.checker import (
     ORACLE_EVENT_CAP, BottomUpInstance, OracleResult, OracleScopeError, _first_order,
-    bottom_up_instances, linearization_oracle,
+    _greedy_order, _later, bottom_up_instances, linearization_oracle,
 )
 from salcheck.history import (
-    NoUniqueLcaError, StepTables, build, enumerate_recipes, execute, iter_bits, random_recipe,
+    NoUniqueLcaError, Recipe, StepTables, _PartialGraph, build, draw_history, enumerate_recipes,
+    execute, iter_bits, random_recipe, sweep_walk,
 )
 from salcheck.model import Event, RdtSpec, conflicting, is_crdt, rc_empty
 from walkers import draw_execution, enumerate_executions
@@ -462,3 +470,155 @@ def test_first_order_memo_stays_within_its_bound():
         assert sorted(order) == list(range(ORACLE_EVENT_CAP))
     info = _first_order.cache_info()
     assert info.currsize <= bound
+
+
+# ---------------------------------------------------------------------------
+# The greedy first order against the DFS's first leaf, and the graphs' past.
+
+
+def dfs_first_leaf(spec: RdtSpec, graph) -> tuple[tuple[int, ...] | None, bool]:
+    """``previous_oracle``'s DFS, stopped at its first complete order: that
+    order as event indices (``None`` if it has none), and whether the DFS
+    backtracked before reaching it.  Happens-before comes from the node masks."""
+    n = len(graph.events)
+    past = [graph.event_masks[node] & ~(1 << i) for i, node in enumerate(graph.event_nodes)]
+    later = [sum(1 << i for i in range(n) if past[i] >> j & 1) for j in range(n)]
+    ops = [ev.op for ev in graph.events]
+    backtracked = False
+
+    def dfs(remaining: int, suffix: tuple[int, ...]):
+        nonlocal backtracked
+        if not remaining:
+            return suffix
+        frontier = [i for i in range(n) if remaining >> i & 1 and not later[i] & remaining]
+        for i in frontier:
+            if any(j != i and spec.rc(ops[i], ops[j]) for j in frontier):
+                continue
+            found = dfs(remaining & ~(1 << i), suffix + (i,))
+            if found is not None:
+                return found
+        backtracked = True
+        return None
+
+    suffix = dfs((1 << n) - 1, ())
+    return (None if suffix is None else tuple(reversed(suffix))), backtracked
+
+
+def assert_past(graph) -> None:
+    """``graph.past[i]`` is the mask of ``events[i]``'s node without ``i``."""
+    assert list(graph.past) == [graph.event_masks[node] & ~(1 << i)
+                                for i, node in enumerate(graph.event_nodes)]
+
+
+def assert_greedy_is_first_leaf(spec: RdtSpec, graph) -> None:
+    assert_past(graph)
+    past = tuple(graph.past)
+    leaf, backtracked = dfs_first_leaf(spec, graph)
+    got = _greedy_order(_later(past), [ev.op for ev in graph.events], spec.rc)
+    assert got == (None if backtracked else leaf), graph.events
+    if spec.rc is rc_empty:
+        assert _first_order(past) == got
+
+
+def check_sweep(spec: RdtSpec, max_events: int, replicas: int = 2, max_joins: int = 1) -> int:
+    """Check every history of the sweep, on the live graph (cut back between
+    histories) and on its ``VersionGraph``; returns how many there were."""
+    histories = 0
+    for g, steps, sink in sweep_walk(payload_pool(spec), max_events, replicas, max_joins, spec):
+        assert_greedy_is_first_leaf(spec, g)
+        assert_past(g.graph(Recipe(tuple(steps), replicas), sink))
+        histories += 1
+    return histories
+
+
+@pytest.mark.parametrize("entry", _sweep_params(LARGE_ALPHABET))
+def test_greedy_order_is_the_first_leaf_on_five_event_sweep(entry):
+    assert check_sweep(entry.spec, 5)
+
+
+@pytest.mark.parametrize("entry", _sweep_params(LARGE_ALPHABET))
+def test_greedy_order_is_the_first_leaf_on_three_replica_sweep(entry):
+    assert check_sweep(entry.spec, 4, replicas=3, max_joins=2)
+
+
+@pytest.mark.parametrize("replicas", [2, 3])
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.id)
+def test_greedy_order_is_the_first_leaf_on_random_histories(entry, replicas):
+    # Drawn as run_suite draws: onto one partial graph, cut back to its root
+    # before each draw.
+    rng = random.Random(f"greedy:{entry.id}:{replicas}")
+    tables = StepTables(payload_pool(entry.spec), replicas, ORACLE_EVENT_CAP - 1)
+    g = _PartialGraph(replicas, entry.spec)
+    root = g.mark()
+    checked = 0
+    while checked < 150:
+        g.restore(root)
+        assert g.past == []
+        _, drawn = draw_history(rng, tables, ORACLE_EVENT_CAP - 1, 3, g)
+        if drawn is not None:
+            assert_greedy_is_first_leaf(entry.spec, g)
+            checked += 1
+
+
+def test_restore_cuts_past_back_with_the_events():
+    spec = next(e for e in CATALOG if e.id == "ew-flag-fixed").spec
+    tables = StepTables(payload_pool(spec), 2, 3)
+    g = _PartialGraph(2, spec)
+    g.apply(tables.events[0][0][0])
+    mark = g.mark()
+    g.apply(tables.events[1][1][1])
+    g.join(tables.joins[0][0])
+    g.apply(tables.events[2][0][0])
+    assert g.past == [0, 0, 0b11]
+    g.restore(mark)
+    assert g.past == [0] and len(g.events) == 1
+
+
+def _skips(monkeypatch) -> list[int]:
+    """Record the ``skip`` of every ``_search`` the oracle runs."""
+    skips = []
+    search = checker._search
+
+    def recorded(*args):
+        skips.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(checker, "_search", recorded)
+    return skips
+
+
+@pytest.mark.parametrize("rid", ["pn-ctr-mrdt", "ew-flag-fixed", "mv-reg-crdt"])
+def test_an_rc_that_forbids_every_candidate_searches_from_the_start(rid, monkeypatch):
+    # No event may be ordered last beside another on the frontier, so every
+    # history with two concurrent maximal events has no greedy order: the
+    # search runs with skip=0, as the DFS does.
+    spec = dataclasses.replace(next(e for e in CATALOG if e.id == rid).spec,
+                               rc=lambda a, b: True)
+    skips = _skips(monkeypatch)
+    counting = CountingSpec(spec)
+    dead_ends = 0
+    for ex in enumerate_executions(spec, payload_pool(spec), 4):
+        assert_greedy_is_first_leaf(spec, ex.graph)
+        dead_ends += dfs_first_leaf(spec, ex.graph)[1]
+        assert_same_search(counting, ex.graph, ex.sink_state())
+    assert dead_ends and 0 in skips
+
+
+def test_random_rc_relations_agree_with_the_dfs(monkeypatch):
+    # Seeded relations over the payloads.  Some greedy orders hit a dead end
+    # that the DFS backtracks out of to a later leaf, which must be replayed.
+    base = next(e for e in CATALOG if e.id == "mv-reg-mrdt").spec
+    pool = payload_pool(base)
+    skips = _skips(monkeypatch)
+    later_leaves = 0
+    for seed in range(4):
+        rng = random.Random(f"rc:{seed}")
+        pairs = frozenset((a, b) for a in pool for b in pool if rng.random() < 0.4)
+        spec = dataclasses.replace(base, rc=lambda a, b, pairs=pairs: (a, b) in pairs)
+        counting = CountingSpec(spec)
+        for ex in enumerate_executions(spec, pool, 4):
+            assert_greedy_is_first_leaf(spec, ex.graph)
+            leaf, backtracked = dfs_first_leaf(spec, ex.graph)
+            later_leaves += backtracked and leaf is not None
+            assert_same_search(counting, ex.graph, ex.sink_state())
+    assert later_leaves and 0 in skips and 1 in skips
