@@ -33,6 +33,11 @@ root between draws.  A draw whose merge has no unique LCA is
 redrawn, and so is a draw above ``ORACLE_EVENT_CAP`` events for
 ``LinearizationExists``; neither counts as a test.  Only a property's first
 failing history becomes a ``Recipe``, which ``shrink`` builds and executes.
+
+``oracle_sweep`` (``salcheck oracle``) runs ``LinearizationExists`` alone over
+the sweep.  It replays each history's events in timestamp order first, keeping
+the replay of each prefix along the walk, and runs the linearization oracle
+only where that order is inadmissible under ``rc`` or misses the sink state.
 """
 
 from __future__ import annotations
@@ -234,8 +239,9 @@ def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
     so it is computed directly (``_greedy_order``) and replayed before any
     search, which then resumes at the second order only if the replay
     misses.  For a conflict-free spec (``rc`` is ``rc_empty``) no candidate
-    is ever pruned, so that order depends on happens-before alone and is
-    memoized per happens-before shape (``_first_order``).  When some
+    is ever pruned, so that order depends on happens-before alone.  It is
+    memoized per happens-before shape in the oracle's one bounded memo
+    (``_shape``), which also holds the ``later`` masks the search reads.  When some
     position has no allowed event, the walk backtracks before its first
     complete order, and the search runs from the start.
     """
@@ -257,7 +263,7 @@ def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
         first = _first_order(past)
     else:
         first = _greedy_order(_later(past), [ev.op for ev in events], rc)
-    if first is not None and _replays_to(spec, events, past, first, target):
+    if first is not None and _replay(spec, spec.initial, events, past, first) == target:
         return OracleResult(tuple([events[i] for i in first]), 1)
     order, tried = _search(spec, events, past, target, rc, 0 if first is None else 1)
     return OracleResult(None if order is None else tuple([events[i] for i in order]), tried)
@@ -269,9 +275,10 @@ _OBSERVED = tuple(frozenset(j + 1 for j in iter_bits(mask))
                   for mask in range(1 << (ORACLE_EVENT_CAP - 1)))
 
 
-def _replays_to(spec: RdtSpec, events, past: tuple[int, ...], order, target) -> bool:
-    """Whether replaying the events at ``order`` from the initial state reaches ``target``."""
-    s = spec.initial
+def _replay(spec: RdtSpec, s, events, past, order):
+    """The state that replaying the events at ``order`` from ``s`` reaches:
+    each event through ``replay_apply`` with the timestamps it observed, or
+    through ``apply`` when the spec declares no ``replay_apply``."""
     replay = spec.replay_apply
     if replay is None:
         apply = spec.apply
@@ -280,17 +287,7 @@ def _replays_to(spec: RdtSpec, events, past: tuple[int, ...], order, target) -> 
     else:
         for i in order:
             s = replay(s, events[i], _OBSERVED[past[i]])
-    return s == target
-
-
-@functools.lru_cache(maxsize=1024)
-def _later(past: tuple[int, ...]) -> tuple[int, ...]:
-    """later[j]: the events that happen after events[j]."""
-    later = [0] * len(past)
-    for i, before in enumerate(past):
-        for j in iter_bits(before):
-            later[j] |= 1 << i
-    return tuple(later)
+    return s
 
 
 def _allowed(remaining: int, later, ops, rc) -> list[int]:
@@ -333,9 +330,25 @@ def _greedy_order(later, ops, rc) -> tuple[int, ...] | None:
 
 
 @functools.lru_cache(maxsize=1024)
+def _shape(past: tuple[int, ...], conflict_free: bool) -> tuple[int, ...]:
+    """The oracle's one memo, per happens-before shape and kind of spec: the
+    first order (``_greedy_order`` when ``rc`` prunes nothing) for a
+    conflict-free spec, else ``later``.  A shape holds only what its callers
+    read: a spec with an ``rc`` never reads the first order, and a
+    conflict-free spec reads ``later`` only when that order misses."""
+    later = [0] * len(past)  # later[j]: the events that happen after events[j]
+    for i, before in enumerate(past):
+        for j in iter_bits(before):
+            later[j] |= 1 << i
+    return _greedy_order(later, None, None) if conflict_free else tuple(later)
+
+
 def _first_order(past: tuple[int, ...]) -> tuple[int, ...]:
-    """``_greedy_order`` when ``rc`` prunes nothing, by happens-before shape."""
-    return _greedy_order(_later(past), None, None)
+    return _shape(past, True)
+
+
+def _later(past: tuple[int, ...]) -> tuple[int, ...]:
+    return _shape(past, False)
 
 
 def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int):
@@ -371,7 +384,7 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
             at[pos] = -1
         else:
             tried += 1
-            if tried > skip and _replays_to(spec, events, past, order, target):
+            if tried > skip and _replay(spec, spec.initial, events, past, order) == target:
                 return order, tried
 
 
@@ -755,19 +768,85 @@ class SweepResult:
         return self.failure is None
 
 
+class _TimestampReplay:
+    """The replay of a sweep history's events in timestamp order, kept per
+    prefix from one history of the walk to the next.
+
+    Timestamps extend happens-before, so that order is a linear extension;
+    for a spec with an ``rc`` it is admissible when each event ``k`` may take
+    the last position among events ``0..k`` (``_allowed``).  ``events`` and
+    ``past`` hold the replayed prefix, and ``states[k]`` the replay of its
+    first ``k`` events.  The prefix is cut back to the first event that the
+    next history does not share: a different ``Event`` object (the walk takes
+    every event from one ``StepTables``) or a different ``past``.  So each new
+    event costs one ``apply`` or ``replay_apply``.  An inadmissible prefix
+    stays so for every extension: its last state is ``None``.  (A spec whose
+    state is ``None`` only sends those histories on to the oracle.)
+    """
+
+    def __init__(self, spec: RdtSpec):
+        self.spec = spec
+        self.rc = None if spec.rc is rc_empty else spec.rc
+        self.events: list[Event] = []
+        self.past: list[int] = []
+        self.states: list = [spec.initial]
+
+    def reaches(self, g, target) -> bool:
+        """Whether ``g``'s events, replayed in timestamp order, form an
+        admissible order that reaches ``target``."""
+        events, past = g.events, g.past
+        kept, kept_past, states = self.events, self.past, self.states
+        i, stop = 0, min(len(kept), len(events))
+        while i < stop and kept[i] is events[i] and kept_past[i] == past[i]:
+            i += 1
+        del kept[i:], kept_past[i:], states[i + 1:]
+        s = states[i]
+        if s is None:
+            return False
+        later = None
+        for k in range(i, len(events)):
+            kept.append(events[k])
+            kept_past.append(past[k])
+            if self.rc is not None:
+                if later is None:
+                    later, ops = _later(tuple(past)), [ev.op for ev in events]
+                if k not in _allowed((2 << k) - 1, later, ops, self.rc):
+                    states.append(None)
+                    return False
+            s = _replay(self.spec, s, events, past, (k,))
+            states.append(s)
+        return s == target
+
+
 def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
                  literals: tuple[int, ...] = LITERAL_POOL, replicas: int = 2,
                  max_joins: int = 1) -> SweepResult:
+    """Run the linearization oracle on every history of ``sweep_walk``, up to
+    the first that no admissible order explains (the ``failure``, copied out
+    as an ``Execution`` equal to ``execute(spec, build(recipe))``).
+
+    Each history is first replayed in timestamp order, an order that always
+    extends happens-before, with the replay of every prefix kept along the
+    walk (``_TimestampReplay``): sibling histories share all but their last
+    events, so a history costs about one ``apply`` or ``replay_apply`` here.
+    Where that order is admissible and reaches the sink state, the history
+    has a witness.  Only where it is not, or misses, does
+    ``linearization_oracle`` run, on the walk's live graph, exactly as it
+    would on its own.  So the result is the one that running the oracle on
+    every history gives.
+    """
     if max_events > ORACLE_EVENT_CAP:
         raise OracleScopeError(
             f"max_events {max_events} exceeds the oracle cap of {ORACLE_EVENT_CAP}")
     _check_sweep_bounds(max_events, literals, replicas, max_joins)
     spec = _as_entry(target).spec
+    replay = _TimestampReplay(spec)
     histories = 0
     for g, steps, sink in sweep_walk(payload_pool(spec, literals), max_events, replicas,
                                      max_joins, spec):
         histories += 1
-        if linearization_oracle(spec, g, g.states[sink]).witness is None:
+        final = g.states[sink]
+        if not replay.reaches(g, final) and linearization_oracle(spec, g, final).witness is None:
             failure = Execution(spec, g.graph(Recipe(tuple(steps), replicas), sink),
                                 tuple(g.states))
             return SweepResult(histories, histories - 1, failure)

@@ -30,7 +30,7 @@ from salcheck.catalog import CATALOG, payload_pool
 from salcheck import checker
 from salcheck.checker import (
     ORACLE_EVENT_CAP, BottomUpInstance, OracleResult, OracleScopeError, _first_order,
-    _greedy_order, _later, bottom_up_instances, linearization_oracle,
+    _greedy_order, _later, _shape, bottom_up_instances, linearization_oracle,
 )
 from salcheck.history import (
     NoUniqueLcaError, Recipe, StepTables, _PartialGraph, build, draw_history, enumerate_recipes,
@@ -461,14 +461,14 @@ def test_conflict_free_specs_never_call_rc():
 
 
 def test_first_order_memo_stays_within_its_bound():
-    bound = _first_order.cache_info().maxsize
+    bound = _shape.cache_info().maxsize
     assert bound is not None
     rng = random.Random("memo")
     for _ in range(2 * bound):
         past = tuple(rng.getrandbits(i) for i in range(ORACLE_EVENT_CAP))
         order = _first_order(past)
         assert sorted(order) == list(range(ORACLE_EVENT_CAP))
-    info = _first_order.cache_info()
+    info = _shape.cache_info()
     assert info.currsize <= bound
 
 
