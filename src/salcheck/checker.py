@@ -34,6 +34,17 @@ redrawn, and so is a draw above ``ORACLE_EVENT_CAP`` events for
 ``LinearizationExists``; neither counts as a test.  Only a property's first
 failing history becomes a ``Recipe``, which ``shrink`` builds and executes.
 
+MergeIdem, LatticeIdem and MergeWithLca mention states alone, so a suite
+checks each of their distinct inputs once (``PASSED_ONCE``): each property
+keeps, for one ``run_suite`` call, a set of the states (MergeWithLca: the
+``(LCA state, branch state)`` pairs) it passed, in the sweep and the random
+phase, and skips an input equal to one of them.  This changes no verdict: an
+input joins only once it passes, no two properties share a set, a property
+stops at its first violation, and equal states are interchangeable (see
+``model``), so a skipped input would pass again.  The first failing history,
+node and counterexample are those of a check without the sets.  ``shrink``,
+``oracle_sweep`` and a direct ``EVALUATORS[p](spec, h)`` call use none.
+
 ``oracle_sweep`` (``salcheck oracle``) runs ``LinearizationExists`` alone over
 the sweep.  It replays each history's events in timestamp order first, keeping
 the replay of each prefix along the walk, and runs the linearization oracle
@@ -398,6 +409,11 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
 # reads only nodes, states, events and masks at or below n.  So each checks
 # only the nodes (merge nodes for the merge laws) from ``start`` on; the sweep
 # passes the first node that a history does not share with the previous one.
+#
+# The ``PASSED_ONCE`` laws also take ``passed``, a set of the inputs that
+# already passed: they skip an input in it and add one once it passes.
+# MergeWithLca's input is ``(states[lca], states[branch])``, which decides
+# both of its merges.
 
 
 def _viol(spec: RdtSpec, prop: PropertyId, lhs, rhs,
@@ -405,12 +421,20 @@ def _viol(spec: RdtSpec, prop: PropertyId, lhs, rhs,
     return Violation(prop, lhs, rhs, spec.format_state(lhs), spec.format_state(rhs), node, event)
 
 
-def eval_merge_idem(spec: RdtSpec, h, start: int = 0,
+def eval_merge_idem(spec: RdtSpec, h, start: int = 0, passed: set | None = None,
                     prop: PropertyId = PropertyId.MERGE_IDEM) -> Violation | None:
     for n, s in enumerate(h.states[start:], start):
+        if passed is not None:
+            try:
+                if s in passed:
+                    continue
+            except TypeError:  # an unhashable state: no memo for the rest of ``h``
+                passed = None
         merged = spec.merge3(s, s, s)
         if merged != s:
             return _viol(spec, prop, merged, s, node=n)
+        if passed is not None:
+            passed.add(s)
     return None
 
 
@@ -426,17 +450,26 @@ def eval_merge_comm(spec: RdtSpec, h, start: int = 0,
     return None
 
 
-def eval_merge_with_lca(spec: RdtSpec, h, start: int = 0) -> Violation | None:
+def eval_merge_with_lca(spec: RdtSpec, h, start: int = 0,
+                        passed: set | None = None) -> Violation | None:
     nodes, states = h.nodes, h.states
     for m in h.merge_nodes(start):
         _, left, right, lca = nodes[m]
         l = states[lca]
         for branch in (left, right):
             s = states[branch]
+            if passed is not None:
+                try:
+                    if (l, s) in passed:
+                        continue
+                except TypeError:  # an unhashable state: no memo for the rest of ``h``
+                    passed = None
             for a, b in ((l, s), (s, l)):
                 kept = spec.merge3(l, a, b)
                 if kept != s:
                     return _viol(spec, PropertyId.MERGE_WITH_LCA, kept, s, node=m)
+            if passed is not None:
+                passed.add((l, s))
     return None
 
 
@@ -615,6 +648,10 @@ EVALUATORS: dict[PropertyId, Callable[..., Violation | None]] = {
     PropertyId.LATTICE_IDEM: functools.partial(eval_merge_idem, prop=PropertyId.LATTICE_IDEM),
 }
 
+# The properties whose evaluators take ``passed``.
+PASSED_ONCE = frozenset({PropertyId.MERGE_IDEM, PropertyId.LATTICE_IDEM,
+                         PropertyId.MERGE_WITH_LCA})
+
 
 def rc_is_vacuous(spec: RdtSpec, literals: tuple[int, ...]) -> bool:
     pool = payload_pool(spec, literals)
@@ -646,8 +683,10 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
     pool = payload_pool(spec, cfg.literal_pool)
     vacuous_rc = rc_is_vacuous(spec, cfg.literal_pool)
 
-    # Per-property state, indexed like ``props``; ``found`` holds the first failing recipe.
+    # Per-property state, indexed like ``props``; ``found`` holds the first failing recipe,
+    # and ``memos`` the evaluator's extra arguments: a ``PASSED_ONCE`` law's own set.
     evaluators = [EVALUATORS[p] for p in props]
+    memos = [(set(),) if p in PASSED_ONCE else () for p in props]
     tests = [0] * len(props)
     found: list[Recipe | None] = [None] * len(props)
     live = [i for i, p in enumerate(props) if not (p is PropertyId.RC_POLICY and vacuous_rc)]
@@ -658,7 +697,7 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
             # Every live property passed the nodes shared with the previous history.
             start = g.unchecked()
             for i in live:
-                if evaluators[i](spec, g, start) is not None:
+                if evaluators[i](spec, g, start, *memos[i]) is not None:
                     found[i] = Recipe(tuple(steps), cfg.replica_count)
                 tests[i] += 1
             live = [i for i in live if found[i] is None]
@@ -677,7 +716,7 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
             steps, drawn = draw_history(rng, tables, cfg.max_events, cfg.max_joins + 1, g, cap)
             if drawn is None:
                 continue  # above the cap, or a criss-cross merge (3+ replicas): redraw, not a test
-            if evaluators[i](spec, g) is not None:
+            if evaluators[i](spec, g, 0, *memos[i]) is not None:
                 found[i] = Recipe(steps, cfg.replica_count)
             tests[i] += 1
 

@@ -51,6 +51,7 @@ candidate, a replayed report) still gets from ``execute``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .model import Event, OpPayload, RdtSpec, check_payload
@@ -151,10 +152,10 @@ class _PartialGraph:
     so a finished graph is already executed.  Those states skip
     ``check_payload``: the walk and the draws push only pool events.  The
     spec's ``apply`` and ``merge3`` are bound per graph, so a copy of a spec
-    with other functions gets its own calls.
+    with other functions gets its own calls.  The merge nodes are listed as
+    they are folded, so ``merge_nodes`` reads that list rather than scanning
+    the nodes.
     """
-
-    merge_nodes = VersionGraph.merge_nodes
 
     def __init__(self, replicas: int, spec: RdtSpec | None = None):
         self.nodes: list[NodeInfo] = [("root",)]
@@ -164,6 +165,7 @@ class _PartialGraph:
         self.event_masks: list[int] = [0]
         self.past: list[int] = []
         self.states: list = [] if spec is None else [spec.initial]
+        self.merges: list[int] = []  # the merge nodes, ascending
         self.heads = [0] * replicas
         self.spec_apply = None if spec is None else spec.apply
         self.merge3 = None if spec is None else spec.merge3
@@ -201,6 +203,7 @@ class _PartialGraph:
             raise NoUniqueLcaError(f"merge of nodes {x} and {y} has no unique lowest common ancestor")
         n = len(self.nodes)
         self.nodes.append(("merge", x, y, lca))
+        self.merges.append(n)
         ancestors.append(ancestors[x] | ancestors[y] | 1 << n)
         self.event_masks.append(self.event_masks[x] | self.event_masks[y])
         states = self.states
@@ -231,8 +234,12 @@ class _PartialGraph:
             self.low = n_nodes
         del self.nodes[n_nodes:], self.ancestors[n_nodes:], self.event_masks[n_nodes:]
         del self.states[n_nodes:], self.events[n_events:], self.event_nodes[n_events:]
-        del self.past[n_events:]
+        del self.past[n_events:], self.merges[bisect_left(self.merges, n_nodes):]
         self.heads[:] = heads
+
+    def merge_nodes(self, start: int = 0) -> list[int]:
+        """The merge nodes from node ``start`` on, in order."""
+        return self.merges[bisect_left(self.merges, start):]
 
     def unchecked(self) -> int:
         """The first node that differs from the nodes at the last call (0 at

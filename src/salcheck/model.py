@@ -8,8 +8,13 @@ it).  A state-based CRDT declares a two-way ``merge2`` instead, and its
 ``merge3`` ignores the ancestor, so every merge is computed as ``merge3``.
 
 States are opaque to the rest of the workbench: it only ever applies events,
-merges states, compares them with ``==`` and renders them with the spec's
-formatter.
+merges states, compares them with ``==``, hashes them and renders them with
+the spec's formatter.  A spec relies on one contract for this: states are
+immutable values.  No spec function mutates a state it is given, and equal
+states are interchangeable: every spec function gives equal results on equal
+states.  So a history may share one state object among many nodes, and a
+suite checks each distinct input of a state-only law once.  A state that does
+not hash, such as a list, still runs; it is checked every time.
 """
 
 from __future__ import annotations
@@ -254,6 +259,8 @@ class CrdtSpec:
         return self.merge2(a, b)
 
 
+# Either kind of spec.  Its states are immutable values, and equal states are
+# interchangeable (see the module docstring).
 RdtSpec = MrdtSpec | CrdtSpec
 
 

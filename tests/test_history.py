@@ -242,9 +242,18 @@ def reference_lca(ancestors, x, y):
     return maximal.bit_length() - 1 if maximal.bit_count() == 1 else None
 
 
+def assert_merge_nodes_listed(g) -> None:
+    """The partial graph's listed merge nodes are those a scan of its nodes
+    finds, from every start on."""
+    for start in range(len(g.nodes) + 1):
+        assert g.merge_nodes(start) == [n for n in range(start, len(g.nodes))
+                                        if g.nodes[n][0] == "merge"]
+
+
 @pytest.mark.parametrize("replicas", [2, 3, 4])
 def test_fold_finds_the_lca_of_the_maximal_common_ancestors(replicas):
     # Fold every pair of nodes of random graphs and cut each merge back off.
+    # The merge nodes listed as they are folded stay those of the nodes.
     pool = payload_pool(ctr_inc_mrdt)
     rng = random.Random(replicas)
     merged = refused = 0
@@ -271,9 +280,20 @@ def test_fold_finds_the_lca_of_the_maximal_common_ancestors(replicas):
                 if n not in (x, y):
                     assert g.nodes[n] == ("merge", x, y, expected)
                     merged += 1
+                    assert_merge_nodes_listed(g)
                 g.restore(mark)
+            assert_merge_nodes_listed(g)
     assert merged > 0
     assert (refused > 0) == (replicas > 2)
+
+
+@pytest.mark.parametrize("replicas, max_joins", [(2, 1), (3, 2)])
+def test_the_walk_lists_merge_nodes_as_a_version_graph_does(replicas, max_joins):
+    pool = payload_pool(ctr_inc_mrdt)
+    for g, steps, sink in history.sweep_walk(pool, 4, replicas, max_joins, ctr_inc_mrdt):
+        graph = g.graph(Recipe(tuple(steps), replicas), sink)
+        for start in range(len(g.nodes) + 1):
+            assert g.merge_nodes(start) == graph.merge_nodes(start)
 
 
 def counted(spec):
