@@ -46,9 +46,10 @@ node and counterexample are those of a check without the sets.  ``shrink``,
 ``oracle_sweep`` and a direct ``EVALUATORS[p](spec, h)`` call use none.
 
 ``oracle_sweep`` (``salcheck oracle``) runs ``LinearizationExists`` alone over
-the sweep.  It replays each history's events in timestamp order first, keeping
-the replay of each prefix along the walk, and runs the linearization oracle
-only where that order is inadmissible under ``rc`` or misses the sink state.
+the sweep.  It replays each history's events in timestamp order first: its
+walk's graph pushes the replay of each event prefix with the event and cuts
+it back with it.  The linearization oracle runs only where that order is
+inadmissible under ``rc`` or misses the sink state.
 """
 
 from __future__ import annotations
@@ -225,12 +226,17 @@ class OracleResult:
     orders_tried: int
 
 
-def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
+# ``linearization_oracle``'s default target: execute the graph for its sink
+# state.  A private object, since ``None`` may be a state.
+_EXECUTE = object()
+
+
+def linearization_oracle(spec: RdtSpec, graph, target=_EXECUTE) -> OracleResult:
     """Search every admissible total order for one that explains ``target``,
-    the sink state (``None``: execute ``graph`` to get it).  Only ``graph``'s
-    ``events`` and ``past`` are read, so ``graph`` may also be the sweep
-    walk's live partial graph, which cannot be executed: a ``target`` must
-    then be passed.
+    the sink state (by default, ``graph`` is executed to get it).  Only
+    ``graph``'s ``events`` and ``past`` are read, so ``graph`` may also be the
+    sweep walk's live partial graph, which cannot be executed: a ``target``
+    must then be passed.
 
     Admissible orders extend happens-before; additionally, a conflicting
     concurrent pair may only appear in the direction the conflict relation
@@ -262,7 +268,7 @@ def linearization_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
         raise OracleScopeError(
             f"{n} events exceed the oracle cap of {ORACLE_EVENT_CAP}"
         )
-    if target is None:
+    if target is _EXECUTE:
         target = execute(spec, graph).sink_state()
     if not n:
         return OracleResult(() if spec.initial == target else None, 1)
@@ -807,54 +813,43 @@ class SweepResult:
         return self.failure is None
 
 
-class _TimestampReplay:
-    """The replay of a sweep history's events in timestamp order, kept per
-    prefix from one history of the walk to the next.
+# ``oracle_sweep``'s replay stack entry for a timestamp prefix that is not
+# admissible, and so for every extension of it.  No state is this object.
+_INADMISSIBLE = object()
 
-    Timestamps extend happens-before, so that order is a linear extension;
-    for a spec with an ``rc`` it is admissible when each event ``k`` may take
-    the last position among events ``0..k`` (``_allowed``).  ``events`` and
-    ``past`` hold the replayed prefix, and ``states[k]`` the replay of its
-    first ``k`` events.  The prefix is cut back to the first event that the
-    next history does not share: a different ``Event`` object (the walk takes
-    every event from one ``StepTables``) or a different ``past``.  So each new
-    event costs one ``apply`` or ``replay_apply``.  An inadmissible prefix
-    stays so for every extension: its last state is ``None``.  (A spec whose
-    state is ``None`` only sends those histories on to the oracle.)
-    """
 
-    def __init__(self, spec: RdtSpec):
-        self.spec = spec
-        self.rc = None if spec.rc is rc_empty else spec.rc
-        self.events: list[Event] = []
-        self.past: list[int] = []
-        self.states: list = [spec.initial]
-
-    def reaches(self, g, target) -> bool:
-        """Whether ``g``'s events, replayed in timestamp order, form an
-        admissible order that reaches ``target``."""
-        events, past = g.events, g.past
-        kept, kept_past, states = self.events, self.past, self.states
-        i, stop = 0, min(len(kept), len(events))
-        while i < stop and kept[i] is events[i] and kept_past[i] == past[i]:
-            i += 1
-        del kept[i:], kept_past[i:], states[i + 1:]
-        s = states[i]
-        if s is None:
+def _takes_last(k: int, events, past, rc) -> bool:
+    """Whether event ``k`` may take the last position among events ``0..k``:
+    ``k in _allowed((2 << k) - 1, later, ops, rc)``, read from ``past``.
+    Timestamps extend happens-before, so no event of ``0..k`` happens after
+    ``k``.  So ``k`` is refused only by ``rc`` against another maximal event:
+    an earlier ``j`` that neither ``k`` nor any event between them observed."""
+    op = events[k].op
+    for j in iter_bits(((1 << k) - 1) & ~past[k]):
+        if rc(op, events[j].op) and not any(past[i] >> j & 1 for i in range(j + 1, k)):
             return False
-        later = None
-        for k in range(i, len(events)):
-            kept.append(events[k])
-            kept_past.append(past[k])
-            if self.rc is not None:
-                if later is None:
-                    later, ops = _later(tuple(past)), [ev.op for ev in events]
-                if k not in _allowed((2 << k) - 1, later, ops, self.rc):
-                    states.append(None)
-                    return False
-            s = _replay(self.spec, s, events, past, (k,))
-            states.append(s)
-        return s == target
+    return True
+
+
+def _timestamp_step(spec: RdtSpec):
+    """The ``replay_step`` of ``oracle_sweep``'s walk: given the replay of the
+    events before the one just pushed, the replay of the whole timestamp
+    prefix, made by one call as ``_replay`` makes it, or ``_INADMISSIBLE``
+    once some event cannot take the last position among the events up to
+    it (``_takes_last``)."""
+    rc = None if spec.rc is rc_empty else spec.rc
+    apply, replay = spec.apply, spec.replay_apply
+
+    def step(s, events, past):
+        if s is _INADMISSIBLE:
+            return s
+        k = len(events) - 1
+        if rc is not None and not _takes_last(k, events, past, rc):
+            return _INADMISSIBLE
+        if replay is None:
+            return apply(s, events[k])
+        return replay(s, events[k], _OBSERVED[past[k]])
+    return step
 
 
 def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
@@ -865,10 +860,11 @@ def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
     as an ``Execution`` equal to ``execute(spec, build(recipe))``).
 
     Each history is first replayed in timestamp order, an order that always
-    extends happens-before, with the replay of every prefix kept along the
-    walk (``_TimestampReplay``): sibling histories share all but their last
-    events, so a history costs about one ``apply`` or ``replay_apply`` here.
-    Where that order is admissible and reaches the sink state, the history
+    extends happens-before.  The walk's graph keeps that replay per event
+    prefix (``replays``, pushed by ``_timestamp_step`` with each event and
+    cut back with it), so each event the walk pushes costs one ``apply`` or
+    ``replay_apply`` here, shared by every history below it.  Where the whole
+    order is admissible and its replay reaches the sink state, the history
     has a witness.  Only where it is not, or misses, does
     ``linearization_oracle`` run, on the walk's live graph, exactly as it
     would on its own.  So the result is the one that running the oracle on
@@ -879,13 +875,13 @@ def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
             f"max_events {max_events} exceeds the oracle cap of {ORACLE_EVENT_CAP}")
     _check_sweep_bounds(max_events, literals, replicas, max_joins)
     spec = _as_entry(target).spec
-    replay = _TimestampReplay(spec)
     histories = 0
     for g, steps, sink in sweep_walk(payload_pool(spec, literals), max_events, replicas,
-                                     max_joins, spec):
+                                     max_joins, spec, _timestamp_step(spec)):
         histories += 1
-        final = g.states[sink]
-        if not replay.reaches(g, final) and linearization_oracle(spec, g, final).witness is None:
+        final, replayed = g.states[sink], g.replays[-1]
+        if ((replayed is _INADMISSIBLE or replayed != final)
+                and linearization_oracle(spec, g, final).witness is None):
             failure = Execution(spec, g.graph(Recipe(tuple(steps), replicas), sink),
                                 tuple(g.states))
             return SweepResult(histories, histories - 1, failure)

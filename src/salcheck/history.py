@@ -34,7 +34,9 @@ tree node's ``apply`` or merge runs once, and a leaf, yielded from the apply
 loop that pushes its last event, only folds the heads into the sink.  The
 walk yields its live graph, on which ``run_suite`` and ``oracle_sweep`` check
 each history; only a failing one is copied out, as a recipe or an
-``Execution`` equal to ``execute(spec, build(recipe))``.  Every merge, in
+``Execution`` equal to ``execute(spec, build(recipe))``.  ``oracle_sweep``'s
+walk also keeps, per event prefix, the replay of its events in timestamp
+order, pushed and cut back with the events.  Every merge, in
 ``execute`` and on a partial graph alike, is the spec's ``merge3`` of the
 LCA's state and the two heads' states; a CRDT's ``merge3`` ignores the LCA.
 
@@ -155,9 +157,16 @@ class _PartialGraph:
     with other functions gets its own calls.  The merge nodes are listed as
     they are folded, so ``merge_nodes`` reads that list rather than scanning
     the nodes.
+
+    Given a ``replay_step`` (``oracle_sweep``'s walk alone passes one), the
+    graph also keeps ``replays``, one entry per event prefix: ``replays[0]``
+    is the spec's initial state, and each pushed event pushes
+    ``replay_step(replays[-1], events, past)``, read once the event is on
+    ``events`` and ``past``.  ``restore`` cuts it back with them, so its top
+    always belongs to the events on the graph.
     """
 
-    def __init__(self, replicas: int, spec: RdtSpec | None = None):
+    def __init__(self, replicas: int, spec: RdtSpec | None = None, replay_step=None):
         self.nodes: list[NodeInfo] = [("root",)]
         self.ancestors: list[int] = [1]  # per node, bit n set when node n is an ancestor (reflexive)
         self.events: list[Event] = []
@@ -171,6 +180,8 @@ class _PartialGraph:
         self.merge3 = None if spec is None else spec.merge3
         self.low = 0  # the lowest node count cut back to since ``unchecked``
         self.checked: list[NodeInfo] = []  # the nodes at the last ``unchecked``
+        self.replay_step = replay_step
+        self.replays: list = [] if replay_step is None else [spec.initial]
 
     def apply(self, ev: Event) -> None:
         """Push ``ev`` on its replica's head; ``ev.ts`` is the next timestamp."""
@@ -186,6 +197,8 @@ class _PartialGraph:
         self.events.append(ev)
         self.event_nodes.append(n)
         self.heads[ev.replica] = n
+        if self.replay_step is not None:
+            self.replays.append(self.replay_step(self.replays[-1], self.events, self.past))
 
     def fold(self, x: int, y: int) -> int:
         """The head that folding head ``y`` into head ``x`` gives: ``x`` when it
@@ -234,7 +247,8 @@ class _PartialGraph:
             self.low = n_nodes
         del self.nodes[n_nodes:], self.ancestors[n_nodes:], self.event_masks[n_nodes:]
         del self.states[n_nodes:], self.events[n_events:], self.event_nodes[n_events:]
-        del self.past[n_events:], self.merges[bisect_left(self.merges, n_nodes):]
+        del self.past[n_events:], self.replays[n_events + 1:]
+        del self.merges[bisect_left(self.merges, n_nodes):]
         self.heads[:] = heads
 
     def merge_nodes(self, start: int = 0) -> list[int]:
@@ -350,23 +364,24 @@ def enumerate_recipes(pool: tuple[OpPayload, ...], max_events: int,
         yield Recipe(tuple(steps), replicas)
 
 
-def sweep_walk(pool, max_events, replicas, max_joins, spec=None):
+def sweep_walk(pool, max_events, replicas, max_joins, spec=None, replay_step=None):
     """Walk the prefix tree of canonical recipes depth-first, keeping one
-    partial graph ``g`` at the current prefix, and yield ``(g, steps, sink)``
-    per recipe in ``enumerate_recipes``'s order.  ``g`` and ``steps`` are live:
-    they hold the recipe until the walk resumes, and the recipes below one
-    prefix share its state objects, so the spec's functions must not mutate
-    their inputs.  No recipe ends on a join, so each leaf but the empty recipe
-    (yielded first) is yielded from the apply loop that pushes its last event,
-    and ``rec`` runs only at inner nodes.  A merge with no unique LCA cuts its
-    branch: no recipe below it builds."""
+    partial graph ``g`` at the current prefix (made with ``spec`` and
+    ``replay_step``, see ``_PartialGraph``), and yield ``(g, steps, sink)``
+    per recipe in ``enumerate_recipes``'s order.  ``g`` and ``steps`` are
+    live: they hold the recipe until the walk resumes, and the recipes below
+    one prefix share its state objects, so the spec's functions must not
+    mutate their inputs.  No recipe ends on a join, so each leaf but the
+    empty recipe (yielded first) is yielded from the apply loop that pushes
+    its last event, and ``rec`` runs only at inner nodes.  A merge with no
+    unique LCA cuts its branch: no recipe below it builds."""
     tables = StepTables(pool, replicas, max_events)
     literals = [p.literals() for p in pool]
     applies = [(r, p, tables.applies[r][p], literals[p])
                for r in range(replicas) for p in range(len(pool))]
     first_applies = applies[:len(pool)]  # the first apply runs on replica 0
     joins = [step for row in tables.joins for step in row]
-    g = _PartialGraph(replicas, spec)
+    g = _PartialGraph(replicas, spec, replay_step)
     steps: list[Step] = []
 
     def rec(seen_max, events_left, joins_left):  # events_left >= 1

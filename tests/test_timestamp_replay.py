@@ -1,61 +1,95 @@
 """The timestamp replay that ``oracle_sweep`` runs before the oracle.
 
-``oracle_sweep`` first replays each history's events in timestamp order,
-keeping the replay of every prefix from one history of the walk to the next.
-Only where that replay is inadmissible or misses the sink state does it call
-``linearization_oracle``.  These tests watch the sweep from outside: they
-record each history the walk hands out and whether the oracle ran on it.
+``oracle_sweep`` first replays each history's events in timestamp order: the
+walk's graph keeps the replay of every event prefix, pushed with each event
+and cut back with it.  Only where that replay is inadmissible or misses the
+sink state does it call ``linearization_oracle``.  These tests watch the
+sweep from outside: they record each history the walk hands out and whether
+the oracle ran on it, and each event the walk pushes.
 
 Soundness: wherever the replay accepted a history, its timestamp order must
 be admissible by a check written here from the oracle's rules (happens-before
 read from the node masks, not ``past``, and without ``_allowed``), its replay
 must reach the sink state, and ``linearization_oracle`` on the history's own
-``VersionGraph`` must find a witness.  Sharing: each history's replay makes
-one ``_replay`` step per event it does not share, event and past, with the
-history before it, and none past the first event its timestamp order cannot
-take.  The walks are the ones ``test_oracle_sweep_reference.py`` runs.
+``VersionGraph`` must find a witness.  Sharing: each event the walk pushes
+makes one replay call (``replay_apply``, or ``apply`` where the spec
+declares none) while the timestamp prefix it ends is admissible by that
+check, and none after that; no spec ``apply`` or ``replay_apply`` runs
+outside a push but the oracle's.  The walks are the ones
+``test_oracle_sweep_reference.py`` runs.
 
 The oracle calls of the eleven sweeps that the ``oracle-sweep`` benchmark
 workload runs are pinned, so a change that widens or narrows the fast path
 shows up as a changed count.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from salcheck import checker
+from salcheck import checker, history
 from salcheck.catalog import CATALOG, catalog_get
-from salcheck.checker import linearization_oracle, oracle_sweep
+from salcheck.checker import (
+    CheckConfig, PropertyId, linearization_oracle, oracle_sweep, run_suite,
+)
 from salcheck.history import Recipe, build, execute
-from test_oracle_sweep_reference import LARGE_ALPHABET, _params
+from salcheck.model import Inc, MrdtSpec, Write, rc_empty
+from test_oracle_sweep_reference import LARGE_ALPHABET, _params, reference_oracle_sweep
 
 
 def watched_sweep(entry, max_events, monkeypatch, replicas=2, max_joins=1):
-    """Run ``oracle_sweep`` and return its result and, per history in walk
-    order, ``(recipe, events replayed before any oracle call, whether the
-    oracle ran)``."""
-    leaves = []
-    walk, replay, oracle = checker.sweep_walk, checker._replay, checker.linearization_oracle
+    """Run ``oracle_sweep`` on a copy of the spec whose ``apply`` and
+    ``replay_apply`` count their calls, and return its result; per history
+    in walk order, ``(recipe, whether the oracle ran)``; and per event the
+    walk pushed, ``(events, whether their timestamp order is admissible,
+    apply calls, replay_apply calls)`` made by the push.  An ``apply`` or
+    ``replay_apply`` call outside a push and the oracle fails."""
+    spec = checker._as_entry(entry).spec
+    leaves, pushes = [], []
+    calls = {"apply": 0, "replay_apply": 0, "push": False, "oracle": False}
+    walk, oracle = checker.sweep_walk, checker.linearization_oracle
+    apply = history._PartialGraph.apply
+
+    def counting(name, fn):
+        def counted(*args):
+            assert calls["push"] or calls["oracle"], f"{name} outside a push and the oracle"
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    replay = spec.replay_apply
+    counted = replace(spec, apply=counting("apply", spec.apply),
+                      replay_apply=replay and counting("replay_apply", replay))
 
     def recording_walk(*args):
         for g, steps, sink in walk(*args):
-            leaves.append([Recipe(tuple(steps), replicas), 0, False])
+            leaves.append([Recipe(tuple(steps), replicas), False])
             yield g, steps, sink
 
-    def counting_replay(spec, s, events, past, order):
-        if not leaves[-1][2]:
-            leaves[-1][1] += len(order)
-        return replay(spec, s, events, past, order)
+    def recording_apply(g, ev):
+        if g.replay_step is None:
+            return apply(g, ev)
+        before = calls["apply"], calls["replay_apply"]
+        calls["push"] = True
+        apply(g, ev)
+        calls["push"] = False
+        admissible = admissible_prefix(spec, g) == len(g.events)
+        pushes.append((tuple(g.events), admissible,
+                       calls["apply"] - before[0], calls["replay_apply"] - before[1]))
 
-    def recording_oracle(spec, graph, target=None):
-        leaves[-1][2] = True
-        return oracle(spec, graph, target)
+    def recording_oracle(*args):
+        leaves[-1][1] = calls["oracle"] = True
+        try:
+            return oracle(*args)
+        finally:
+            calls["oracle"] = False
 
     monkeypatch.setattr(checker, "sweep_walk", recording_walk)
-    monkeypatch.setattr(checker, "_replay", counting_replay)
+    monkeypatch.setattr(history._PartialGraph, "apply", recording_apply)
     monkeypatch.setattr(checker, "linearization_oracle", recording_oracle)
-    result = oracle_sweep(entry, max_events, replicas=replicas, max_joins=max_joins)
+    result = oracle_sweep(counted, max_events, replicas=replicas, max_joins=max_joins)
     monkeypatch.undo()
-    return result, [tuple(leaf) for leaf in leaves]
+    return result, [tuple(leaf) for leaf in leaves], pushes
 
 
 def happens_before(graph) -> list[frozenset[int]]:
@@ -92,23 +126,23 @@ def timestamp_replay(spec, graph):
 
 
 def assert_replay_sound(entry, max_events, monkeypatch, replicas=2, max_joins=1) -> None:
-    """Every history the replay accepts is linearizable, and each history's
-    replay costs one call per event that it does not share with the previous
-    history, up to the first event its order cannot take."""
+    """Every history the replay accepts is linearizable, and each event the
+    walk pushes costs one replay call while its timestamp prefix is
+    admissible, and none after that: one ``replay_apply`` call where the
+    spec declares one, else one ``apply`` call besides the one that gives
+    the pushed node its state."""
     spec = entry.spec
-    result, leaves = watched_sweep(entry, max_events, monkeypatch, replicas, max_joins)
+    result, leaves, pushes = watched_sweep(entry, max_events, monkeypatch, replicas, max_joins)
     assert len(leaves) == result.histories
+    assert pushes
+    declared = spec.replay_apply is not None
+    for events, admissible, applies, replays in pushes:
+        assert (applies, replays) == ((1, admissible) if declared else (1 + admissible, 0)), events
     accepted = 0
-    shared: list = []  # the previous history's events with their pasts
-    for recipe, replayed, called in leaves:
+    for recipe, called in leaves:
         ex = execute(spec, build(recipe))
         keyed = list(zip(ex.graph.events, happens_before(ex.graph)))
-        common = 0
-        while common < min(len(keyed), len(shared)) and keyed[common] == shared[common]:
-            common += 1
-        shared = keyed
         admissible = admissible_prefix(spec, ex.graph)
-        assert replayed == max(0, admissible - common), recipe
         if not called:
             accepted += 1
             assert admissible == len(keyed), recipe
@@ -116,7 +150,7 @@ def assert_replay_sound(entry, max_events, monkeypatch, replicas=2, max_joins=1)
             assert linearization_oracle(spec, ex.graph).witness is not None, recipe
     assert accepted  # every sweep starts with the empty recipe
     if result.failure is not None:
-        assert leaves[-1][0] == result.failure.graph.recipe and leaves[-1][2]
+        assert leaves[-1][0] == result.failure.graph.recipe and leaves[-1][1]
 
 
 @pytest.mark.parametrize("entry", _params(set()))
@@ -160,12 +194,44 @@ WORKLOAD_SWEEPS = [
 def test_oracle_runs_only_where_the_timestamp_replay_misses(rid, events, histories, calls,
                                                             monkeypatch):
     entry = catalog_get(rid)
-    result, leaves = watched_sweep(entry, events, monkeypatch)
+    result, leaves, _ = watched_sweep(entry, events, monkeypatch)
     assert result.histories == histories
     assert (result.failure is not None) == entry.known_buggy
-    assert sum(called for _, _, called in leaves) == calls
+    assert sum(called for _, called in leaves) == calls
 
 
 def test_the_workload_sweeps_cover_every_small_entry():
     small = {rid for rid, events, _, _ in WORKLOAD_SWEEPS if events == 5}
     assert small == {e.id for e in CATALOG if e.id not in LARGE_ALPHABET}
+
+
+def _last_write(s, ev):
+    return s if isinstance(ev.op, Inc) else (ev.ts, ev.op.value)
+
+
+def _newer(lca, a, b):
+    return a if b is None or (a is not None and a[0] > b[0]) else b
+
+
+# A last-writer register whose state is ``None`` until the first write; an
+# ``inc`` leaves the state as it is.  Each history's newest write has the
+# largest timestamp, so the timestamp replay reaches every sink state.
+NONE_UNTIL_WRITTEN = MrdtSpec("none-until-written", None, _last_write, _newer, rc_empty,
+                              (Write, Inc), repr)
+
+
+def test_a_state_that_is_none_is_replayed_like_any_other(monkeypatch):
+    want = reference_oracle_sweep(NONE_UNTIL_WRITTEN, 4)
+    result, leaves, _ = watched_sweep(NONE_UNTIL_WRITTEN, 4, monkeypatch)
+    assert result == want and result.passed()
+    unwritten = [recipe for recipe, _ in leaves
+                 if execute(NONE_UNTIL_WRITTEN, build(recipe)).sink_state() is None]
+    assert len(unwritten) > 1  # the empty history and the histories of incs alone
+    assert not any(called for _, called in leaves)
+
+
+def test_a_sink_state_that_is_none_is_a_target_like_any_other():
+    # ``run_suite`` passes each sink state to the oracle, the empty history's too.
+    cfg = CheckConfig(tests_per_property=50, max_events=5, exhaustive_below=3)
+    report = run_suite(NONE_UNTIL_WRITTEN, cfg, (PropertyId.LINEARIZATION_EXISTS,))
+    assert report.passed() and report.verdicts[0].tests == 50
