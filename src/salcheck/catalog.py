@@ -472,7 +472,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("pn-ctr-crdt", pn_ctr_crdt, False,
                  "pair of increment vectors for increments and decrements"),
     CatalogEntry("mv-reg-crdt", mv_reg_crdt, False,
-                 "register of (timestamp, value) entries, dominated entries pruned"),
+                 "last-writer-wins register; merge keeps only the top-timestamp entries"),
     CatalogEntry("or-set-crdt", or_set_crdt, False,
                  "add set plus tombstone set, merged by pointwise union"),
 )

@@ -24,9 +24,9 @@ from .checker import (
 from .history import Recipe, ApplyOp, JoinOp, run_recipe
 from .model import Add, Dec, Delete, Disable, Enable, Inc, Insert, MapSet, Rem, Write
 from .report import (
-    RenderModel, ReportFormatError, equation_panels, model_from_execution, model_from_report_dict,
-    parse_report, recipe_from_dict, render_dot, render_html, render_json, render_text,
-    suite_report_to_dict,
+    SCHEMA, RenderModel, ReportFormatError, equation_panels, first_failing_verdict,
+    model_from_execution, model_from_report_dict, parse_report, recipe_from_dict, render_dot,
+    render_html, render_json, render_text, suite_report_to_dict,
 )
 
 
@@ -123,7 +123,7 @@ def cmd_check(args) -> int:
     # The written document is the one source of the replay and the view, so
     # exit 1 certifies the artifact on disk.
     doc = suite_report_to_dict(report)
-    failing = doc["property"]
+    failing = first_failing_verdict(doc)
     out_path = args.out
     if out_path is None and failing is not None:
         out_path = f"{entry.id}-report.json"
@@ -132,8 +132,8 @@ def cmd_check(args) -> int:
         print(f"report written to {out_path}")
     if failing is None:
         return 0
-    recipe = recipe_from_dict(doc["counterexample"]["recipe"], "$.counterexample.recipe")
-    if EVALUATORS[PropertyId(failing)](entry.spec, run_recipe(entry.spec, recipe)) is None:
+    spec, recipe = entry.spec, recipe_from_dict(failing["counterexample"]["recipe"])
+    if EVALUATORS[PropertyId(failing["property"])](spec, run_recipe(spec, recipe)) is None:
         print("internal error: counterexample does not replay", file=sys.stderr)
         return 2
     print()
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReportFormatError as exc:
-        print(f"error: report does not match {json.dumps('salcheck/1')}: {exc}",
+        print(f"error: report does not match {json.dumps(SCHEMA)}: {exc}",
               file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -3,13 +3,15 @@
 All renderers are pure string builders over a ``RenderModel`` that already
 contains every display string (node states come from the execution's trace,
 never recomputed here), so identical models give byte-identical text, DOT,
-HTML, and JSON.  The JSON format is versioned as ``salcheck/1`` and round-trips
-losslessly through :func:`parse_report`.
+HTML, and JSON.  The JSON format is versioned as ``salcheck/2`` and round-trips
+losslessly through :func:`parse_report`.  It stores each fact once: nothing
+that ``build`` derives from a counterexample's recipe (node ids, labels,
+edges, events) is written, only what the recipe cannot give: each node's
+display state, and the peeled event's timestamp.
 
 Every model that shows a version graph walks a ``VersionGraph``: an
-execution's, or the one ``build`` makes of a report's recipe, which
-``validate_report`` holds equal to the document's ``{nodes, edges}``; so
-``salcheck check`` and ``salcheck render`` of the report it wrote agree.
+execution's, or the one ``build`` makes of a report's recipe; so ``salcheck
+check`` and ``salcheck render`` of the report it wrote agree.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .model import PAYLOAD_KINDS, Event, OpPayload, event_label
 
 
 class ReportFormatError(ValueError):
-    """A report document does not match the salcheck/1 schema."""
+    """A report document does not match the ``SCHEMA`` schema."""
 
 
-SCHEMA = "salcheck/1"
+SCHEMA = "salcheck/2"
 
 
 # ---------------------------------------------------------------------------
@@ -308,39 +310,22 @@ def config_from_dict(d: dict, path: str = "config") -> CheckConfig:
     return CheckConfig(**values)
 
 
-def _graph_edges(g: VersionGraph) -> list[dict]:
-    """The ``edges`` list of a version graph's ``{nodes, edges}`` form."""
-    edges = []
-    for n, info in enumerate(g.nodes):
-        if info[0] == "apply":
-            _, parent, ev = info
-            edges.append({"from": parent, "to": n, "kind": "apply",
-                          "event": event_to_dict(ev)})
-        elif info[0] == "merge":
-            _, left, right, lca = info
-            edges.append({"from": left, "to": n, "kind": "merge-left"})
-            edges.append({"from": right, "to": n, "kind": "merge-right"})
-            edges.append({"from": lca, "to": n, "kind": "lca"})
-    return edges
-
-
 def counterexample_to_dict(cr: CounterexampleReport) -> dict:
     v, ex = cr.violation, cr.shrunk
     out = {
         "recipe": recipe_to_dict(ex.graph.recipe),
-        "nodes": [{"id": n, "label": f"v{n}", "state": ex.spec.format_state(state)}
-                  for n, state in enumerate(ex.states)],
-        "edges": _graph_edges(ex.graph),
+        "states": [ex.spec.format_state(state) for state in ex.states],
         "lhs": v.lhs_str,
         "rhs": v.rhs_str,
         "shrink_steps": cr.shrink_steps,
+        "minimal": cr.minimal,
     }
     if v.linearizations_tried is not None:
         out["linearizations_tried"] = v.linearizations_tried
     if v.node is not None:
         out["node"] = v.node
     if v.event is not None:
-        out["event"] = event_to_dict(v.event)
+        out["event"] = v.event.ts
     return out
 
 
@@ -351,18 +336,8 @@ def suite_report_to_dict(sr: SuiteReport) -> dict:
         if v.counterexample is not None:
             vd["counterexample"] = counterexample_to_dict(v.counterexample)
         verdicts.append(vd)
-    failing = sr.first_failure()
-    out = {
-        "schema": SCHEMA,
-        "rdt": sr.rdt_id,
-        "property": failing.property.value if failing else None,
-        "seed": sr.seed,
-        "config": config_to_dict(sr.config),
-        "verdicts": verdicts,
-    }
-    if failing is not None and failing.counterexample is not None:
-        out["counterexample"] = counterexample_to_dict(failing.counterexample)
-    return out
+    return {"schema": SCHEMA, "rdt": sr.rdt_id, "config": config_to_dict(sr.config),
+            "verdicts": verdicts}
 
 
 def render_json(report: SuiteReport | dict) -> str:
@@ -402,8 +377,9 @@ _STATUSES = {"pass", "fail", "vacuous"}
 def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...] | None) -> None:
     """Refuse, among others, a recipe that cannot be replayed: a step ``build``
     refuses, or a payload outside ``payload_types`` (``None``: the rdt is not
-    in the catalog, so its domain is unknown); and a graph other than the
-    recipe's, so that the graph drawn is the history a replay checks."""
+    in the catalog, so its domain is unknown); and other than one state per
+    node of the recipe's graph, so that the graph drawn is the history a
+    replay checks."""
     rpath = f"{path}.recipe"
     recipe = recipe_from_dict(_require(d, "recipe", dict, path), rpath)
     try:
@@ -416,37 +392,26 @@ def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...]
                 and not isinstance(step.payload, payload_types)):
             raise ReportFormatError(
                 f"{rpath}.steps[{i}].op.kind: {step.payload.kind!r} is outside the rdt's payloads")
-    nodes = _require(d, "nodes", list, path)
-    for i, nd in enumerate(nodes):
-        npath = f"{path}.nodes[{i}]"
-        n = _require(nd, "id", int, npath)
-        if _require(nd, "label", str, npath) != f"v{n}":
-            raise ReportFormatError(f"{npath}.label: expected 'v{n}'")
-        _require(nd, "state", str, npath)
-    if [nd["id"] for nd in nodes] != list(range(len(g.nodes))):
+    states = _require(d, "states", list, path)
+    if len(states) != len(g.nodes):
         raise ReportFormatError(
-            f"{path}.nodes: ids differ from the recipe's graph, 0 to {len(g.nodes) - 1}")
-    # Compared as JSON text, so that neither false nor 1.0 passes for an int.
-    edges = _require(d, "edges", list, path)
-    want = _graph_edges(g)
-    if json.dumps(edges, sort_keys=True) != json.dumps(want, sort_keys=True):
-        for i, (edge, w) in enumerate(zip(edges, want)):
-            if json.dumps(edge, sort_keys=True) != json.dumps(w, sort_keys=True):
-                raise ReportFormatError(f"{path}.edges[{i}]: differs from the recipe's graph")
-        raise ReportFormatError(
-            f"{path}.edges: {len(edges)} edges, the recipe's graph has {len(want)}")
+            f"{path}.states: {len(states)} states, the recipe's graph has {len(g.nodes)} nodes")
+    for i, state in enumerate(states):
+        if not isinstance(state, str):
+            raise ReportFormatError(f"{path}.states[{i}]: expected str")
     _require(d, "lhs", str, path)
     _require(d, "rhs", str, path)
     _count(d, "shrink_steps", path)
+    _require(d, "minimal", bool, path)
     if "linearizations_tried" in d:
         _count(d, "linearizations_tried", path)
     if "node" in d and _require(d, "node", int, path) not in range(len(g.nodes)):
-        raise ReportFormatError(f"{path}.node: not among node ids")
+        raise ReportFormatError(f"{path}.node: not a node of the recipe's graph")
     if "event" in d:
-        ev = event_from_dict(_require(d, "event", dict, path), f"{path}.event")
-        if event_to_dict(ev) != d["event"] or _peel(g, d.get("node"), ev) is None:
-            raise ReportFormatError(
-                f"{path}.event: not the event of an apply edge into a side of merge node")
+        if _require(d, "event", int, path) not in range(1, len(g.events) + 1):
+            raise ReportFormatError(f"{path}.event: not a timestamp of the recipe's events")
+        if _peel(g, d.get("node"), g.events[d["event"] - 1]) is None:
+            raise ReportFormatError(f"{path}.event: not applied into a side of merge node")
 
 
 def validate_report(d) -> None:
@@ -460,14 +425,11 @@ def validate_report(d) -> None:
         payload_types = catalog_get(rdt).spec.payload_types
     except KeyError:
         payload_types = None
-    seed = _count(d, "seed", "$")
     cfg = config_from_dict(_require(d, "config", dict, "$"), "$.config")
     try:
         cfg.validate()
     except ValueError as exc:
         raise ReportFormatError(f"$.config: {exc}") from None
-    if seed != cfg.seed:
-        raise ReportFormatError(f"$.seed: {seed} differs from $.config.seed {cfg.seed}")
     verdicts = _require(d, "verdicts", list, "$")
     for i, v in enumerate(verdicts):
         vpath = f"$.verdicts[{i}]"
@@ -484,21 +446,12 @@ def validate_report(d) -> None:
         if "counterexample" in v:
             _validate_counterexample(_require(v, "counterexample", dict, vpath),
                                      f"{vpath}.counterexample", payload_types)
-    prop = d.get("property")
-    first = next((v["property"] for v in verdicts if v["status"] == "fail"), None)
-    if prop != first:
-        raise ReportFormatError(
-            f"$.property: expected the first failing verdict's, {first!r}, got {prop!r}")
-    if ("counterexample" in d) != (prop is not None):
-        raise ReportFormatError("$.counterexample: " + (
-            "missing" if prop is not None else "present in a report with no failing verdict"))
-    if "counterexample" in d:
-        _validate_counterexample(_require(d, "counterexample", dict, "$"),
-                                 "$.counterexample", payload_types)
-        want = next(v["counterexample"] for v in verdicts if v["status"] == "fail")
-        if any(json.dumps(val, sort_keys=True) != json.dumps(want.get(k), sort_keys=True)
-               for k, val in d["counterexample"].items()):  # node and event may be left out
-            raise ReportFormatError("$.counterexample: differs from the first failing verdict's")
+
+
+def first_failing_verdict(d: dict) -> dict | None:
+    """The verdict of report ``d`` that ``check`` replays and ``render`` draws:
+    the first whose status is ``fail``, or ``None`` when none fails."""
+    return next((v for v in d["verdicts"] if v["status"] == "fail"), None)
 
 
 def parse_report(text: str) -> dict:
@@ -589,21 +542,20 @@ def model_from_suite(sr: SuiteReport) -> RenderModel:
 
 
 def model_from_report_dict(d: dict) -> RenderModel:
-    """The render model of a report document: its verdict list when it has no
-    counterexample, else the counterexample's history with the LHS/RHS panels,
-    or the unreplayable trace for LinearizationExists."""
+    """The render model of a report document: its verdict list when no verdict
+    fails, else the first failing verdict's counterexample history with the
+    LHS/RHS panels, or the unreplayable trace for LinearizationExists."""
     validate_report(d)
-    cx = d.get("counterexample")
-    prop = d.get("property")
-    if cx is None:
+    failing = first_failing_verdict(d)
+    if failing is None:
         steps = tuple(RenderStep(None, None,
                                  f"{v['property']}: {v['status']} ({v['tests']} tests)")
                       for v in d["verdicts"])
-        status = "suite passed" if prop is None else f"{prop} failed"
-        return RenderModel(f"{d['rdt']}: {status} (seed {d['seed']})",
-                           (), (), None, (Panel("Verdicts", steps, status),), False)
+        return RenderModel(f"{d['rdt']}: suite passed (seed {d['config']['seed']})",
+                           (), (), None, (Panel("Verdicts", steps, "suite passed"),), False)
+    prop, cx = failing["property"], failing["counterexample"]
     g = build(recipe_from_dict(cx["recipe"]))
-    nodes, edges, steps, final = _read_graph(g, [nd["state"] for nd in cx["nodes"]])
+    nodes, edges, steps, final = _read_graph(g, cx["states"])
     title = (f"{d['rdt']}: {prop} violation "
              f"(shrunk to {len(g.events)} events in {cx['shrink_steps']} steps)")
     if prop == PropertyId.LINEARIZATION_EXISTS.value:
@@ -611,7 +563,7 @@ def model_from_report_dict(d: dict) -> RenderModel:
         note = RenderStep(None, None, f"!! no admissible order replays to [{cx['lhs']}]{tried}")
         return RenderModel(title, nodes, edges, None,
                            (Panel("Trace", steps + (note,), final),), True)
-    event = event_from_dict(cx["event"]) if "event" in cx else None
+    event = g.events[cx["event"] - 1] if "event" in cx else None
     panels = equation_panels(g, cx.get("node"), event, cx["lhs"], cx["rhs"])
     return RenderModel(title, nodes, edges, Panel("History", steps, final), panels, True)
 
@@ -624,5 +576,5 @@ __all__ = [
     "payload_to_dict", "payload_from_dict", "event_to_dict", "event_from_dict",
     "recipe_to_dict", "recipe_from_dict", "config_to_dict", "config_from_dict",
     "counterexample_to_dict", "suite_report_to_dict",
-    "parse_report", "validate_report",
+    "first_failing_verdict", "parse_report", "validate_report",
 ]

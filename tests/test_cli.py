@@ -10,7 +10,8 @@ import pytest
 
 import salcheck
 from salcheck.cli import main
-from salcheck.report import parse_report
+from salcheck.report import SCHEMA, first_failing_verdict, parse_report
+from test_report_digests import salcheck1_document
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ def test_check_buggy_flag_fails_and_writes_report(capsys, in_tmp):
     assert "mismatch: (2, true) != (2, false)" in out
     doc = parse_report((in_tmp / "ew-flag-buggy-report.json").read_text())
     assert doc["rdt"] == "ew-flag-buggy"
-    assert doc["property"] == "BottomUpStep"
+    assert first_failing_verdict(doc)["property"] == "BottomUpStep"
 
 
 def test_check_three_replicas_passes(capsys, in_tmp):
@@ -110,7 +111,7 @@ def test_check_out_flag_always_writes(capsys, in_tmp):
                  "--props", "MergeIdem", "--out", "ok.json"])
     assert code == 0
     doc = parse_report((in_tmp / "ok.json").read_text())
-    assert doc["property"] is None
+    assert [v["status"] for v in doc["verdicts"]] == ["pass"]
 
 
 def test_check_unknown_rdt(capsys, in_tmp):
@@ -293,7 +294,17 @@ def test_render_rejects_truncated_report(capsys, in_tmp):
     path = write_failing_report(in_tmp)
     path.write_text(path.read_text()[:-30])
     assert main(["render", str(path)]) == 2
-    assert "salcheck/1" in capsys.readouterr().err
+    assert f"report does not match {json.dumps(SCHEMA)}" in capsys.readouterr().err
+
+
+def test_render_refuses_a_salcheck1_document(capsys, in_tmp):
+    path = write_failing_report(in_tmp)
+    path.write_text(json.dumps(salcheck1_document(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["render", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "$.schema: expected 'salcheck/2', got 'salcheck/1'" in captured.err
+    assert captured.out == ""
 
 
 def test_render_rejects_a_config_check_refuses(capsys, in_tmp):
@@ -309,12 +320,12 @@ def test_render_rejects_a_config_check_refuses(capsys, in_tmp):
 def test_render_rejects_an_edited_seed(capsys, in_tmp):
     assert main(["check", "g-set-mrdt", "--seed", "42", "--out", "r.json"]) == 0
     doc = json.loads((in_tmp / "r.json").read_text())
-    doc["seed"] = 7
+    doc["config"]["seed"] = -7
     (in_tmp / "r.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["render", "r.json"]) == 2
     captured = capsys.readouterr()
-    assert "$.seed: 7 differs from $.config.seed 42" in captured.err
+    assert "$.config: seed must be >= 0, got -7" in captured.err
     assert "suite passed" not in captured.out
 
 

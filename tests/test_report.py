@@ -1,4 +1,4 @@
-"""Serialization (salcheck/1 JSON), validation, and the three renderers."""
+"""Serialization (salcheck/2 JSON), validation, and the three renderers."""
 
 import functools
 import json
@@ -16,9 +16,10 @@ from salcheck.report import (
     payload_to_dict, payload_from_dict, event_to_dict, event_from_dict,
     recipe_to_dict, recipe_from_dict, config_to_dict, config_from_dict,
     suite_report_to_dict, render_json, parse_report, validate_report,
-    model_from_execution, model_from_suite, model_from_report_dict,
+    model_from_execution, model_from_suite, model_from_report_dict, first_failing_verdict,
     render_text, render_dot, render_html,
 )
+from test_report_digests import salcheck1_document
 
 SMALL = CheckConfig(tests_per_property=25, seed=7, max_events=4, exhaustive_below=2)
 
@@ -93,32 +94,31 @@ def test_report_document_round_trip_lossless():
 
 def test_passing_report_shape():
     doc = suite_report_to_dict(passing_report())
+    assert sorted(doc) == ["config", "rdt", "schema", "verdicts"]
     assert doc["schema"] == SCHEMA
     assert doc["rdt"] == "g-set-mrdt"
-    assert doc["property"] is None
-    assert "counterexample" not in doc
     assert all(v["status"] in ("pass", "vacuous") for v in doc["verdicts"])
     validate_report(doc)
 
 
 def test_failing_report_shape():
     doc = suite_report_to_dict(failing_report())
-    assert doc["property"] == "BottomUpStep"  # first failing verdict
-    cx = doc["counterexample"]
+    assert sorted(doc) == ["config", "rdt", "schema", "verdicts"]
+    assert first_failing_verdict(doc)["property"] == "BottomUpStep"
+    cx = first_failing_verdict(doc)["counterexample"]
     assert cx["lhs"] == "(2, true)" and cx["rhs"] == "(2, false)"
-    g = failing_report().first_failure().counterexample.shrunk.graph
-    assert len(cx["nodes"]) == len(g.nodes)
-    applies = sum(1 for e in cx["edges"] if e["kind"] == "apply")
-    merges = sum(1 for e in cx["edges"] if e["kind"] == "merge-left")
-    assert applies == g.recipe.event_count()
-    assert merges == len(g.merge_nodes())
+    cr = failing_report().first_failure().counterexample
+    assert recipe_from_dict(cx["recipe"]) == cr.shrunk.graph.recipe
+    assert len(cx["states"]) == len(cr.shrunk.graph.nodes)
+    assert cx["minimal"] is cr.minimal is True
 
 
 def test_counterexample_replayed_from_document_still_fails():
     doc = parse_report(render_json(failing_report()))
-    recipe = recipe_from_dict(doc["counterexample"]["recipe"], "$.counterexample.recipe")
+    failing = first_failing_verdict(doc)
+    recipe = recipe_from_dict(failing["counterexample"]["recipe"])
     spec = catalog_get(doc["rdt"]).spec
-    violation = EVALUATORS[PropertyId(doc["property"])](spec, run_recipe(spec, recipe))
+    violation = EVALUATORS[PropertyId(failing["property"])](spec, run_recipe(spec, recipe))
     assert violation is not None
 
 
@@ -138,7 +138,14 @@ def test_validate_missing_schema():
 
 def test_validate_wrong_schema():
     d = valid_doc(); d["schema"] = "salcheck/0"
-    with pytest.raises(ReportFormatError, match=r"\$\.schema: expected 'salcheck/1'"):
+    with pytest.raises(ReportFormatError, match=r"\$\.schema: expected 'salcheck/2'"):
+        validate_report(d)
+
+
+def test_validate_refuses_a_salcheck1_document():
+    d = salcheck1_document(parse_report(render_json(failing_report())))
+    with pytest.raises(ReportFormatError,
+                       match=r"^\$\.schema: expected 'salcheck/2', got 'salcheck/1'$"):
         validate_report(d)
 
 
@@ -149,16 +156,16 @@ def test_validate_bad_status():
 
 
 def test_validate_bool_is_not_int():
-    d = valid_doc(); d["seed"] = True
-    with pytest.raises(ReportFormatError, match=r"\$\.seed: expected int"):
+    d = valid_doc(); d["config"]["seed"] = True
+    with pytest.raises(ReportFormatError, match=r"^\$\.config\.seed: expected int"):
         validate_report(d)
 
 
 def test_validate_bad_payload_in_counterexample():
     d = parse_report(render_json(failing_report()))
-    d["counterexample"]["recipe"]["steps"][0]["op"]["kind"] = "nonsense"
-    with pytest.raises(ReportFormatError,
-                       match=r"\$\.counterexample\.recipe\.steps\[0\]\.op\.kind"):
+    cx, where = _counterexample_at(d, 0)
+    cx["recipe"]["steps"][0]["op"]["kind"] = "nonsense"
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where + ".recipe.steps[0].op.kind")):
         validate_report(d)
 
 
@@ -172,25 +179,18 @@ def test_validate_refuses_a_config_check_config_refuses(key, value):
         parse_report(json.dumps(d))
 
 
-def test_validate_refuses_a_seed_other_than_the_configs():
-    d = valid_doc(); d["seed"] = d["config"]["seed"] + 35
-    with pytest.raises(ReportFormatError, match=r"^\$\.seed: 42 differs from \$\.config\.seed 7"):
-        parse_report(json.dumps(d))
-
-
 def _edit_first(steps: list, kind: str) -> tuple[int, dict]:
     return next((i, s) for i, s in enumerate(steps) if s["type"] == kind)
 
 
-def _counterexample_at(d: dict, where: str) -> tuple[dict, str]:
-    """The counterexample at ``where``, the top level's or a verdict's, and its path."""
-    v = next(i for i, vd in enumerate(d["verdicts"]) if "counterexample" in vd)
-    cx = d["counterexample"] if where == "$.counterexample" else d["verdicts"][v]["counterexample"]
-    return cx, where.format(v=v)
+def _counterexample_at(d: dict, which: int) -> tuple[dict, str]:
+    """The counterexample of the first (0) or the last (-1) failing verdict, and its path."""
+    v = [i for i, vd in enumerate(d["verdicts"]) if vd["status"] == "fail"][which]
+    return d["verdicts"][v]["counterexample"], f"$.verdicts[{v}].counterexample"
 
 
-EVERY_COUNTEREXAMPLE = pytest.mark.parametrize(
-    "where", ["$.counterexample", "$.verdicts[{v}].counterexample"], ids=["top", "verdict"])
+# ew-flag-buggy fails BottomUpStep and, later, LinearizationExists.
+EVERY_COUNTEREXAMPLE = pytest.mark.parametrize("which", [0, -1], ids=["verdict", "last-verdict"])
 
 
 @EVERY_COUNTEREXAMPLE
@@ -202,9 +202,9 @@ EVERY_COUNTEREXAMPLE = pytest.mark.parametrize(
     (lambda steps: _edit_first(steps, "apply")[1].update(op={"kind": "inc"}),
      r"\.steps\[{i}\]\.op\.kind: 'inc' is outside the rdt's payloads"),
 ], ids=["replica", "self-join", "payload"])
-def test_validate_refuses_a_recipe_that_cannot_be_replayed(where, edit, message):
+def test_validate_refuses_a_recipe_that_cannot_be_replayed(which, edit, message):
     d = parse_report(render_json(failing_report()))
-    cx, where = _counterexample_at(d, where)
+    cx, where = _counterexample_at(d, which)
     steps = cx["recipe"]["steps"]
     edit(steps)
     kind = "join" if "join" in message else "apply"
@@ -214,89 +214,28 @@ def test_validate_refuses_a_recipe_that_cannot_be_replayed(where, edit, message)
         parse_report(json.dumps(d))
 
 
-def _flip_first_enable(cx: dict) -> None:
-    step = cx["recipe"]["steps"][0]
-    assert step["op"] == {"kind": "enable"}
-    step["op"] = {"kind": "disable"}  # edge 0 still applies enable at ts 1
-
-
-def _drop_sink(cx: dict) -> None:
-    sink = cx["nodes"].pop()["id"]
-    cx["edges"] = [e for e in cx["edges"] if e["to"] != sink]
-
-
 @EVERY_COUNTEREXAMPLE
 @pytest.mark.parametrize("edit, message", [
-    (_flip_first_enable, r"\.edges\[0\]: differs from the recipe's graph"),
-    (lambda cx: cx["edges"].pop(), r"\.edges: \d+ edges, the recipe's graph has \d+"),
-    (_drop_sink, r"\.nodes: ids differ from the recipe's graph"),
-], ids=["flipped-step", "dropped-edge", "dropped-node"])
-def test_validate_refuses_a_recipe_other_than_the_graph(where, edit, message):
+    (lambda states: states.pop(), r"\.states: {short} states, the recipe's graph has {n} nodes"),
+    (lambda states: states.append("x"), r"\.states: {long} states, the recipe's graph has {n} nodes"),
+    (lambda states: states.__setitem__(0, 0), r"\.states\[0\]: expected str"),
+], ids=["one-short", "one-long", "non-str"])
+def test_validate_refuses_states_other_than_one_str_per_node(which, edit, message):
     d = parse_report(render_json(failing_report()))
-    cx, where = _counterexample_at(d, where)
-    edit(cx)
-    with pytest.raises(ReportFormatError, match="^" + re.escape(where) + message):
+    cx, where = _counterexample_at(d, which)
+    n = len(build(recipe_from_dict(cx["recipe"])).nodes)
+    edit(cx["states"])
+    message = message.format(short=n - 1, long=n + 1, n=n)
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where) + message + "$"):
         parse_report(json.dumps(d))
 
 
-# Each edit takes the first edge of a kind to one that differs from the
-# recipe's only in a type or in shape.  Edge 0 applies event 1 to v0, giving
-# v1, so false and 1.0 compare equal to its endpoints under ``==``.
-EDGE_EDITS = {
-    "bool-from": ("apply", lambda e: {**e, "from": False}),
-    "float-to": ("apply", lambda e: {**e, "to": 1.0}),
-    "float-ts": ("apply", lambda e: {**e, "event": {**e["event"], "ts": 1.0}}),
-    "unknown-kind": ("apply", lambda e: {**e, "kind": "frobnicate"}),
-    "endpoint-99": ("apply", lambda e: {**e, "to": 99}),
-    "merge-with-event": ("merge-left", lambda e: {**e, "event": {"ts": 1, "replica": 0,
-                                                                 "op": {"kind": "enable"}}}),
-    "non-object": ("apply", lambda e: "edge"),
-}
-
-
-@EVERY_COUNTEREXAMPLE
-@pytest.mark.parametrize("edit", sorted(EDGE_EDITS))
-def test_validate_refuses_an_edge_of_another_type_or_shape(where, edit):
+@pytest.mark.parametrize("value", [1, None, "true"], ids=["int", "null", "str"])
+def test_validate_refuses_minimal_other_than_a_bool(value):
     d = parse_report(render_json(failing_report()))
-    cx, where = _counterexample_at(d, where)
-    edges = cx["edges"]
-    assert edges[0] == {"from": 0, "to": 1, "kind": "apply",
-                        "event": {"ts": 1, "replica": 0, "op": {"kind": "enable"}}}
-    kind, change = EDGE_EDITS[edit]
-    i = next(i for i, e in enumerate(edges) if e["kind"] == kind)
-    edges[i] = change(edges[i])
-    with pytest.raises(ReportFormatError, match="^" + re.escape(where + f".edges[{i}]")):
-        parse_report(json.dumps(d))
-
-
-@EVERY_COUNTEREXAMPLE
-def test_validate_refuses_a_node_label_other_than_its_id(where):
-    d = parse_report(render_json(failing_report()))
-    cx, where = _counterexample_at(d, where)
-    cx["nodes"][0]["label"] = "root"
-    path = re.escape(where + ".nodes[0].label: expected 'v0'")
-    with pytest.raises(ReportFormatError, match="^" + path):
-        parse_report(json.dumps(d))
-
-
-def _drop_counterexample(d: dict) -> None:
-    d["property"] = None
-    del d["counterexample"]
-
-
-@pytest.mark.parametrize("rdt, edit, message", [
-    ("ew-flag-buggy", lambda d: d.update(property=None), "'BottomUpStep', got None"),
-    ("ew-flag-buggy", lambda d: d.update(property="MergeIdem"), "'BottomUpStep', got 'MergeIdem'"),
-    ("ew-flag-buggy", _drop_counterexample, "'BottomUpStep', got None"),
-    ("ctr-inc-mrdt", lambda d: d.update(property="MergeComm"), "None, got 'MergeComm'"),
-], ids=["null-property", "passing-property", "null-property-no-counterexample",
-        "failed-property-on-passing-suite"])
-def test_validate_refuses_a_property_other_than_the_first_failing_verdicts(rdt, edit, message):
-    report = failing_report() if rdt == "ew-flag-buggy" else run_suite(catalog_get(rdt), SMALL)
-    d = parse_report(render_json(report))
-    edit(d)
-    with pytest.raises(ReportFormatError,
-                       match=r"^\$\.property: expected the first failing verdict's, " + message):
+    cx, where = _counterexample_at(d, 0)
+    cx["minimal"] = value
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where + ".minimal: expected bool")):
         parse_report(json.dumps(d))
 
 
@@ -311,39 +250,14 @@ def test_validate_refuses_a_failing_verdict_without_counterexample():
 def test_validate_refuses_a_counterexample_on_a_passing_verdict():
     d = parse_report(render_json(failing_report()))
     v = next(i for i, vd in enumerate(d["verdicts"]) if vd["status"] == "pass")
-    d["verdicts"][v]["counterexample"] = d["counterexample"]
+    d["verdicts"][v]["counterexample"] = first_failing_verdict(d)["counterexample"]
     with pytest.raises(ReportFormatError,
                        match=rf"^\$\.verdicts\[{v}\]\.counterexample: present in a 'pass' verdict"):
         parse_report(json.dumps(d))
 
 
-def test_validate_refuses_a_top_level_counterexample_without_property():
-    d = valid_doc()
-    d["counterexample"] = suite_report_to_dict(failing_report())["counterexample"]
-    with pytest.raises(ReportFormatError,
-                       match=r"^\$\.counterexample: present in a report with no failing verdict"):
-        validate_report(d)
-
-
-def test_validate_refuses_a_failing_property_without_top_level_counterexample():
-    d = parse_report(render_json(failing_report()))
-    del d["counterexample"]
-    with pytest.raises(ReportFormatError, match=r"^\$\.counterexample: missing"):
-        validate_report(d)
-
-
 def _verdict_of(d: dict, prop: PropertyId) -> int:
     return next(i for i, vd in enumerate(d["verdicts"]) if vd["property"] == prop.value)
-
-
-def test_validate_refuses_a_top_level_counterexample_other_than_the_first_failing_verdicts():
-    d = parse_report(render_json(failing_report()))
-    assert d["property"] == PropertyId.BOTTOM_UP_STEP.value
-    d["counterexample"] = d["verdicts"][_verdict_of(d, PropertyId.LINEARIZATION_EXISTS)][
-        "counterexample"]
-    with pytest.raises(ReportFormatError,
-                       match=r"^\$\.counterexample: differs from the first failing verdict's"):
-        parse_report(json.dumps(d))
 
 
 @pytest.mark.parametrize("value, message", [(True, "expected int"), (-1, "must be non-negative")],
@@ -358,9 +272,9 @@ def test_validate_refuses_linearizations_tried_other_than_a_count(value, message
 
 
 @EVERY_COUNTEREXAMPLE
-def test_validate_refuses_negative_shrink_steps(where):
+def test_validate_refuses_negative_shrink_steps(which):
     d = parse_report(render_json(failing_report()))
-    cx, where = _counterexample_at(d, where)
+    cx, where = _counterexample_at(d, which)
     cx["shrink_steps"] = -5
     with pytest.raises(ReportFormatError,
                        match="^" + re.escape(where) + r"\.shrink_steps: must be non-negative"):
@@ -473,9 +387,10 @@ def test_model_from_report_dict_failing():
 
 
 def test_failing_doc_locates_the_violation():
-    cx = suite_report_to_dict(failing_report())["counterexample"]
+    cx = first_failing_verdict(suite_report_to_dict(failing_report()))["counterexample"]
     assert cx["node"] == 6
-    assert cx["event"] == {"ts": 4, "replica": 1, "op": {"kind": "disable"}}
+    assert cx["event"] == 4
+    assert build(recipe_from_dict(cx["recipe"])).events[3] == Event(4, 1, Disable())
     lhs, rhs = model_from_report_dict(parse_report(render_json(failing_report()))).panels
     assert lhs.steps[0].text() == "merge(v5, v4 | lca=v3) --> v6 [(2, true)]"
     assert rhs.steps[0].text() == "merge(v3, v4 | lca=v3) --disable(t=4,r=1)--> [(2, false)]"
@@ -485,7 +400,7 @@ def test_failing_doc_locates_the_violation():
 def test_doc_without_violation_location_still_renders(dropped):
     doc = parse_report(render_json(failing_report()))
     for key in dropped:
-        del doc["counterexample"][key]
+        del first_failing_verdict(doc)["counterexample"][key]
     validate_report(doc)
     where = " at v6" if "node" not in dropped else ""
     model = model_from_report_dict(doc)
@@ -498,17 +413,33 @@ def test_doc_without_violation_location_still_renders(dropped):
 
 def test_validate_event_not_on_a_side_of_node():
     doc = parse_report(render_json(failing_report()))
-    cx = doc["counterexample"]
-    first_apply = next(e for e in cx["edges"] if e["kind"] == "apply")
-    cx["event"] = first_apply["event"]  # enters v1, not a side of the merge at v6
-    with pytest.raises(ReportFormatError, match=r"^\$\.counterexample\.event: "):
+    cx, where = _counterexample_at(doc, 0)
+    cx["event"] = 1  # enters v1, not a side of the merge at v6
+    with pytest.raises(ReportFormatError,
+                       match="^" + re.escape(where) + r"\.event: not applied into a side of merge node$"):
+        validate_report(doc)
+
+
+@pytest.mark.parametrize("value, message", [
+    (0, "not a timestamp of the recipe's events"),
+    (5, "not a timestamp of the recipe's events"),  # the recipe has 4 events
+    (True, "expected int"),
+    ({"ts": 4, "replica": 1, "op": {"kind": "disable"}}, "expected int"),  # salcheck/1's form
+], ids=["zero", "out-of-range", "bool", "object"])
+def test_validate_refuses_an_event_other_than_a_timestamp(value, message):
+    doc = parse_report(render_json(failing_report()))
+    cx, where = _counterexample_at(doc, 0)
+    cx["event"] = value
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where) + r"\.event: " + message + "$"):
         validate_report(doc)
 
 
 def test_validate_node_not_among_ids():
     doc = parse_report(render_json(failing_report()))
-    doc["counterexample"]["node"] = 99
-    with pytest.raises(ReportFormatError, match=r"^\$\.counterexample\.node: "):
+    cx, where = _counterexample_at(doc, 0)
+    cx["node"] = 99
+    with pytest.raises(ReportFormatError,
+                       match="^" + re.escape(where) + r"\.node: not a node of the recipe's graph$"):
         validate_report(doc)
 
 

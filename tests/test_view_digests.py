@@ -3,8 +3,9 @@
 Each case builds one render model and compares the digests of its text, DOT
 and HTML renderings with ``golden/view-digests.json``.  The models are:
 
-- every report of ``test_report_digests``, read back as ``salcheck render``
-  reads a file: ``render_json``, ``parse_report``, ``model_from_report_dict``;
+- every report of ``test_report_digests`` (its ``document``, rendered once
+  per session), read back as ``salcheck render`` reads a file:
+  ``parse_report``, ``model_from_report_dict``;
 - ``demo_model`` of every bundled demo recipe.
 
 A change to any rendered byte fails here.  Run this file as a script to
@@ -21,13 +22,12 @@ from pathlib import Path
 import pytest
 
 from salcheck.catalog import catalog_get
-from salcheck.checker import run_suite
 from salcheck.cli import DEMO_RECIPES, demo_model
 from salcheck.history import run_recipe
 from salcheck.report import (
-    model_from_report_dict, parse_report, render_dot, render_html, render_json, render_text,
+    model_from_report_dict, parse_report, render_dot, render_html, render_text,
 )
-from test_report_digests import CASES as REPORT_CASES
+from test_report_digests import CASES as REPORT_CASES, document
 
 GOLDEN = Path(__file__).parent / "golden" / "view-digests.json"
 RENDERERS = {"text": render_text, "dot": render_dot, "html": render_html}
@@ -38,8 +38,7 @@ CASES = {**{f"report/{case}": case for case in REPORT_CASES},
 def model(case: str):
     kind, _, name = case.partition("/")
     if kind == "report":
-        rdt_id, cfg = REPORT_CASES[name]
-        return model_from_report_dict(parse_report(render_json(run_suite(catalog_get(rdt_id), cfg))))
+        return model_from_report_dict(parse_report(document(name)))
     entry = catalog_get(name)
     return demo_model(entry, run_recipe(entry.spec, DEMO_RECIPES[name]))
 
