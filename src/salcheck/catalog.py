@@ -11,12 +11,13 @@ registers); none of them is trusted — the checker validates every entry, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, or_
 
 from .model import (
     Add, CrdtSpec, Dec, Delete, Disable, Enable, Event, Inc, Insert, MapSet,
     MrdtSpec, OpPayload, RdtSpec, Rem, SpecMismatchError, Write, is_crdt, rc_empty,
 )
-from .tracked import ExtensionalMap, TrackedSet, show_set
+from .tracked import ExtensionalMap, show_set
 
 LITERAL_POOL: tuple[int, ...] = (1, 2, 3)
 
@@ -85,7 +86,7 @@ pn_ctr_mrdt = MrdtSpec(
 
 
 # ---------------------------------------------------------------------------
-# Observed-removed sets (MRDT).  State: TrackedSet of (timestamp, element).
+# Observed-removed sets (MRDT).  State: frozenset of (timestamp, element).
 #
 # Destructive operations throughout the catalog take an optional observation
 # set (the timestamps of the events in the acting event's causal past) and
@@ -94,25 +95,22 @@ pn_ctr_mrdt = MrdtSpec(
 # pre-state was made by an observed event; the same functions double as the
 # replay semantics for sequential witnesses, where an event replayed out of
 # causal context must not act on entries it could never have seen.  A remove
-# that removes nothing returns its input itself (``TrackedSet.filter``): the
-# peel check probes each distinct state object once, so a fresh copy would
-# add ``apply`` calls.
+# that removes nothing returns its input itself: the peel check probes each
+# distinct state object once, so a fresh copy would add ``apply`` calls.
 
 
-def _saw(observed: frozenset | None, ts: int) -> bool:
-    return observed is None or ts in observed
-
-
-def _orset_apply(s: TrackedSet, ev: Event, observed: frozenset | None = None) -> TrackedSet:
+def _orset_apply(s: frozenset, ev: Event, observed: frozenset | None = None) -> frozenset:
     if isinstance(ev.op, Add):
-        return s.insert((ev.ts, ev.op.elem))
+        return s | {(ev.ts, ev.op.elem)}
     elem = ev.op.elem
-    return s.filter(lambda pair: not (pair[1] == elem and _saw(observed, pair[0])))
+    doomed = {pair for pair in s
+              if pair[1] == elem and (observed is None or pair[0] in observed)}
+    return s - doomed if doomed else s
 
 
-def orset_merge3(l: TrackedSet, a: TrackedSet, b: TrackedSet) -> TrackedSet:
+def orset_merge3(l: frozenset, a: frozenset, b: frozenset) -> frozenset:
     """Keep what survived on both branches plus whatever either branch added."""
-    return TrackedSet((l & a & b) | (a - l) | (b - l))
+    return (l & a & b) | (a - l) | (b - l)
 
 
 def _orset_rc(o1: OpPayload, o2: OpPayload) -> bool:
@@ -122,7 +120,7 @@ def _orset_rc(o1: OpPayload, o2: OpPayload) -> bool:
 
 or_set_mrdt = MrdtSpec(
     name="or-set-mrdt",
-    initial=TrackedSet.empty(),
+    initial=frozenset(),
     apply=_orset_apply,
     merge3=orset_merge3,
     rc=_orset_rc,
@@ -132,22 +130,23 @@ or_set_mrdt = MrdtSpec(
 )
 
 
-def _orset_eff_apply(s: TrackedSet, ev: Event, observed: frozenset | None = None) -> TrackedSet:
-    # State: TrackedSet of (timestamp, replica, element).  An add supersedes
+def _orset_eff_apply(s: frozenset, ev: Event, observed: frozenset | None = None) -> frozenset:
+    # State: frozenset of (timestamp, replica, element).  An add supersedes
     # the adder's own previous entry for that element, so each (element,
     # replica) pair keeps a single latest timestamp.
     elem, replica = ev.op.elem, ev.replica
     if isinstance(ev.op, Add):
-        kept = [t for t in s
-                if not (t[2] == elem and t[1] == replica and _saw(observed, t[0]))]
+        kept = [t for t in s if not (t[2] == elem and t[1] == replica
+                                     and (observed is None or t[0] in observed))]
         kept.append((ev.ts, replica, elem))
-        return TrackedSet(kept)
-    return s.filter(lambda t: not (t[2] == elem and _saw(observed, t[0])))
+        return frozenset(kept)
+    doomed = {t for t in s if t[2] == elem and (observed is None or t[0] in observed)}
+    return s - doomed if doomed else s
 
 
 or_set_eff_mrdt = MrdtSpec(
     name="or-set-eff-mrdt",
-    initial=TrackedSet.empty(),
+    initial=frozenset(),
     apply=_orset_eff_apply,
     merge3=orset_merge3,
     rc=_orset_rc,
@@ -199,20 +198,21 @@ ew_flag_buggy = MrdtSpec(
 )
 
 
-def _flag_fixed_apply(s: TrackedSet, ev: Event, observed: frozenset | None = None) -> TrackedSet:
+def _flag_fixed_apply(s: frozenset, ev: Event, observed: frozenset | None = None) -> frozenset:
     # State: the set of enable timestamps that no disable has observed yet.
     if isinstance(ev.op, Enable):
-        return s.insert(ev.ts)
-    return s.filter(lambda ts: not _saw(observed, ts))
+        return s | {ev.ts}
+    doomed = s if observed is None else s & observed
+    return s - doomed if doomed else s
 
 
-def flag_value(s: TrackedSet) -> bool:
+def flag_value(s: frozenset) -> bool:
     return len(s) > 0
 
 
 ew_flag_fixed = MrdtSpec(
     name="ew-flag-fixed",
-    initial=TrackedSet.empty(),
+    initial=frozenset(),
     apply=_flag_fixed_apply,
     merge3=orset_merge3,
     rc=_flag_rc,
@@ -226,17 +226,17 @@ ew_flag_fixed = MrdtSpec(
 # Grow-only set and map.
 
 
-def _gset_apply(s: TrackedSet, ev: Event) -> TrackedSet:
-    return s.insert(ev.op.elem)
+def _gset_apply(s: frozenset, ev: Event) -> frozenset:
+    return s | {ev.op.elem}
 
 
 def _gset_merge3(l, a, b):
-    return a.union(b)
+    return a | b
 
 
 g_set_mrdt = MrdtSpec(
     name="g-set-mrdt",
-    initial=TrackedSet.empty(),
+    initial=frozenset(),
     apply=_gset_apply,
     merge3=_gset_merge3,
     rc=rc_empty,
@@ -249,18 +249,17 @@ def _gmap_apply(s: ExtensionalMap, ev: Event) -> ExtensionalMap:
     op = ev.op
     if not isinstance(op.op, Add):
         raise SpecMismatchError(f"g-map values only accept add, got {op.op!r}")
-    elem = op.op.elem
-    return s.update(op.key, lambda v: v.insert(elem))
+    return s.update(op.key, or_, {op.op.elem})
 
 
 def _gmap_merge3(l: ExtensionalMap, a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
     # The g-set merge ignores the LCA, so merging pointwise is uniting a and b.
-    return a.combine(b, TrackedSet.union)
+    return a.combine(b, or_)
 
 
 g_map_mrdt = MrdtSpec(
     name="g-map-mrdt",
-    initial=ExtensionalMap.empty(TrackedSet.empty()),
+    initial=ExtensionalMap.empty(frozenset()),
     apply=_gmap_apply,
     merge3=_gmap_merge3,
     rc=rc_empty,
@@ -278,9 +277,10 @@ g_map_mrdt = MrdtSpec(
 def _rga_apply(s, ev: Event, observed: frozenset | None = None):
     elems, tombs = s
     if isinstance(ev.op, Insert):
-        return (elems.insert((ev.ts, ev.op.elem)), tombs)
-    doomed = {ts for ts, elem in elems if elem == ev.op.elem and _saw(observed, ts)}
-    return (elems, TrackedSet(tombs | doomed))
+        return (elems | {(ev.ts, ev.op.elem)}, tombs)
+    doomed = {ts for ts, elem in elems
+              if elem == ev.op.elem and (observed is None or ts in observed)}
+    return (elems, tombs | doomed)
 
 
 def _rga_merge3(l, a, b):
@@ -296,13 +296,13 @@ def _rga_rc(o1: OpPayload, o2: OpPayload) -> bool:
 
 def rga_read(s) -> list[int]:
     elems, tombs = s
-    live = [(ts, elem) for ts, elem in elems.elements() if not tombs.member(ts)]
+    live = [(ts, elem) for ts, elem in elems if ts not in tombs]
     return [elem for ts, elem in sorted(live, reverse=True)]
 
 
 rga_mrdt = MrdtSpec(
     name="rga-mrdt",
-    initial=(TrackedSet.empty(), TrackedSet.empty()),
+    initial=(frozenset(), frozenset()),
     apply=_rga_apply,
     merge3=_rga_merge3,
     rc=_rga_rc,
@@ -313,25 +313,25 @@ rga_mrdt = MrdtSpec(
 
 
 # ---------------------------------------------------------------------------
-# Multi-value register (MRDT).  State: TrackedSet of (timestamp, value).
+# Multi-value register (MRDT).  State: frozenset of (timestamp, value).
 # A write supersedes every entry it can have observed (strictly older
 # timestamps) but leaves newer entries alone, so replaying concurrent writes
 # in any causal order reproduces the set of surviving values.
 
 
-def _mvreg_apply(s: TrackedSet, ev: Event) -> TrackedSet:
+def _mvreg_apply(s: frozenset, ev: Event) -> frozenset:
     kept = [pair for pair in s if pair[0] > ev.ts]
     kept.append((ev.ts, ev.op.value))
-    return TrackedSet(kept)
+    return frozenset(kept)
 
 
-def mv_reg_read(s: TrackedSet) -> frozenset:
-    return frozenset(v for _, v in s.members)
+def mv_reg_read(s: frozenset) -> frozenset:
+    return frozenset(v for _, v in s)
 
 
 mv_reg_mrdt = MrdtSpec(
     name="mv-reg-mrdt",
-    initial=TrackedSet.empty(),
+    initial=frozenset(),
     apply=_mvreg_apply,
     merge3=orset_merge3,
     rc=rc_empty,
@@ -345,7 +345,7 @@ mv_reg_mrdt = MrdtSpec(
 
 
 def _vec_apply(m: ExtensionalMap, ev: Event) -> ExtensionalMap:
-    return m.update(ev.replica, lambda n: n + 1)
+    return m.update(ev.replica, add, 1)
 
 
 def _vec_merge2(a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
@@ -353,7 +353,7 @@ def _vec_merge2(a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
 
 
 def vec_value(m: ExtensionalMap) -> int:
-    return sum(v for _, v in m.items())
+    return sum(v for _, v in m.entries)
 
 
 ctr_inc_crdt = CrdtSpec(
@@ -393,19 +393,19 @@ pn_ctr_crdt = CrdtSpec(
 )
 
 
-def _mvreg_crdt_apply(s: TrackedSet, ev: Event) -> TrackedSet:
-    return TrackedSet(((ev.ts, ev.op.value),))
+def _mvreg_crdt_apply(s: frozenset, ev: Event) -> frozenset:
+    return frozenset(((ev.ts, ev.op.value),))
 
 
-def _mvreg_crdt_merge2(a: TrackedSet, b: TrackedSet) -> TrackedSet:
+def _mvreg_crdt_merge2(a: frozenset, b: frozenset) -> frozenset:
     merged = a | b
     top = max((ts for ts, _ in merged), default=None)
-    return TrackedSet([pair for pair in merged if pair[0] == top])
+    return frozenset([pair for pair in merged if pair[0] == top])
 
 
 mv_reg_crdt = CrdtSpec(
     name="mv-reg-crdt",
-    initial=TrackedSet.empty(),
+    initial=frozenset(),
     apply=_mvreg_crdt_apply,
     merge2=_mvreg_crdt_merge2,
     rc=rc_empty,
@@ -417,23 +417,24 @@ mv_reg_crdt = CrdtSpec(
 def _orset_crdt_apply(s, ev: Event, observed: frozenset | None = None):
     adds, tombs = s
     if isinstance(ev.op, Add):
-        return (adds.insert((ev.ts, ev.op.elem)), tombs)
-    doomed = {pair for pair in adds if pair[1] == ev.op.elem and _saw(observed, pair[0])}
-    return (adds, TrackedSet(tombs | doomed))
+        return (adds | {(ev.ts, ev.op.elem)}, tombs)
+    doomed = {pair for pair in adds
+              if pair[1] == ev.op.elem and (observed is None or pair[0] in observed)}
+    return (adds, tombs | doomed)
 
 
 def _orset_crdt_merge2(a, b):
-    return (a[0].union(b[0]), a[1].union(b[1]))
+    return (a[0] | b[0], a[1] | b[1])
 
 
 def orset_crdt_members(s) -> frozenset:
     adds, tombs = s
-    return frozenset(elem for ts, elem in adds.members if (ts, elem) not in tombs.members)
+    return frozenset(elem for _, elem in adds - tombs)
 
 
 or_set_crdt = CrdtSpec(
     name="or-set-crdt",
-    initial=(TrackedSet.empty(), TrackedSet.empty()),
+    initial=(frozenset(), frozenset()),
     apply=_orset_crdt_apply,
     merge2=_orset_crdt_merge2,
     rc=_orset_rc,

@@ -192,7 +192,6 @@ class Verdict:
 @dataclass(frozen=True)
 class SuiteReport:
     rdt_id: str
-    seed: int
     config: CheckConfig
     verdicts: tuple[Verdict, ...]
 
@@ -735,7 +734,7 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
         else:
             report = shrink(entry, p, found[i], cfg)
             verdicts.append(Verdict(p, "fail", tests[i], report))
-    return SuiteReport(entry.id, cfg.seed, cfg, tuple(verdicts))
+    return SuiteReport(entry.id, cfg, tuple(verdicts))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,7 @@ def payload_from_dict(d: dict, path: str = "op") -> OpPayload:
     cls = PAYLOAD_KINDS.get(kind)
     if cls is None:
         raise ReportFormatError(f"{path}.kind: unknown payload kind {kind!r}")
+    _refuse_unknown(d, ("kind", *(name for name, _ in cls.layout)), path)
     # A nested field accepts any kind; the spec's apply refuses what it cannot take.
     return cls(*(_require(d, name, int, path) if sub is None
                  else payload_from_dict(_require(d, name, dict, path), f"{path}.{name}")
@@ -269,16 +270,19 @@ def recipe_to_dict(recipe: Recipe) -> dict:
 
 def recipe_from_dict(d: dict, path: str = "recipe") -> Recipe:
     replicas = _require(d, "replicas", int, path)
+    _refuse_unknown(d, ("replicas", "steps"), path)
     raw = _require(d, "steps", list, path)
     steps: list = []
     for i, sd in enumerate(raw):
         spath = f"{path}.steps[{i}]"
         stype = _require(sd, "type", str, spath)
         if stype == "apply":
+            _refuse_unknown(sd, ("type", "replica", "op"), spath)
             steps.append(ApplyOp(_require(sd, "replica", int, spath),
                                  payload_from_dict(_require(sd, "op", dict, spath),
                                                    f"{spath}.op")))
         elif stype == "join":
+            _refuse_unknown(sd, ("type", "target", "source"), spath)
             steps.append(JoinOp(_require(sd, "target", int, spath),
                                 _require(sd, "source", int, spath)))
         else:
@@ -289,6 +293,7 @@ def recipe_from_dict(d: dict, path: str = "recipe") -> Recipe:
 # Each CheckConfig field is an int or, like the literal pool, a tuple of ints
 # (a JSON list); its default says which.
 _CONFIG_FIELDS = tuple((f.name, isinstance(f.default, tuple)) for f in fields(CheckConfig))
+_CONFIG_KEYS = tuple(name for name, _ in _CONFIG_FIELDS)
 
 
 def config_to_dict(cfg: CheckConfig) -> dict:
@@ -307,6 +312,7 @@ def config_from_dict(d: dict, path: str = "config") -> CheckConfig:
             if not isinstance(item, int) or isinstance(item, bool):
                 raise ReportFormatError(f"{path}.{name}[{i}]: expected int")
         values[name] = tuple(items)
+    _refuse_unknown(d, _CONFIG_KEYS, path)
     return CheckConfig(**values)
 
 
@@ -364,6 +370,14 @@ def _require(d: dict, key: str, typ, path: str):
     return val
 
 
+def _refuse_unknown(d: dict, known, path: str) -> None:
+    """Refuse a key of ``d`` outside ``known``: a report states each fact once,
+    under the one key this schema gives it."""
+    for key in d:
+        if key not in known:
+            raise ReportFormatError(f"{path}.{key}: unknown key")
+
+
 def _count(d: dict, key: str, path: str) -> int:
     if (val := _require(d, key, int, path)) < 0:
         raise ReportFormatError(f"{path}.{key}: must be non-negative")
@@ -372,6 +386,10 @@ def _count(d: dict, key: str, path: str) -> int:
 
 _PROPERTY_NAMES = {p.value for p in PropertyId}
 _STATUSES = {"pass", "fail", "vacuous"}
+_REPORT_KEYS = ("schema", "rdt", "config", "verdicts")
+_VERDICT_KEYS = ("property", "status", "tests", "counterexample")
+_COUNTEREXAMPLE_KEYS = ("recipe", "states", "lhs", "rhs", "shrink_steps", "minimal",
+                        "linearizations_tried", "node", "event")
 
 
 def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...] | None) -> None:
@@ -381,6 +399,7 @@ def _validate_counterexample(d: dict, path: str, payload_types: tuple[type, ...]
     node of the recipe's graph, so that the graph drawn is the history a
     replay checks."""
     rpath = f"{path}.recipe"
+    _refuse_unknown(d, _COUNTEREXAMPLE_KEYS, path)
     recipe = recipe_from_dict(_require(d, "recipe", dict, path), rpath)
     try:
         g = build(recipe)
@@ -420,6 +439,7 @@ def validate_report(d) -> None:
     schema = _require(d, "schema", str, "$")
     if schema != SCHEMA:
         raise ReportFormatError(f"$.schema: expected {SCHEMA!r}, got {schema!r}")
+    _refuse_unknown(d, _REPORT_KEYS, "$")
     rdt = _require(d, "rdt", str, "$")
     try:
         payload_types = catalog_get(rdt).spec.payload_types
@@ -434,6 +454,7 @@ def validate_report(d) -> None:
     for i, v in enumerate(verdicts):
         vpath = f"$.verdicts[{i}]"
         name = _require(v, "property", str, vpath)
+        _refuse_unknown(v, _VERDICT_KEYS, vpath)
         if name not in _PROPERTY_NAMES:
             raise ReportFormatError(f"{vpath}.property: unknown property {name!r}")
         status = _require(v, "status", str, vpath)

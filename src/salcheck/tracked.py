@@ -1,18 +1,21 @@
 """Set and map values with decidable extensional equality.
 
-A ``TrackedSet`` is an immutable membership set.  Two sets are equal, and
-hash alike, exactly when their members agree, whatever inserts and removes
-produced them.
+The catalog's set-valued states are plain ``frozenset``s, built with the
+builtin set operators.  ``TrackedSet`` is the same algebra over the same
+values, spelled as methods (``insert``, ``union``, ``filter``, ...), for user
+specs and the substrate laws: it is a ``frozenset`` subclass, so two sets are
+equal, and hash alike, exactly when their members agree, whatever inserts and
+removes produced them, and a ``TrackedSet`` equals the plain ``frozenset`` of
+its members.
 
 An ``ExtensionalMap`` is a total mapping with a declared default and an
-explicit domain (a ``TrackedSet`` of keys).  Maps are equal when their domains
-are extensionally equal and the mappings agree on every key in the domain.
+explicit domain: the keys whose value is not the default.  Maps are equal
+when the mappings agree on every key; the default takes no part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from operator import itemgetter
 
 
 class TrackedSet(frozenset):
@@ -73,59 +76,93 @@ def element_str(x) -> str:
     return str(x)
 
 
-def show_set(s: TrackedSet) -> str:
+def show_set(s: frozenset) -> str:
     """Bit-exact display form: ``#[`` + comma-separated elements + ``]#``."""
-    return "#[" + ", ".join(element_str(x) for x in s.elements()) + "]#"
+    return "#[" + ", ".join(element_str(x) for x in sorted(s)) + "]#"
 
 
-@dataclass(frozen=True)
-class ExtensionalMap:
-    """``entries`` is a tuple of ``(key, value)`` pairs sorted by key, one per
-    domain member, stored as given."""
+_new = tuple.__new__
 
-    default: Any = field(compare=False, default=0)
-    entries: tuple = ()
+
+def _second(old, new):
+    return new
+
+
+class ExtensionalMap(tuple):
+    """The pair ``(default, entries)``: ``entries`` is a tuple of
+    ``(key, value)`` pairs sorted by key, one per domain member.
+
+    The tuple is only storage, which makes a map immutable by construction.
+    Maps compare and hash by ``entries`` alone, and a map never equals a
+    value of another type, a plain ``(default, entries)`` tuple included.
+    ``set``, ``update`` and ``combine`` leave out every entry whose value
+    equals the default; a map built directly keeps its entries as given."""
+
+    __slots__ = ()
+
+    def __new__(cls, default=0, entries: tuple = ()) -> "ExtensionalMap":
+        return _new(cls, (default, entries))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    default = property(itemgetter(0))
+    entries = property(itemgetter(1))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExtensionalMap) and self[1] == other[1]
+
+    def __ne__(self, other) -> bool:
+        return not (isinstance(other, ExtensionalMap) and self[1] == other[1])
+
+    def __hash__(self) -> int:
+        return hash(self[1])
+
+    def __repr__(self) -> str:
+        return f"ExtensionalMap(default={self[0]!r}, entries={self[1]!r})"
 
     @staticmethod
     def empty(default) -> "ExtensionalMap":
-        return ExtensionalMap(default, ())
-
-    def _locate(self, k) -> tuple[int, bool]:
-        """Index of ``k``'s entry, or where it would be inserted, and whether
-        ``k`` is present."""
-        for i, (key, _) in enumerate(self.entries):
-            if key >= k:
-                return i, key == k
-        return len(self.entries), False
+        return _new(ExtensionalMap, (default, ()))
 
     def get(self, k):
-        i, found = self._locate(k)
-        return self.entries[i][1] if found else self.default
+        for key, value in self[1]:
+            if key == k:
+                return value
+        return self[0]
 
     def set(self, k, v) -> "ExtensionalMap":
-        return self.update(k, lambda _: v)
+        return self.update(k, _second, v)
 
-    def update(self, k, f) -> "ExtensionalMap":
-        """``set(k, f(get(k)))``, finding ``k`` once."""
-        i, found = self._locate(k)
-        head, tail = self.entries[:i], self.entries[i + found:]
-        v = f(self.entries[i][1] if found else self.default)
-        if v == self.default:  # a map is exactly its non-default entries
-            return ExtensionalMap(self.default, head + tail)
-        return ExtensionalMap(self.default, head + ((k, v),) + tail)
+    def update(self, k, f, x) -> "ExtensionalMap":
+        """``set(k, f(get(k), x))``, finding ``k`` once."""
+        d, entries = self
+        i = 0
+        for key, old in entries:
+            if key >= k:
+                break
+            i += 1
+        if i < len(entries) and key == k:
+            v, j = f(old, x), i + 1
+        else:
+            v, j = f(d, x), i
+        if v == d:  # a map is exactly its non-default entries
+            return _new(ExtensionalMap, (d, entries[:i] + entries[j:]))
+        return _new(ExtensionalMap, (d, entries[:i] + ((k, v),) + entries[j:]))
 
     def combine(self, other: "ExtensionalMap", f) -> "ExtensionalMap":
         """The map ``k -> f(self.get(k), other.get(k))``, in one pass over both
         sorted entry tuples; ``self``'s default is the result's."""
-        d = self.default
-        xs, ys = self.entries, other.entries
+        d, xs = self
+        od, ys = other
+        nx, ny = len(xs), len(ys)
         i = j = 0
         out = []
-        while i < len(xs) or j < len(ys):
-            if j == len(ys) or (i < len(xs) and xs[i][0] < ys[j][0]):
-                k, v = xs[i][0], f(xs[i][1], other.default)
+        while i < nx or j < ny:
+            if j == ny or (i < nx and xs[i][0] < ys[j][0]):
+                k, v = xs[i][0], f(xs[i][1], od)
                 i += 1
-            elif i == len(xs) or ys[j][0] < xs[i][0]:
+            elif i == nx or ys[j][0] < xs[i][0]:
                 k, v = ys[j][0], f(d, ys[j][1])
                 j += 1
             else:
@@ -134,17 +171,17 @@ class ExtensionalMap:
                 j += 1
             if v != d:
                 out.append((k, v))
-        return ExtensionalMap(d, tuple(out))
+        return _new(ExtensionalMap, (d, tuple(out)))
 
     def domain(self) -> TrackedSet:
-        return TrackedSet(k for k, _ in self.entries)
+        return TrackedSet(k for k, _ in self[1])
 
     def keys(self) -> list:
-        return [k for k, _ in self.entries]
+        return [k for k, _ in self[1]]
 
     def items(self) -> tuple:
-        return self.entries
+        return self[1]
 
     def show(self, value_str=element_str) -> str:
-        body = ", ".join(f"{element_str(k)}: {value_str(v)}" for k, v in self.entries)
+        body = ", ".join(f"{element_str(k)}: {value_str(v)}" for k, v in self[1])
         return "{" + body + "}"

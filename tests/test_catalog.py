@@ -1,5 +1,8 @@
 """Per-entry semantics of the bundled data type catalog."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +19,7 @@ from salcheck.catalog import (
     pn_ctr_crdt, pn_vec_value, mv_reg_crdt, or_set_crdt, orset_crdt_members,
 )
 from salcheck.checker import _as_entry
-from salcheck.history import Recipe, ApplyOp, diamond, run_recipe
+from salcheck.history import Recipe, ApplyOp, diamond, random_recipe, run_recipe, sweep_walk
 
 SUITE = settings(max_examples=1000, derandomize=True)
 
@@ -44,6 +47,48 @@ def test_kind_matches_spec_shape():
 def test_catalog_get_unknown_raises():
     with pytest.raises(KeyError):
         catalog_get("no-such-rdt")
+
+
+def foreign_type(v) -> type | None:
+    """The first type in ``v`` other than int, bool, str, tuple, frozenset and
+    ``ExtensionalMap``, looking inside the last three; ``None`` if there is
+    none.  Types are matched exactly, so a subclass (``TrackedSet``) is
+    foreign."""
+    t = type(v)
+    if t is ExtensionalMap:
+        return foreign_type(v.default) or foreign_type(v.entries)
+    if t is tuple or t is frozenset:
+        return next(filter(None, map(foreign_type, v)), None)
+    return None if t in (int, bool, str) else t
+
+
+def _checking_outputs(spec):
+    """``spec`` with ``apply`` and its merge checking each state they return."""
+    def wrap(kind, fn):
+        def checked(*args):
+            out = fn(*args)
+            assert foreign_type(out) is None, f"{spec.name} {kind}{args!r} gave {out!r}"
+            return out
+        return checked
+
+    merge_field = "merge2" if is_crdt(spec) else "merge3"
+    return dataclasses.replace(spec, apply=wrap("apply", spec.apply),
+                               **{merge_field: wrap("merge", getattr(spec, merge_field))})
+
+
+@pytest.mark.parametrize("rdt_id", [e.id for e in CATALOG])
+def test_states_are_plain_immutable_values(rdt_id):
+    # Every state a history reaches is the initial state or a kernel's
+    # output: here those of the 2-replica sweep to 4 events and of 200
+    # seeded random 8-event histories.
+    spec = _checking_outputs(catalog_get(rdt_id).spec)
+    assert foreign_type(spec.initial) is None
+    pool = payload_pool(spec)
+    for _ in sweep_walk(pool, 4, 2, 1, spec):
+        pass
+    rng = random.Random(f"plain-states/{rdt_id}")
+    for _ in range(200):
+        run_recipe(spec, random_recipe(rng, pool, 8, 2, max_joins=2))
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +139,16 @@ def test_orset_observed_replay_matches_apply_in_causal_order():
 
 
 def test_orset_observed_replay_spares_unseen_entries():
-    s = or_set_mrdt.initial.insert((5, 1))
+    s = or_set_mrdt.initial | {(5, 1)}
     out = or_set_mrdt.replay_apply(s, Event(2, 0, Rem(1)), frozenset())
-    assert (5, 1) in out.members
+    assert (5, 1) in out
 
 
 def test_orset_eff_compacts_per_replica():
     r = Recipe((ApplyOp(0, Add(1)), ApplyOp(0, Add(1)), ApplyOp(1, Add(1))))
     ex = run_recipe(or_set_eff_mrdt, r)
     # replica 0's second add supersedes its first; replica 1 keeps its own
-    assert ex.sink_state().members == frozenset({(2, 0, 1), (3, 1, 1)})
+    assert ex.sink_state() == frozenset({(2, 0, 1), (3, 1, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +173,7 @@ def test_fixed_flag_tracks_enable_timestamps():
     s = ew_flag_fixed.initial
     s = ew_flag_fixed.apply(s, Event(1, 0, Enable()))
     s = ew_flag_fixed.apply(s, Event(2, 0, Enable()))
-    assert flag_value(s) and s.members == frozenset({1, 2})
+    assert flag_value(s) and s == frozenset({1, 2})
     s = ew_flag_fixed.apply(s, Event(3, 0, Disable()))
     assert not flag_value(s)
     assert ew_flag_fixed.format_state(s) == "(false, #[]#)"
@@ -145,14 +190,14 @@ def test_fixed_flag_enable_wins_concurrent_disable():
 
 def test_gset_union_merge():
     ex = run_recipe(g_set_mrdt, diamond((Add(1),), (Add(2),)))
-    assert ex.sink_state().members == frozenset({1, 2})
+    assert ex.sink_state() == frozenset({1, 2})
 
 
 def test_gmap_pointwise_union():
     ex = run_recipe(g_map_mrdt, diamond((MapSet(1, Add(1)),), (MapSet(1, Add(2)), MapSet(2, Add(3)))))
     m = ex.sink_state()
-    assert m.get(1).members == frozenset({1, 2})
-    assert m.get(2).members == frozenset({3})
+    assert m.get(1) == frozenset({1, 2})
+    assert m.get(2) == frozenset({3})
 
 
 def test_gmap_rejects_non_add_values():
@@ -167,8 +212,8 @@ def test_gmap_rejects_non_add_values():
 def test_rga_insert_delete_tombstones():
     ex = run_recipe(rga_mrdt, Recipe((ApplyOp(0, Insert(3)), ApplyOp(0, Delete(3)))))
     elems, tombs = ex.sink_state()
-    assert elems.members == frozenset({(1, 3)})
-    assert tombs.members == frozenset({1})
+    assert elems == frozenset({(1, 3)})
+    assert tombs == frozenset({1})
     assert rga_read(ex.sink_state()) == []
 
 
@@ -200,7 +245,7 @@ def test_mv_reg_mrdt_overwrites_causally():
 def test_mv_reg_crdt_last_writer_wins():
     ex = run_recipe(mv_reg_crdt, diamond((Write(1),), (Write(2),)))
     # the concurrent write with the larger timestamp survives the join
-    assert ex.sink_state().members == frozenset({(2, 2)})
+    assert ex.sink_state() == frozenset({(2, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +280,7 @@ def _maps(values, default):
         lambda d: ExtensionalMap(default, tuple(sorted(d.items()))))
 
 
-_VALUE_SETS = st.frozensets(st.integers(1, 3), max_size=3).map(TrackedSet)
+_VALUE_SETS = st.frozensets(st.integers(1, 3), max_size=3)
 
 
 @SUITE
@@ -247,10 +292,10 @@ def test_vec_merge2_equals_the_per_key_fold(a, b):
 
 
 @SUITE
-@given(*[_maps(_VALUE_SETS, TrackedSet.empty())] * 3)
+@given(*[_maps(_VALUE_SETS, frozenset())] * 3)
 def test_gmap_merge3_equals_the_per_key_fold(l, a, b):
-    want = _per_key_fold(TrackedSet.empty(), set(l.keys()) | set(a.keys()) | set(b.keys()),
-                         lambda k: a.get(k).union(b.get(k)))
+    want = _per_key_fold(frozenset(), set(l.keys()) | set(a.keys()) | set(b.keys()),
+                         lambda k: a.get(k) | b.get(k))
     got = g_map_mrdt.merge3(l, a, b)
     assert got == want and got.entries == want.entries
 
@@ -268,7 +313,7 @@ def test_or_set_crdt_add_wins_members():
 def test_or_set_crdt_observed_remove_tombstones():
     ex = run_recipe(or_set_crdt, Recipe((ApplyOp(0, Add(3)), ApplyOp(0, Rem(3)))))
     adds, tombs = ex.sink_state()
-    assert adds.members == tombs.members == frozenset({(1, 3)})
+    assert adds == tombs == frozenset({(1, 3)})
     assert orset_crdt_members(ex.sink_state()) == frozenset()
 
 

@@ -329,6 +329,18 @@ def test_render_rejects_an_edited_seed(capsys, in_tmp):
     assert "suite passed" not in captured.out
 
 
+def test_render_rejects_an_unknown_key(capsys, in_tmp):
+    assert main(["check", "g-set-mrdt", "--seed", "7", "--out", "r.json"]) == 0
+    doc = json.loads((in_tmp / "r.json").read_text())
+    doc["seed"] = 99
+    (in_tmp / "r.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["render", "r.json"]) == 2
+    captured = capsys.readouterr()
+    assert "$.seed: unknown key" in captured.err
+    assert captured.out == ""
+
+
 def test_render_missing_file(capsys, in_tmp):
     assert main(["render", "absent.json"]) == 2
 

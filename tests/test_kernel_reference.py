@@ -30,7 +30,7 @@ from salcheck.catalog import catalog_get, payload_pool
 from salcheck.checker import EVALUATORS, CheckConfig, properties_for, run_suite
 from salcheck.history import random_recipe, run_recipe
 from salcheck.model import Add, Enable, Event, Inc, Insert, is_crdt
-from salcheck.tracked import ExtensionalMap, TrackedSet, element_str
+from salcheck.tracked import ExtensionalMap, element_str
 
 # ---------------------------------------------------------------------------
 # Reference values.
@@ -45,6 +45,9 @@ class RefSet:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def __iter__(self):
+        return iter(self.members)
 
     def insert(self, x) -> "RefSet":
         return RefSet(self.members | {x})
@@ -94,7 +97,7 @@ class RefMap:
 
 
 def to_ref(v):
-    if isinstance(v, TrackedSet):
+    if isinstance(v, frozenset):
         return RefSet(frozenset(v))
     if isinstance(v, ExtensionalMap):
         return RefMap(to_ref(v.default), tuple((k, to_ref(x)) for k, x in v.entries))
@@ -105,7 +108,7 @@ def to_ref(v):
 
 def from_ref(v):
     if isinstance(v, RefSet):
-        return TrackedSet(v.members)
+        return v.members
     if isinstance(v, RefMap):
         return ExtensionalMap(from_ref(v.default), tuple((k, from_ref(x)) for k, x in v.entries))
     if isinstance(v, tuple):
@@ -115,8 +118,8 @@ def from_ref(v):
 
 def shape(v):
     """A plain, exact form of a value of either substrate."""
-    if isinstance(v, (TrackedSet, RefSet)):
-        return ("set", frozenset(v.members))
+    if isinstance(v, (frozenset, RefSet)):
+        return ("set", frozenset(v))
     if isinstance(v, (ExtensionalMap, RefMap)):
         return ("map", shape(v.default), tuple((k, shape(x)) for k, x in v.entries))
     if isinstance(v, tuple):
@@ -364,7 +367,7 @@ literals = st.integers(1, 3)
 
 
 def sets(elems):
-    return st.frozensets(elems, max_size=5).map(TrackedSet)
+    return st.frozensets(elems, max_size=5)
 
 
 def maps(keys, values, default):
@@ -380,7 +383,7 @@ STATES = {
     "or-set-eff-mrdt": sets(st.tuples(stamps, replicas, literals)),
     "ew-flag-fixed": sets(stamps),
     "g-set-mrdt": sets(literals),
-    "g-map-mrdt": maps(st.integers(0, 4), sets(literals), TrackedSet.empty()),
+    "g-map-mrdt": maps(st.integers(0, 4), sets(literals), frozenset()),
     "rga-mrdt": st.tuples(pairs, sets(stamps)),
     "mv-reg-mrdt": pairs,
     "ctr-inc-crdt": vectors,

@@ -230,6 +230,39 @@ def test_validate_refuses_states_other_than_one_str_per_node(which, edit, messag
         parse_report(json.dumps(d))
 
 
+@pytest.mark.parametrize("where, edit", [
+    ("$.seed", lambda d: d.update(seed=99)),
+    ("$.property", lambda d: d.update(property="MergeComm")),
+    ("$.config.seeds", lambda d: d["config"].update(seeds=[1])),
+    ("$.verdicts[0].seed", lambda d: d["verdicts"][0].update(seed=7)),
+], ids=["top-seed", "top-property", "config", "verdict"])
+def test_validate_refuses_an_unknown_key(where, edit):
+    d = valid_doc(); edit(d)
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where) + ": unknown key$"):
+        parse_report(json.dumps(d))
+
+
+@EVERY_COUNTEREXAMPLE
+@pytest.mark.parametrize("suffix, edit", [
+    ("property", lambda cx: cx.update(property="BottomUpStep")),
+    ("recipe.seed", lambda cx: cx["recipe"].update(seed=42)),
+    ("recipe.steps[{i}].label", lambda cx: _edit_first(cx["recipe"]["steps"], "apply")[1]
+     .update(label="enable")),
+    ("recipe.steps[{j}].ts", lambda cx: _edit_first(cx["recipe"]["steps"], "join")[1].update(ts=1)),
+    ("recipe.steps[{i}].op.elem", lambda cx: _edit_first(cx["recipe"]["steps"], "apply")[1]["op"]
+     .update(elem=1)),
+], ids=["counterexample", "recipe", "apply-step", "join-step", "payload"])
+def test_validate_refuses_an_unknown_key_in_a_counterexample(which, suffix, edit):
+    d = parse_report(render_json(failing_report()))
+    cx, where = _counterexample_at(d, which)
+    steps = cx["recipe"]["steps"]
+    i, j = _edit_first(steps, "apply")[0], _edit_first(steps, "join")[0]
+    edit(cx)
+    where = f"{where}.{suffix.format(i=i, j=j)}"
+    with pytest.raises(ReportFormatError, match="^" + re.escape(where) + ": unknown key$"):
+        parse_report(json.dumps(d))
+
+
 @pytest.mark.parametrize("value", [1, None, "true"], ids=["int", "null", "str"])
 def test_validate_refuses_minimal_other_than_a_bool(value):
     d = parse_report(render_json(failing_report()))

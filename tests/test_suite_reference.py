@@ -126,7 +126,7 @@ def reference_suite(entry, cfg: CheckConfig) -> SuiteReport:
             verdicts.append(Verdict(p, "pass", tests[p]))
         else:
             verdicts.append(Verdict(p, "fail", tests[p], shrink(entry, p, found[p], cfg)))
-    return SuiteReport(entry.id, cfg.seed, cfg, tuple(verdicts))
+    return SuiteReport(entry.id, cfg, tuple(verdicts))
 
 
 def counted(entry):

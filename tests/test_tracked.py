@@ -1,5 +1,9 @@
 """Property suites for the tracked set and the extensional map."""
 
+import copy
+import operator
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from salcheck.tracked import TrackedSet, ExtensionalMap, element_str, show_set
@@ -179,3 +183,75 @@ def test_map_show_sorted_by_key():
     m = em({2: 5, 1: 7})
     assert m.show() == "{1: 7, 2: 5}"
     assert ExtensionalMap.empty(0).show() == "{}"
+
+
+# ---------------------------------------------------------------------------
+# ExtensionalMap.update and combine against a dict model.  Maps are built
+# directly, so an input entry may hold its map's default; the two defaults of
+# a combine may differ; and values often meet a default, so results equal to
+# it must be dropped.
+
+small = st.integers(min_value=-1, max_value=2)
+keys = st.integers(min_value=0, max_value=4)
+given_entries = st.dictionaries(keys, small, max_size=4)
+binary = st.sampled_from([operator.add, operator.sub, max, lambda old, x: x])
+
+
+def direct(d: dict, default) -> ExtensionalMap:
+    return ExtensionalMap(default, tuple(sorted(d.items())))
+
+
+@SUITE
+@given(given_entries, small, keys, binary, small)
+def test_map_update_matches_dict_model(d, default, k, f, x):
+    want = dict(d)
+    v = f(want.get(k, default), x)
+    if v == default:
+        want.pop(k, None)
+    else:
+        want[k] = v
+    got = direct(d, default).update(k, f, x)
+    assert type(got) is ExtensionalMap
+    assert got.default == default
+    assert got.entries == tuple(sorted(want.items()))
+
+
+@SUITE
+@given(given_entries, small, given_entries, small, binary)
+def test_map_combine_matches_dict_model(d1, default1, d2, default2, f):
+    want = {}
+    for k in d1.keys() | d2.keys():
+        v = f(d1.get(k, default1), d2.get(k, default2))
+        if v != default1:
+            want[k] = v
+    got = direct(d1, default1).combine(direct(d2, default2), f)
+    assert type(got) is ExtensionalMap
+    assert got.default == default1
+    assert got.entries == tuple(sorted(want.items()))
+
+
+@SUITE
+@given(map_entries, small)
+def test_equal_maps_hash_alike(d, default):
+    # One map built by ``set`` in two orders, and directly from its live entries.
+    a, b = em(d, default), em(dict(reversed(d.items())), default)
+    c = direct({k: v for k, v in d.items() if v != default}, default)
+    assert a == b == c and not a != b and not a != c
+    assert hash(a) == hash(b) == hash(c)
+
+
+@SUITE
+@given(map_entries, small)
+def test_map_never_equals_a_non_map(d, default):
+    m = em(d, default)
+    for other in ((default, m.entries), tuple(m), m.entries, dict(m.items()), default):
+        assert not m == other and m != other
+        assert not other == m and other != m
+    assert (default, m.entries) not in {m}
+
+
+def test_map_survives_copy_and_pickle():
+    m = em({1: 2, 3: 4}, default=-1)
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(twin) is ExtensionalMap
+        assert twin == m and twin.default == -1 and twin.entries == ((1, 2), (3, 4))
