@@ -11,13 +11,14 @@ registers); none of them is trusted — the checker validates every entry, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, or_
+from itertools import groupby
+from operator import itemgetter
 
 from .model import (
     Add, CrdtSpec, Dec, Delete, Disable, Enable, Event, Inc, Insert, MapSet,
     MrdtSpec, OpPayload, RdtSpec, Rem, SpecMismatchError, Write, is_crdt, rc_empty,
 )
-from .tracked import ExtensionalMap, show_set
+from .tracked import element_str, show_set
 
 LITERAL_POOL: tuple[int, ...] = (1, 2, 3)
 
@@ -245,26 +246,28 @@ g_set_mrdt = MrdtSpec(
 )
 
 
-def _gmap_apply(s: ExtensionalMap, ev: Event) -> ExtensionalMap:
+def _gmap_apply(s: frozenset, ev: Event) -> frozenset:
+    # State: the frozenset of (key, element) pairs, which is the map from keys
+    # to grow-only sets; g-set's union merges it pointwise.
     op = ev.op
     if not isinstance(op.op, Add):
         raise SpecMismatchError(f"g-map values only accept add, got {op.op!r}")
-    return s.update(op.key, or_, {op.op.elem})
+    return s | {(op.key, op.op.elem)}
 
 
-def _gmap_merge3(l: ExtensionalMap, a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
-    # The g-set merge ignores the LCA, so merging pointwise is uniting a and b.
-    return a.combine(b, or_)
+def _gmap_show(s: frozenset) -> str:  # the map display {k: #[...]#, ...}
+    return "{" + ", ".join(f"{element_str(k)}: {show_set(e for _, e in pairs)}"
+                           for k, pairs in groupby(sorted(s), itemgetter(0))) + "}"
 
 
 g_map_mrdt = MrdtSpec(
     name="g-map-mrdt",
-    initial=ExtensionalMap.empty(frozenset()),
+    initial=frozenset(),
     apply=_gmap_apply,
-    merge3=_gmap_merge3,
+    merge3=_gset_merge3,
     rc=rc_empty,
     payload_types=(MapSet,),
-    format_state=lambda m: m.show(lambda v: show_set(v)),
+    format_state=_gmap_show,
 )
 
 
@@ -341,29 +344,45 @@ mv_reg_mrdt = MrdtSpec(
 
 
 # ---------------------------------------------------------------------------
-# CRDT counterparts.
+# CRDT counterparts.  A per-replica counter vector is the tuple of counts
+# indexed by replica id, with no trailing zero, so equal vectors are equal
+# tuples; only a negative count, which no history reaches, can leave one.
 
 
-def _vec_apply(m: ExtensionalMap, ev: Event) -> ExtensionalMap:
-    return m.update(ev.replica, add, 1)
+def _trimmed(counts: list) -> tuple:
+    while counts and not counts[-1]:
+        counts.pop()
+    return tuple(counts)
 
 
-def _vec_merge2(a: ExtensionalMap, b: ExtensionalMap) -> ExtensionalMap:
-    return a.combine(b, max)
+def _vec_apply(v: tuple, ev: Event) -> tuple:
+    counts = [*v, *(0,) * (ev.replica + 1 - len(v))]
+    counts[ev.replica] += 1
+    return _trimmed(counts)
 
 
-def vec_value(m: ExtensionalMap) -> int:
-    return sum(v for _, v in m.entries)
+def _vec_merge2(a: tuple, b: tuple) -> tuple:
+    """Per-index max, reading a missing index as 0."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _trimmed(list(map(max, a, b + (0,) * (len(a) - len(b)))))
+
+
+vec_value = sum  # a vector's value is its total count
+
+
+def _vec_show(v: tuple) -> str:  # the map display {replica: count, ...}
+    return "{" + ", ".join(f"{r}: {n}" for r, n in enumerate(v) if n) + "}"
 
 
 ctr_inc_crdt = CrdtSpec(
     name="ctr-inc-crdt",
-    initial=ExtensionalMap.empty(0),
+    initial=(),
     apply=_vec_apply,
     merge2=_vec_merge2,
     rc=rc_empty,
     payload_types=(Inc,),
-    format_state=lambda m: m.show(),
+    format_state=_vec_show,
 )
 
 
@@ -384,12 +403,12 @@ def pn_vec_value(s) -> int:
 
 pn_ctr_crdt = CrdtSpec(
     name="pn-ctr-crdt",
-    initial=(ExtensionalMap.empty(0), ExtensionalMap.empty(0)),
+    initial=((), ()),
     apply=_pn_vec_apply,
     merge2=_pn_vec_merge2,
     rc=rc_empty,
     payload_types=(Inc, Dec),
-    format_state=lambda s: f"({s[0].show()}, {s[1].show()})",
+    format_state=lambda s: f"({_vec_show(s[0])}, {_vec_show(s[1])})",
 )
 
 

@@ -1,16 +1,17 @@
 """Set and map values with decidable extensional equality.
 
-The catalog's set-valued states are plain ``frozenset``s, built with the
-builtin set operators.  ``TrackedSet`` is the same algebra over the same
-values, spelled as methods (``insert``, ``union``, ``filter``, ...), for user
-specs and the substrate laws: it is a ``frozenset`` subclass, so two sets are
-equal, and hash alike, exactly when their members agree, whatever inserts and
-removes produced them, and a ``TrackedSet`` equals the plain ``frozenset`` of
-its members.
+The catalog's states are plain ints, bools, tuples and ``frozenset``s, built
+with the builtin operators; no catalog state is a map.  ``TrackedSet`` is the set
+algebra over the same values, spelled as methods (``insert``, ``union``,
+``filter``, ...), for user specs and the substrate laws: it is a
+``frozenset`` subclass, so two sets are equal, and hash alike, exactly when
+their members agree, whatever inserts and removes produced them, and a
+``TrackedSet`` equals the plain ``frozenset`` of its members.
 
-An ``ExtensionalMap`` is a total mapping with a declared default and an
-explicit domain: the keys whose value is not the default.  Maps are equal
-when the mappings agree on every key; the default takes no part.
+An ``ExtensionalMap``, for user specs and the substrate laws, is a total
+mapping with a declared default and an explicit domain: the keys whose value
+is not the default.  Maps are equal when the mappings agree on every key,
+absent ones included: their defaults and their entries are equal.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class ExtensionalMap(tuple):
     ``(key, value)`` pairs sorted by key, one per domain member.
 
     The tuple is only storage, which makes a map immutable by construction.
-    Maps compare and hash by ``entries`` alone, and a map never equals a
+    Maps compare and hash by ``(default, entries)``, and a map never equals a
     value of another type, a plain ``(default, entries)`` tuple included.
     ``set``, ``update`` and ``combine`` leave out every entry whose value
     equals the default; a map built directly keeps its entries as given."""
@@ -110,13 +111,12 @@ class ExtensionalMap(tuple):
     entries = property(itemgetter(1))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExtensionalMap) and self[1] == other[1]
+        return isinstance(other, ExtensionalMap) and tuple.__eq__(self, other)
 
     def __ne__(self, other) -> bool:
-        return not (isinstance(other, ExtensionalMap) and self[1] == other[1])
+        return not (isinstance(other, ExtensionalMap) and tuple.__eq__(self, other))
 
-    def __hash__(self) -> int:
-        return hash(self[1])
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
         return f"ExtensionalMap(default={self[0]!r}, entries={self[1]!r})"

@@ -12,7 +12,14 @@ of its arguments exactly when the reference does: the peel check dedupes its
 commute probes by identity, so a kernel that returned its input in a new
 place would change how often ``apply`` runs.
 
-The inputs are hypothesis-drawn states (with default-valued map entries and
+Three entries once kept ``ExtensionalMap`` states and now keep plain values:
+ctr-inc-crdt and each half of pn-ctr-crdt an int tuple indexed by replica,
+g-map-mrdt the frozenset of its ``(key, element)`` pairs.  Their references
+still run on maps, reached through the converters ``AS_MAP`` and
+``FROM_MAP``, and ``MAP_FORM`` keeps the three map-valued specs as they were,
+which must agree with the catalog's at every node of every history.
+
+The inputs are hypothesis-drawn states (with negative and zero counts and
 keys present only in the LCA), every kernel input reached by the entry's
 exhaustive sweep, and every kernel input reached by 200 seeded random
 8-event histories.
@@ -21,6 +28,7 @@ exhaustive sweep, and every kernel input reached by 200 seeded random
 import dataclasses
 import random
 from dataclasses import dataclass, field
+from operator import add, or_
 from typing import Any
 
 import pytest
@@ -28,9 +36,9 @@ from hypothesis import given, settings, strategies as st
 
 from salcheck.catalog import catalog_get, payload_pool
 from salcheck.checker import EVALUATORS, CheckConfig, properties_for, run_suite
-from salcheck.history import random_recipe, run_recipe
+from salcheck.history import random_recipe, run_recipe, sweep_walk
 from salcheck.model import Add, Enable, Event, Inc, Insert, is_crdt
-from salcheck.tracked import ExtensionalMap, element_str
+from salcheck.tracked import ExtensionalMap, element_str, show_set
 
 # ---------------------------------------------------------------------------
 # Reference values.
@@ -263,6 +271,92 @@ def ref_orset_crdt_merge2(a, b):
     return (a[0].union(b[0]), a[1].union(b[1]))
 
 
+# ---------------------------------------------------------------------------
+# The map forms.
+
+
+def vec_as_map(v: tuple) -> ExtensionalMap:
+    """The map ``replica -> count`` that the vector ``v`` stands for."""
+    return ExtensionalMap(0, tuple((r, n) for r, n in enumerate(v) if n))
+
+
+def map_as_vec(m: ExtensionalMap) -> tuple:
+    counts = [0] * (max(m.keys(), default=-1) + 1)
+    for r, n in m.items():
+        counts[r] = n
+    while counts and not counts[-1]:
+        counts.pop()
+    return tuple(counts)
+
+
+def pairs_as_map(s: frozenset) -> ExtensionalMap:
+    """The map ``key -> set of elements`` that the ``(key, element)`` pairs
+    ``s`` stand for."""
+    keys = sorted({k for k, _ in s})
+    return ExtensionalMap(frozenset(), tuple((k, frozenset(e for j, e in s if j == k))
+                                             for k in keys))
+
+
+def map_as_pairs(m: ExtensionalMap) -> frozenset:
+    return frozenset((k, e) for k, v in m.items() for e in v)
+
+
+# Entry id -> the map form of a catalog state, and back.
+AS_MAP = {
+    "ctr-inc-crdt": vec_as_map,
+    "pn-ctr-crdt": lambda s: (vec_as_map(s[0]), vec_as_map(s[1])),
+    "g-map-mrdt": pairs_as_map,
+}
+FROM_MAP = {
+    "ctr-inc-crdt": map_as_vec,
+    "pn-ctr-crdt": lambda m: (map_as_vec(m[0]), map_as_vec(m[1])),
+    "g-map-mrdt": map_as_pairs,
+}
+
+
+def map_vec_apply(m, ev):
+    return m.update(ev.replica, add, 1)
+
+
+def map_vec_merge2(a, b):
+    return a.combine(b, max)
+
+
+def map_pn_vec_apply(s, ev):
+    pos, neg = s
+    if isinstance(ev.op, Inc):
+        return (map_vec_apply(pos, ev), neg)
+    return (pos, map_vec_apply(neg, ev))
+
+
+def map_gmap_apply(s, ev):
+    op = ev.op
+    return s.update(op.key, or_, {op.op.elem})
+
+
+# The three entries as they were on ``ExtensionalMap`` states, map kernels
+# and map display included.
+MAP_FORM = {
+    "ctr-inc-crdt": dataclasses.replace(
+        catalog_get("ctr-inc-crdt").spec, initial=ExtensionalMap.empty(0),
+        apply=map_vec_apply, merge2=map_vec_merge2, format_state=lambda m: m.show()),
+    "pn-ctr-crdt": dataclasses.replace(
+        catalog_get("pn-ctr-crdt").spec,
+        initial=(ExtensionalMap.empty(0), ExtensionalMap.empty(0)),
+        apply=map_pn_vec_apply,
+        merge2=lambda a, b: (map_vec_merge2(a[0], b[0]), map_vec_merge2(a[1], b[1])),
+        format_state=lambda s: f"({s[0].show()}, {s[1].show()})"),
+    "g-map-mrdt": dataclasses.replace(
+        catalog_get("g-map-mrdt").spec, initial=ExtensionalMap.empty(frozenset()),
+        apply=map_gmap_apply, merge3=lambda l, a, b: a.combine(b, or_),
+        format_state=lambda m: m.show(show_set)),
+}
+
+
+def _same(v):
+    return v
+
+
 # Entry id -> (apply, merge); each entry with a ``replay_apply`` uses its
 # ``apply`` for it, as the catalog does.
 REFERENCE = {
@@ -294,15 +388,18 @@ def assert_matches_reference(rdt_id: str, kind: str, args: tuple) -> None:
     kernel = {"apply": spec.apply, "replay_apply": spec.replay_apply,
               "merge": _merge(spec)}[kind]
     reference = ref_merge if kind == "merge" else ref_apply
+    as_map, from_map = AS_MAP.get(rdt_id, _same), FROM_MAP.get(rdt_id, _same)
+    ref_show = (MAP_FORM.get(rdt_id) or spec).format_state
     n_states = len(args) if kind == "merge" else 1
-    ref_args = tuple(to_ref(a) for a in args[:n_states]) + args[n_states:]
+    ref_args = tuple(to_ref(as_map(a)) for a in args[:n_states]) + args[n_states:]
     got, want = kernel(*args), reference(*ref_args)
     context = f"{rdt_id} {kind}{args!r}"
-    assert shape(got) == shape(want), context
-    assert got == from_ref(want), context
-    assert spec.format_state(got) == spec.format_state(want), context
+    assert shape(as_map(got)) == shape(want), context
+    assert got == from_map(from_ref(want)), context
+    assert spec.format_state(got) == ref_show(want), context
     for a, r in zip(args[:n_states], ref_args):
-        assert (got is a) == (want is r), f"{context}: identity differs"
+        # CPython keeps one empty tuple, so an empty vector is every other one.
+        assert (got is a) == (want is r) or got == () == a, f"{context}: identity differs"
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +467,18 @@ def sets(elems):
     return st.frozensets(elems, max_size=5)
 
 
-def maps(keys, values, default):
-    # Built directly, so an entry may hold the default value.
-    return st.dictionaries(keys, values, max_size=4).map(
-        lambda d: ExtensionalMap(default, tuple(sorted(d.items()))))
-
-
 pairs = sets(st.tuples(stamps, literals))
-vectors = maps(replicas, st.integers(-2, 4), 0)
+# Counts below zero and zeros inside, which the kernels must drop where a
+# result ends on one.  A vector that ends on a zero is not a state: it has no
+# map form, so a pn-ctr-crdt half that an apply passes through untouched could
+# not be compared.
+vectors = st.lists(st.integers(-2, 4), max_size=3).map(lambda c: map_as_vec(vec_as_map(c)))
 STATES = {
     "or-set-mrdt": pairs,
     "or-set-eff-mrdt": sets(st.tuples(stamps, replicas, literals)),
     "ew-flag-fixed": sets(stamps),
     "g-set-mrdt": sets(literals),
-    "g-map-mrdt": maps(st.integers(0, 4), sets(literals), frozenset()),
+    "g-map-mrdt": st.frozensets(st.tuples(st.integers(0, 4), literals), max_size=8),
     "rga-mrdt": st.tuples(pairs, sets(stamps)),
     "mv-reg-mrdt": pairs,
     "ctr-inc-crdt": vectors,
@@ -409,3 +504,33 @@ def test_drawn_inputs_match_reference(rdt_id):
         assert_matches_reference(rdt_id, "merge", (a, b) if is_crdt(spec) else (l, a, b))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# The map forms agree with the catalog's at every node.
+
+
+def _assert_same_nodes(spec, old, states: tuple, old_states: tuple, context) -> None:
+    """Equal display strings at every node, and equal ``==`` between any two."""
+    assert [spec.format_state(x) for x in states] == \
+        [old.format_state(x) for x in old_states], context
+    assert [[x == y for y in states] for x in states] == \
+        [[x == y for y in old_states] for x in old_states], context
+
+
+@pytest.mark.parametrize("rdt_id", sorted(MAP_FORM))
+def test_map_form_agrees_at_every_node(rdt_id):
+    spec, old = catalog_get(rdt_id).spec, MAP_FORM[rdt_id]
+    pool = payload_pool(spec)
+    walks = zip(sweep_walk(pool, 4, 2, 1, spec), sweep_walk(pool, 4, 2, 1, old))
+    n = 0
+    for (g, steps, _), (old_g, old_steps, _) in walks:
+        assert steps == old_steps
+        _assert_same_nodes(spec, old, tuple(g.states), tuple(old_g.states), steps)
+        n += 1
+    assert n == sum(1 for _ in sweep_walk(pool, 4, 2, 1))
+    rng = random.Random(f"map-form/{rdt_id}")
+    for _ in range(200):
+        recipe = random_recipe(rng, pool, 8, 2, max_joins=2)
+        _assert_same_nodes(spec, old, run_recipe(spec, recipe).states,
+                           run_recipe(old, recipe).states, recipe)

@@ -168,7 +168,7 @@ def test_crdt_mutant_fails_both_idempotence_laws_alike():
 
     def merge2(a, b):
         merged = spec.merge2(a, b)
-        return merged.set(0, merged.get(0) + 1) if a == b and vec_value(a) >= 3 else merged
+        return (merged[0] + 1, *merged[1:]) if a == b and vec_value(a) >= 3 else merged
 
     mutant = dataclasses.replace(spec, name="size-gated-idem-vector", merge2=merge2)
     report, _ = assert_memo_hides_nothing(mutant, CheckConfig(seed=42))

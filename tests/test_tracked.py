@@ -255,3 +255,11 @@ def test_map_survives_copy_and_pickle():
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert type(twin) is ExtensionalMap
         assert twin == m and twin.default == -1 and twin.entries == ((1, 2), (3, 4))
+
+
+def test_maps_with_different_defaults_differ():
+    # Both have no entries, yet they map every key differently.
+    five, zero = ExtensionalMap(5, ()), ExtensionalMap(0, ())
+    assert five.get(1) == 5 and zero.get(1) == 0
+    assert five != zero and not five == zero
+    assert len({five, zero}) == 2
