@@ -24,8 +24,8 @@ suite first sweeps all canonical recipes below ``exhaustive_below`` events and
 then tops up with seeded random recipes, so verdicts are deterministic and
 the first failure found in the sweep is already event-minimal.  The sweep
 checks every open property on each history of ``sweep_walk``, on the walk's
-live graph, from the first node the history does not share with the previous
-one.  The random phase gives each property its own stream, one
+live graph, from its cut mark (``_PartialGraph.unchecked`` says why that is
+sound).  The random phase gives each property its own stream, one
 ``random.Random`` seeded once per (seed, entry, property), so the properties
 of a suite check independent histories and each gets its own chance to catch
 a bug.  ``draw_history`` draws each onto one partial graph, cut back to its
@@ -35,21 +35,11 @@ redrawn, and so is a draw above ``ORACLE_EVENT_CAP`` events for
 failing history becomes a ``Recipe``, which ``shrink`` builds and executes.
 
 MergeIdem, LatticeIdem and MergeWithLca mention states alone, so a suite
-checks each of their distinct inputs once (``PASSED_ONCE``): each property
-keeps, for one ``run_suite`` call, a set of the states (MergeWithLca: the
-``(LCA state, branch state)`` pairs) it passed, in the sweep and the random
-phase, and skips an input equal to one of them.  This changes no verdict: an
-input joins only once it passes, no two properties share a set, a property
-stops at its first violation, and equal states are interchangeable (see
-``model``), so a skipped input would pass again.  The first failing history,
-node and counterexample are those of a check without the sets.  ``shrink``,
-``oracle_sweep`` and a direct ``EVALUATORS[p](spec, h)`` call use none.
+checks each of their distinct inputs once (``PASSED_ONCE``).
 
 ``oracle_sweep`` (``salcheck oracle``) runs ``LinearizationExists`` alone over
-the sweep.  It replays each history's events in timestamp order first: its
-walk's graph pushes the replay of each event prefix with the event and cuts
-it back with it.  The linearization oracle runs only where that order is
-inadmissible under ``rc`` or misses the sink state.
+the sweep, replaying each history in timestamp order before it calls the
+oracle (``oracle_sweep`` says why that gives the oracle's result).
 """
 
 from __future__ import annotations
@@ -413,12 +403,8 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
 # reads the sink and ignores ``start``, are node-local: the verdict at node n
 # reads only nodes, states, events and masks at or below n.  So each checks
 # only the nodes (merge nodes for the merge laws) from ``start`` on; the sweep
-# passes the first node that a history does not share with the previous one.
-#
-# The ``PASSED_ONCE`` laws also take ``passed``, a set of the inputs that
-# already passed: they skip an input in it and add one once it passes.
-# MergeWithLca's input is ``(states[lca], states[branch])``, which decides
-# both of its merges.
+# passes its cut mark (``_PartialGraph.unchecked``).  The ``PASSED_ONCE`` laws
+# also take ``passed``.
 
 
 def _viol(spec: RdtSpec, prop: PropertyId, lhs, rhs,
@@ -653,7 +639,16 @@ EVALUATORS: dict[PropertyId, Callable[..., Violation | None]] = {
     PropertyId.LATTICE_IDEM: functools.partial(eval_merge_idem, prop=PropertyId.LATTICE_IDEM),
 }
 
-# The properties whose evaluators take ``passed``.
+# The state-only laws, whose evaluators take ``passed``: for one ``run_suite``
+# call, a set of the inputs that already passed, in the sweep and the random
+# phase.  They skip an input in it and add one once it passes.  MergeWithLca's
+# input is ``(states[lca], states[branch])``, which decides both of its
+# merges.  This changes no verdict: an input joins only once it passes, no two
+# properties share a set, a property stops at its first violation, and equal
+# states are interchangeable (see ``model``), so a skipped input would pass
+# again.  The first failing history, node and counterexample are those of a
+# check without the sets.  ``shrink``, ``oracle_sweep`` and a direct
+# ``EVALUATORS[p](spec, h)`` call use none.
 PASSED_ONCE = frozenset({PropertyId.MERGE_IDEM, PropertyId.LATTICE_IDEM,
                          PropertyId.MERGE_WITH_LCA})
 
@@ -697,10 +692,9 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
     live = [i for i, p in enumerate(props) if not (p is PropertyId.RC_POLICY and vacuous_rc)]
 
     if live:
-        for g, steps, _ in sweep_walk(pool, cfg.exhaustive_below - 1, cfg.replica_count,
-                                      cfg.max_joins, spec):
-            # Every live property passed the nodes shared with the previous history.
-            start = g.unchecked()
+        for g, steps in sweep_walk(pool, cfg.exhaustive_below - 1, cfg.replica_count,
+                                   cfg.max_joins, spec):
+            start = g.unchecked()  # every live property passed the nodes below it
             for i in live:
                 if evaluators[i](spec, g, start, *memos[i]) is not None:
                     found[i] = Recipe(tuple(steps), cfg.replica_count)
@@ -875,14 +869,13 @@ def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
     _check_sweep_bounds(max_events, literals, replicas, max_joins)
     spec = _as_entry(target).spec
     histories = 0
-    for g, steps, sink in sweep_walk(payload_pool(spec, literals), max_events, replicas,
-                                     max_joins, spec, _timestamp_step(spec)):
+    for g, steps in sweep_walk(payload_pool(spec, literals), max_events, replicas,
+                               max_joins, spec, _timestamp_step(spec)):
         histories += 1
-        final, replayed = g.states[sink], g.replays[-1]
+        final, replayed = g.states[-1], g.replays[-1]
         if ((replayed is _INADMISSIBLE or replayed != final)
                 and linearization_oracle(spec, g, final).witness is None):
-            failure = Execution(spec, g.graph(Recipe(tuple(steps), replicas), sink),
-                                tuple(g.states))
+            failure = Execution(spec, g.graph(Recipe(tuple(steps), replicas)), tuple(g.states))
             return SweepResult(histories, histories - 1, failure)
     return SweepResult(histories, histories, None)
 

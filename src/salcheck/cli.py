@@ -171,29 +171,22 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-DEMO_RECIPES: dict[str, Recipe] = {
+DEMO_RECIPES: dict[str, Recipe] = {rdt: recipe for rdts, recipe in (
     # Fork, cross-merge, then a late disable: the shape that resurrects a
     # dead enable under the counter-based flag merge.
-    "ew-flag-buggy": Recipe((ApplyOp(0, Enable()), ApplyOp(1, Enable()),
-                             ApplyOp(1, Disable()), JoinOp(1, 0),
-                             ApplyOp(0, Disable()))),
-    "ew-flag-fixed": Recipe((ApplyOp(0, Enable()), ApplyOp(1, Enable()),
-                             ApplyOp(1, Disable()), JoinOp(1, 0),
-                             ApplyOp(0, Disable()))),
+    (("ew-flag-buggy", "ew-flag-fixed"),
+     Recipe((ApplyOp(0, Enable()), ApplyOp(1, Enable()), ApplyOp(1, Disable()),
+             JoinOp(1, 0), ApplyOp(0, Disable())))),
     # Concurrent add and remove of the same element: the add wins.
-    "or-set-mrdt": Recipe((ApplyOp(1, Add(3)), ApplyOp(0, Rem(3)))),
-    "or-set-eff-mrdt": Recipe((ApplyOp(1, Add(3)), ApplyOp(0, Rem(3)))),
-    "or-set-crdt": Recipe((ApplyOp(1, Add(3)), ApplyOp(0, Rem(3)))),
-    "rga-mrdt": Recipe((ApplyOp(1, Insert(3)), ApplyOp(0, Delete(3)))),
-    "ctr-inc-mrdt": Recipe((ApplyOp(0, Inc()), ApplyOp(1, Inc()))),
-    "ctr-inc-crdt": Recipe((ApplyOp(0, Inc()), ApplyOp(1, Inc()))),
-    "pn-ctr-mrdt": Recipe((ApplyOp(0, Inc()), ApplyOp(1, Dec()))),
-    "pn-ctr-crdt": Recipe((ApplyOp(0, Inc()), ApplyOp(1, Dec()))),
-    "g-set-mrdt": Recipe((ApplyOp(0, Add(1)), ApplyOp(1, Add(2)))),
-    "g-map-mrdt": Recipe((ApplyOp(0, MapSet(1, Add(1))), ApplyOp(1, MapSet(1, Add(2))))),
-    "mv-reg-mrdt": Recipe((ApplyOp(0, Write(1)), ApplyOp(1, Write(2)))),
-    "mv-reg-crdt": Recipe((ApplyOp(0, Write(1)), ApplyOp(1, Write(2)))),
-}
+    (("or-set-mrdt", "or-set-eff-mrdt", "or-set-crdt"),
+     Recipe((ApplyOp(1, Add(3)), ApplyOp(0, Rem(3))))),
+    (("rga-mrdt",), Recipe((ApplyOp(1, Insert(3)), ApplyOp(0, Delete(3))))),
+    (("ctr-inc-mrdt", "ctr-inc-crdt"), Recipe((ApplyOp(0, Inc()), ApplyOp(1, Inc())))),
+    (("pn-ctr-mrdt", "pn-ctr-crdt"), Recipe((ApplyOp(0, Inc()), ApplyOp(1, Dec())))),
+    (("g-set-mrdt",), Recipe((ApplyOp(0, Add(1)), ApplyOp(1, Add(2))))),
+    (("g-map-mrdt",), Recipe((ApplyOp(0, MapSet(1, Add(1))), ApplyOp(1, MapSet(1, Add(2)))))),
+    (("mv-reg-mrdt", "mv-reg-crdt"), Recipe((ApplyOp(0, Write(1)), ApplyOp(1, Write(2))))),
+) for rdt in rdts}
 
 
 def demo_model(entry, ex) -> RenderModel:

@@ -31,14 +31,16 @@ graph, checking each payload against the spec.  The exhaustive sweep
 prefix tree of canonical recipes depth-first, pushing one apply or join per
 tree edge together with its state and popping it on the way back.  So each
 tree node's ``apply`` or merge runs once, and a leaf, yielded from the apply
-loop that pushes its last event, only folds the heads into the sink.  The
-walk yields its live graph, on which ``run_suite`` and ``oracle_sweep`` check
-each history; only a failing one is copied out, as a recipe or an
-``Execution`` equal to ``execute(spec, build(recipe))``.  ``oracle_sweep``'s
-walk also keeps, per event prefix, the replay of its events in timestamp
-order, pushed and cut back with the events.  Every merge, in
-``execute`` and on a partial graph alike, is the spec's ``merge3`` of the
-LCA's state and the two heads' states; a CRDT's ``merge3`` ignores the LCA.
+loop that pushes its last event, only folds the heads into the sink, which
+is always the last node (``_PartialGraph.sink``).  The walk yields its live
+graph, on which ``run_suite`` (from the cut mark, ``_PartialGraph.unchecked``)
+and ``oracle_sweep`` check each history; only a failing one is copied out, as
+a recipe or an ``Execution`` equal to ``execute(spec, build(recipe))``.
+``oracle_sweep``'s walk also keeps, per event prefix, the replay of its
+events in timestamp order, pushed and cut back with the events.  Every
+merge, in ``execute`` and on a partial graph alike, is the spec's ``merge3``
+of the LCA's state and the two heads' states; a CRDT's ``merge3`` ignores
+the LCA.
 
 A random history is made in one flat pass.  ``draw_history``, the only draw,
 runs ``rng.randrange``'s rejection loop inline and pushes each step, with
@@ -113,11 +115,14 @@ def iter_bits(mask: int):
 class VersionGraph:
     recipe: Recipe
     nodes: tuple[NodeInfo, ...]
-    sink: int
     events: tuple[Event, ...]  # timestamp order: the event with ts t is events[t - 1]
     event_nodes: tuple[int, ...]  # per event index, the apply node holding it
     event_masks: tuple[int, ...]  # per node, bit i set when events[i] is in its history
     past: tuple[int, ...]  # per event index, bit i set when events[i] happens before it
+
+    @property
+    def sink(self) -> int:
+        return len(self.nodes) - 1  # see ``_PartialGraph.sink``
 
     def kind(self, n: int) -> str:
         return self.nodes[n][0]
@@ -179,7 +184,6 @@ class _PartialGraph:
         self.spec_apply = None if spec is None else spec.apply
         self.merge3 = None if spec is None else spec.merge3
         self.low = 0  # the lowest node count cut back to since ``unchecked``
-        self.checked: list[NodeInfo] = []  # the nodes at the last ``unchecked``
         self.replay_step = replay_step
         self.replays: list = [] if replay_step is None else [spec.initial]
 
@@ -256,18 +260,17 @@ class _PartialGraph:
         return self.merges[bisect_left(self.merges, start):]
 
     def unchecked(self) -> int:
-        """The first node that differs from the nodes at the last call (0 at
-        the first).  None below ``low`` was cut; past it the walk may push
-        back a node equal to the one cut (each size restarts at the root)."""
-        nodes, checked = self.nodes, self.checked
-        n, stop = self.low, min(len(nodes), len(checked))
-        while n < stop and nodes[n] == checked[n]:
-            n += 1
-        self.low, self.checked = len(nodes), nodes[:]
+        """The cut mark: the lowest node count ``restore`` cut back to since
+        the last call (0 at the first), or the node count at the last call if
+        nothing was cut.  The nodes below it, and their states, are the very
+        objects the graph held at the last call, so a node-local check that
+        passed them then need not look at them again.  A node pushed back
+        equal to one cut is checked again: that costs time, not soundness."""
+        n, self.low = self.low, len(self.nodes)
         return n
 
-    def graph(self, recipe: Recipe, sink: int) -> VersionGraph:
-        return VersionGraph(recipe, tuple(self.nodes), sink, tuple(self.events),
+    def graph(self, recipe: Recipe) -> VersionGraph:
+        return VersionGraph(recipe, tuple(self.nodes), tuple(self.events),
                             tuple(self.event_nodes), tuple(self.event_masks), tuple(self.past))
 
 
@@ -293,7 +296,8 @@ def build(recipe: Recipe) -> VersionGraph:
         except RecipeError as exc:
             exc.step = i
             raise
-    return g.graph(recipe, g.sink())
+    g.sink()
+    return g.graph(recipe)
 
 
 @dataclass(frozen=True)
@@ -311,7 +315,7 @@ class Execution:
     merge_nodes = property(lambda self: self.graph.merge_nodes)
 
     def sink_state(self):
-        return self.states[self.graph.sink]
+        return self.states[-1]
 
 
 def execute(spec: RdtSpec, graph: VersionGraph) -> Execution:
@@ -360,21 +364,21 @@ def enumerate_recipes(pool: tuple[OpPayload, ...], max_events: int,
     LCA (three or more replicas, two or more joins) are left out: ``build``
     would refuse them, so every recipe yielded builds.
     """
-    for _, steps, _ in sweep_walk(pool, max_events, replicas, max_joins):
+    for _, steps in sweep_walk(pool, max_events, replicas, max_joins):
         yield Recipe(tuple(steps), replicas)
 
 
 def sweep_walk(pool, max_events, replicas, max_joins, spec=None, replay_step=None):
     """Walk the prefix tree of canonical recipes depth-first, keeping one
     partial graph ``g`` at the current prefix (made with ``spec`` and
-    ``replay_step``, see ``_PartialGraph``), and yield ``(g, steps, sink)``
-    per recipe in ``enumerate_recipes``'s order.  ``g`` and ``steps`` are
-    live: they hold the recipe until the walk resumes, and the recipes below
-    one prefix share its state objects, so the spec's functions must not
-    mutate their inputs.  No recipe ends on a join, so each leaf but the
-    empty recipe (yielded first) is yielded from the apply loop that pushes
-    its last event, and ``rec`` runs only at inner nodes.  A merge with no
-    unique LCA cuts its branch: no recipe below it builds."""
+    ``replay_step``, see ``_PartialGraph``), and yield ``(g, steps)``, its
+    sink folded, per recipe in ``enumerate_recipes``'s order.  ``g`` and
+    ``steps`` are live: they hold the recipe until the walk resumes, and the
+    recipes below one prefix share its state objects, so the spec's
+    functions must not mutate their inputs.  No recipe ends on a join, so
+    each leaf but the empty recipe (yielded first) is yielded from the apply
+    loop that pushes its last event, and ``rec`` runs only at inner nodes.
+    A merge with no unique LCA cuts its branch: no recipe below it builds."""
     tables = StepTables(pool, replicas, max_events)
     literals = [p.literals() for p in pool]
     applies = [(r, p, tables.applies[r][p], literals[p])
@@ -403,11 +407,11 @@ def sweep_walk(pool, max_events, replicas, max_joins, spec=None, replay_step=Non
                         yield from rec(seen, events_left - 1, joins_left)
                     else:
                         try:
-                            sink = g.sink()
+                            g.sink()
                         except NoUniqueLcaError:
                             pass
                         else:
-                            yield g, steps, sink
+                            yield g, steps
                     steps.pop()
                     g.restore(mark)
         if joins_left:
@@ -424,7 +428,7 @@ def sweep_walk(pool, max_events, replicas, max_joins, spec=None, replay_step=Non
                 g.restore(mark)
 
     if max_events >= 0:
-        yield g, steps, 0  # the empty recipe: its sink is the root
+        yield g, steps  # the empty recipe: its sink is the root
     for n_events in range(1, max_events + 1):
         for n_joins in range(max_joins + 1):
             yield from rec(0, n_events, n_joins)

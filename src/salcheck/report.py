@@ -248,15 +248,6 @@ def payload_from_dict(d: dict, path: str = "op") -> OpPayload:
                  for name, sub in cls.layout))
 
 
-def event_to_dict(ev: Event) -> dict:
-    return {"ts": ev.ts, "replica": ev.replica, "op": payload_to_dict(ev.op)}
-
-
-def event_from_dict(d: dict, path: str = "event") -> Event:
-    return Event(_require(d, "ts", int, path), _require(d, "replica", int, path),
-                 payload_from_dict(_require(d, "op", dict, path), f"{path}.op"))
-
-
 def recipe_to_dict(recipe: Recipe) -> dict:
     steps = []
     for s in recipe.steps:
@@ -594,8 +585,8 @@ __all__ = [
     "RenderNode", "RenderEdge", "RenderStep", "Panel", "RenderModel",
     "equation_panels", "model_from_execution", "model_from_suite", "model_from_report_dict",
     "render_text", "render_dot", "render_html", "render_json",
-    "payload_to_dict", "payload_from_dict", "event_to_dict", "event_from_dict",
-    "recipe_to_dict", "recipe_from_dict", "config_to_dict", "config_from_dict",
+    "payload_to_dict", "payload_from_dict", "recipe_to_dict", "recipe_from_dict",
+    "config_to_dict", "config_from_dict",
     "counterexample_to_dict", "suite_report_to_dict",
     "first_failing_verdict", "parse_report", "validate_report",
 ]

@@ -6,9 +6,9 @@ they took a first node ``start``: each checks every node of a history from
 node 0, recomputes every merge it compares, and the peel check builds and
 formats every instance eagerly.  ``reference_sweep`` runs them over
 ``enumerate_recipes`` -> ``build`` -> ``execute`` with no state shared between
-histories.  ``run_suite``'s sweep, which checks only the nodes a history does
-not share with the previous one, must reach the same verdicts, test counts
-and first violations.
+histories.  ``run_suite``'s sweep, which checks a history only from the
+walk's cut mark on, must reach the same verdicts, test counts and first
+violations.
 """
 
 import random

@@ -290,10 +290,38 @@ def test_fold_finds_the_lca_of_the_maximal_common_ancestors(replicas):
 @pytest.mark.parametrize("replicas, max_joins", [(2, 1), (3, 2)])
 def test_the_walk_lists_merge_nodes_as_a_version_graph_does(replicas, max_joins):
     pool = payload_pool(ctr_inc_mrdt)
-    for g, steps, sink in history.sweep_walk(pool, 4, replicas, max_joins, ctr_inc_mrdt):
-        graph = g.graph(Recipe(tuple(steps), replicas), sink)
+    for g, steps in history.sweep_walk(pool, 4, replicas, max_joins, ctr_inc_mrdt):
+        graph = g.graph(Recipe(tuple(steps), replicas))
         for start in range(len(g.nodes) + 1):
             assert g.merge_nodes(start) == graph.merge_nodes(start)
+
+
+def test_the_sink_is_the_last_node(monkeypatch):
+    # ``VersionGraph.sink``, the evaluators and ``oracle_sweep`` read the sink
+    # as the last node: every fold of the heads, on the walk, a draw or
+    # ``build``, must end there.
+    folded = []
+    fold_heads = history._PartialGraph.sink
+
+    def sink(g):
+        n = fold_heads(g)
+        assert n == len(g.nodes) - 1
+        folded.append(n)
+        return n
+
+    monkeypatch.setattr(history._PartialGraph, "sink", sink)
+    pool = payload_pool(ctr_inc_mrdt)
+    leaves = sum(1 for _ in history.sweep_walk(pool, 4, 3, 2, ctr_inc_mrdt))
+    assert len(folded) == leaves - 1  # the empty recipe folds nothing
+    tables, rng = StepTables(pool, 3, 8), random.Random(3)
+    for _ in range(200):
+        history.draw_history(rng, tables, 8, 3, history._PartialGraph(3, ctr_inc_mrdt))
+    assert len(folded) > leaves
+    # Replica 1 never applies: its head stays the root, which the fold skips.
+    for steps in ((ApplyOp(0, Inc()), ApplyOp(2, Inc())), (ApplyOp(2, Inc()),),
+                  (ApplyOp(2, Inc()), JoinOp(0, 2), ApplyOp(0, Inc()), ApplyOp(2, Inc()))):
+        g = build(Recipe(steps, 3))
+        assert folded[-1] == g.sink == len(g.nodes) - 1
 
 
 def counted(spec):

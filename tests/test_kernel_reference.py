@@ -524,7 +524,7 @@ def test_map_form_agrees_at_every_node(rdt_id):
     pool = payload_pool(spec)
     walks = zip(sweep_walk(pool, 4, 2, 1, spec), sweep_walk(pool, 4, 2, 1, old))
     n = 0
-    for (g, steps, _), (old_g, old_steps, _) in walks:
+    for (g, steps), (old_g, old_steps) in walks:
         assert steps == old_steps
         _assert_same_nodes(spec, old, tuple(g.states), tuple(old_g.states), steps)
         n += 1

@@ -524,9 +524,9 @@ def check_sweep(spec: RdtSpec, max_events: int, replicas: int = 2, max_joins: in
     """Check every history of the sweep, on the live graph (cut back between
     histories) and on its ``VersionGraph``; returns how many there were."""
     histories = 0
-    for g, steps, sink in sweep_walk(payload_pool(spec), max_events, replicas, max_joins, spec):
+    for g, steps in sweep_walk(payload_pool(spec), max_events, replicas, max_joins, spec):
         assert_greedy_is_first_leaf(spec, g)
-        assert_past(g.graph(Recipe(tuple(steps), replicas), sink))
+        assert_past(g.graph(Recipe(tuple(steps), replicas)))
         histories += 1
     return histories
 

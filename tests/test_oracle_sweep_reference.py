@@ -62,9 +62,9 @@ def assert_sweep_agrees(entry, max_events, replicas=2, max_joins=1) -> None:
         assert _fields(got.failure) == _fields(want.failure)
         assert _fields(got.failure) == _fields(execute(spec, build(got.failure.graph.recipe)))
     assert got == want
-    for g, steps, sink in sweep_walk(payload_pool(spec), max_events, replicas, max_joins, spec):
-        graph = g.graph(Recipe(tuple(steps), replicas), sink)
-        assert (linearization_oracle(spec, g, g.states[sink])
+    for g, steps in sweep_walk(payload_pool(spec), max_events, replicas, max_joins, spec):
+        graph = g.graph(Recipe(tuple(steps), replicas))
+        assert (linearization_oracle(spec, g, g.states[-1])
                 == linearization_oracle(spec, graph)), graph.recipe
 
 
@@ -94,9 +94,9 @@ def test_sweep_builds_a_graph_only_for_its_failure(rid, graphs, monkeypatch):
     made = []
     partial_graph = history._PartialGraph.graph
 
-    def counted(self, recipe, sink):
+    def counted(self, recipe):
         made.append(recipe)
-        return partial_graph(self, recipe, sink)
+        return partial_graph(self, recipe)
 
     monkeypatch.setattr(history._PartialGraph, "graph", counted)
     result = oracle_sweep(catalog_get(rid), 5)

@@ -14,12 +14,21 @@ import pytest
 from salcheck.catalog import CATALOG, payload_pool
 from salcheck.checker import bottom_up_instances
 from salcheck.history import Execution, VersionGraph
-from salcheck.model import event_label
+from salcheck.model import Event, event_label
 from salcheck.report import (
-    Panel, RenderEdge, RenderModel, RenderNode, RenderStep, equation_panels, event_from_dict,
-    event_to_dict, model_from_execution,
+    Panel, RenderEdge, RenderModel, RenderNode, RenderStep, equation_panels,
+    model_from_execution, payload_from_dict, payload_to_dict,
 )
 from walkers import enumerate_executions
+
+
+def event_to_dict(ev: Event) -> dict:
+    """An event as the edges of a ``salcheck/1`` document wrote it."""
+    return {"ts": ev.ts, "replica": ev.replica, "op": payload_to_dict(ev.op)}
+
+
+def event_from_dict(d: dict) -> Event:
+    return Event(d["ts"], d["replica"], payload_from_dict(d["op"]))
 
 
 def previous_graph_edges(g: VersionGraph) -> list[dict]:

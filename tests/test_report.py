@@ -13,7 +13,7 @@ from salcheck.checker import PropertyId, CheckConfig, EVALUATORS, run_suite
 from salcheck.history import Recipe, ApplyOp, JoinOp, build, execute, run_recipe, diamond
 from salcheck.report import (
     SCHEMA, ReportFormatError,
-    payload_to_dict, payload_from_dict, event_to_dict, event_from_dict,
+    payload_to_dict, payload_from_dict,
     recipe_to_dict, recipe_from_dict, config_to_dict, config_from_dict,
     suite_report_to_dict, render_json, parse_report, validate_report,
     model_from_execution, model_from_suite, model_from_report_dict, first_failing_verdict,
@@ -50,13 +50,6 @@ PAYLOADS = st.one_of(
 @given(PAYLOADS)
 def test_payload_round_trip(op):
     assert payload_from_dict(payload_to_dict(op)) == op
-
-
-@settings(max_examples=200, derandomize=True)
-@given(st.integers(1, 99), st.integers(0, 3), PAYLOADS)
-def test_event_round_trip(ts, replica, op):
-    ev = Event(ts, replica, op)
-    assert event_from_dict(event_to_dict(ev)) == ev
 
 
 def test_recipe_round_trip_with_joins():

@@ -25,8 +25,8 @@ import pytest
 from salcheck.catalog import CATALOG, catalog_get
 from salcheck.checker import CheckConfig, run_suite
 from salcheck.history import build
-from salcheck.report import event_to_dict, first_failing_verdict, recipe_from_dict, render_json
-from test_render_reference import previous_graph_edges
+from salcheck.report import first_failing_verdict, recipe_from_dict, render_json
+from test_render_reference import event_to_dict, previous_graph_edges
 
 GOLDEN = Path(__file__).parent / "golden" / "report-digests.json"
 GOLDEN_V1 = Path(__file__).parent / "golden" / "report-digests-v1.json"

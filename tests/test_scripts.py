@@ -44,3 +44,26 @@ def test_first_hits_refuses_a_property_the_kind_does_not_have(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: property LatticeAssoc does not apply to ctr-inc-mrdt")
+
+
+def test_src_lines_splits_each_module_into_its_lines(capsys):
+    script = load_script("src_lines")
+    modules = sorted(script.SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        counts = script.count(path)
+        assert counts["total"] == len(path.read_text().splitlines())
+        assert counts["total"] == sum(counts[k] for k in script.KINDS)
+    assert script.main() == 0
+    rows = capsys.readouterr().out.splitlines()
+    total = sum(len(path.read_text().splitlines()) for path in modules)
+    assert rows[-1].split()[:2] == ["total", str(total)]
+    assert len(rows) == len(modules) + 2
+
+
+def test_src_lines_counts_each_kind(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text('"""Doc.\n\nMore."""\n\n# note\nx = 1  # inline\n\n\n'
+                    'def f():\n    """One line."""\n    return "#"\n')
+    assert load_script("src_lines").count(path) == {
+        "total": 11, "code": 3, "docstring": 3, "comment": 1, "blank": 4}

@@ -3,9 +3,9 @@
 ``reference_suite`` is ``run_suite`` as it was before it checked each history
 on the live partial graph that made it.  Its sweep copies every history out
 as an ``Execution`` (``enumerate_executions``) and starts each check at the
-node prefix that history shares with the previous one, compared element by
-element (``_shared_prefix``).  Its random phase makes one ``draw_execution``,
-a new partial graph and ``Execution``, per draw.
+node prefix whose nodes are the very objects of the previous copy's
+(``_same_prefix``), as the walk's cut mark is.  Its random phase makes one
+``draw_execution``, a new partial graph and ``Execution``, per draw.
 
 Both must give the same ``SuiteReport``, compared whole: statuses, test
 counts and, for each counterexample, the shrunk execution with its recipe,
@@ -42,6 +42,12 @@ LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "o
 def _shared_prefix(a: tuple, b: tuple) -> int:
     """Length of the longest common prefix of ``a`` and ``b``."""
     return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def _same_prefix(a: tuple, b: tuple) -> int:
+    """Length of the longest prefix of ``b`` whose items are the items of ``a``
+    themselves (``is``), not only equal to them."""
+    return next((n for n, (x, y) in enumerate(zip(a, b)) if x is not y), min(len(a), len(b)))
 
 
 def idem_once(spec, ex, start, passed) -> bool:
@@ -96,7 +102,7 @@ def reference_suite(entry, cfg: CheckConfig) -> SuiteReport:
         previous: tuple = ()
         for ex in enumerate_executions(spec, pool, cfg.exhaustive_below - 1,
                                        cfg.replica_count, cfg.max_joins):
-            start = _shared_prefix(previous, ex.graph.nodes)
+            start = _same_prefix(previous, ex.graph.nodes)
             for p in live:
                 if fails(p, ex, start):
                     found[p] = ex.graph.recipe
@@ -197,7 +203,7 @@ def test_random_phase_agrees_on_dropped_draws(rdt):
 
 # ---------------------------------------------------------------------------
 # Guards: a passing history builds nothing, and the sweep's first checked node
-# is the first node a history does not share with the previous one.
+# is the cut mark, the first node that is not the previous history's own.
 
 
 def count_builds(monkeypatch) -> dict:
@@ -247,16 +253,14 @@ def test_a_failing_history_is_built_only_by_shrink(monkeypatch):
 @pytest.mark.parametrize("replicas, max_joins", [(2, 1), (3, 2)])
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.id)
 def test_sweep_starts_at_the_first_unshared_node(entry, replicas, max_joins):
-    # The walk's start: the low-water mark of restore, extended over nodes
-    # the walk pushed back equal to the ones it cut.  It must never pass a
-    # node that changed, and it checks no shared node again.
+    # The walk's start, the cut mark, is the prefix of nodes that are the
+    # very objects of the previous history's: it never passes a node that
+    # changed, and re-checks at most nodes pushed back equal to ones cut.
     max_events = 4 if replicas == 2 else 3
-    previous, extended = (), 0
-    for g, _, _ in sweep_walk(payload_pool(entry.spec), max_events, replicas, max_joins,
-                              entry.spec):
-        low, start = g.low, g.unchecked()
-        assert start == _shared_prefix(previous, tuple(g.nodes))
-        extended += start > low and bool(previous)
+    previous = ()
+    for g, _ in sweep_walk(payload_pool(entry.spec), max_events, replicas, max_joins,
+                           entry.spec):
+        start = g.unchecked()
+        assert start == _same_prefix(previous, tuple(g.nodes))
+        assert start <= _shared_prefix(previous, tuple(g.nodes))
         previous = tuple(g.nodes)
-    if entry.id == "ctr-inc-mrdt":
-        assert extended  # each size restarts at the root: equal nodes come back

@@ -62,9 +62,9 @@ def watched_sweep(entry, max_events, monkeypatch, replicas=2, max_joins=1):
                       replay_apply=replay and counting("replay_apply", replay))
 
     def recording_walk(*args):
-        for g, steps, sink in walk(*args):
+        for g, steps in walk(*args):
             leaves.append([Recipe(tuple(steps), replicas), False])
-            yield g, steps, sink
+            yield g, steps
 
     def recording_apply(g, ev):
         if g.replay_step is None:

@@ -79,10 +79,10 @@ def assert_stack_agrees(entry, max_events, replicas=2, max_joins=1) -> None:
     spec = entry.spec
     reference = TimestampReplay(spec)
     histories = 0
-    for g, steps, sink in sweep_walk(payload_pool(spec), max_events, replicas, max_joins,
-                                     spec, _timestamp_step(spec)):
+    for g, steps in sweep_walk(payload_pool(spec), max_events, replicas, max_joins,
+                               spec, _timestamp_step(spec)):
         histories += 1
-        final, top = g.states[sink], g.replays[-1]
+        final, top = g.states[-1], g.replays[-1]
         assert len(g.replays) == len(g.events) + 1, steps
         assert (top is not _INADMISSIBLE and top == final) == reference.reaches(g, final), steps
         assert (top is _INADMISSIBLE) == (reference.states[-1] is None), steps

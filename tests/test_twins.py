@@ -32,8 +32,8 @@ def test_counter_twins_read_alike_at_every_node(mrdt_id, read_mrdt, crdt_id, rea
         assert [read_mrdt(s) for s in states] == [read_crdt(s) for s in twin_states], context
 
     n = 0
-    for (g, steps, _), (twin, _, _) in zip(sweep_walk(pool, 4, 2, 1, mrdt),
-                                            sweep_walk(pool, 4, 2, 1, crdt)):
+    for (g, steps), (twin, _) in zip(sweep_walk(pool, 4, 2, 1, mrdt),
+                                      sweep_walk(pool, 4, 2, 1, crdt)):
         reads_agree(g.states, twin.states, steps)
         n += 1
     assert n == sum(1 for _ in sweep_walk(pool, 4, 2, 1)) > 1

@@ -11,8 +11,8 @@ def enumerate_executions(spec, pool, max_events, replicas=2, max_joins=1):
     in the same order, made on ``sweep_walk``'s live graph: histories that
     extend one prefix share its state objects.  The pool's payloads must be in
     the spec's domain, as ``payload_pool`` makes them: they are not checked."""
-    for g, steps, sink in sweep_walk(pool, max_events, replicas, max_joins, spec):
-        yield Execution(spec, g.graph(Recipe(tuple(steps), replicas), sink), tuple(g.states))
+    for g, steps in sweep_walk(pool, max_events, replicas, max_joins, spec):
+        yield Execution(spec, g.graph(Recipe(tuple(steps), replicas)), tuple(g.states))
 
 
 def draw_execution(rng, tables, spec, max_events, max_joins=2, event_cap=None):
@@ -26,5 +26,4 @@ def draw_execution(rng, tables, spec, max_events, max_joins=2, event_cap=None):
                             _PartialGraph(tables.replicas, spec), event_cap)
     if g is None:
         return None
-    graph = g.graph(Recipe(steps, tables.replicas), len(g.nodes) - 1)  # the sink is the last node
-    return Execution(spec, graph, tuple(g.states))
+    return Execution(spec, g.graph(Recipe(steps, tables.replicas)), tuple(g.states))
