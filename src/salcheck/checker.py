@@ -20,26 +20,17 @@ ignores the ancestor.  So ``LatticeComm`` and ``LatticeIdem`` run the
 else but which properties apply (``properties_for``).
 
 A pass is bounded evidence over the generated histories, not a proof.  Every
-suite first sweeps all canonical recipes below ``exhaustive_below`` events and
-then tops up with seeded random recipes, so verdicts are deterministic and
-the first failure found in the sweep is already event-minimal.  The sweep
-checks every open property on each history of ``sweep_walk``, on the walk's
-live graph, from its cut mark (``_PartialGraph.unchecked`` says why that is
-sound).  The random phase gives each property its own stream, one
-``random.Random`` seeded once per (seed, entry, property), so the properties
-of a suite check independent histories and each gets its own chance to catch
-a bug.  ``draw_history`` draws each onto one partial graph, cut back to its
-root between draws.  A draw whose merge has no unique LCA is
-redrawn, and so is a draw above ``ORACLE_EVENT_CAP`` events for
-``LinearizationExists``; neither counts as a test.  Only a property's first
-failing history becomes a ``Recipe``, which ``shrink`` builds and executes.
-
-MergeIdem, LatticeIdem and MergeWithLca mention states alone, so a suite
-checks each of their distinct inputs once (``PASSED_ONCE``).
-
-``oracle_sweep`` (``salcheck oracle``) runs ``LinearizationExists`` alone over
-the sweep, replaying each history in timestamp order before it calls the
-oracle (``oracle_sweep`` says why that gives the oracle's result).
+suite sweeps all canonical recipes below ``exhaustive_below`` events, each
+checked on the walk's live graph from its cut mark
+(``_PartialGraph.unchecked``), then tops up with random histories, one
+seeded stream per (seed, entry, property), so verdicts are deterministic and
+the sweep's first failure is event-minimal.  A draw with no unique LCA, or
+above ``ORACLE_EVENT_CAP`` events for ``LinearizationExists``, is redrawn
+and counts as no test.  Only a property's first failing history becomes a
+``Recipe``, which ``shrink`` builds and executes.  MergeIdem, LatticeIdem
+and MergeWithLca check each distinct input once per suite (``PASSED_ONCE``).
+``oracle_sweep`` (``salcheck oracle``) runs ``LinearizationExists`` alone
+over the sweep.
 """
 
 from __future__ import annotations
@@ -398,10 +389,10 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
 # Per-history property evaluators.  Each returns the first violation or None.
 # A history ``h`` is an ``Execution`` or the live ``_PartialGraph`` of the
 # sweep walk or a random draw, its sink folded: both hold ``nodes``,
-# ``states``, ``events``, ``event_nodes``, ``event_masks`` and ``merge_nodes``,
+# ``states``, ``events``, ``event_masks``, ``past`` and ``merge_nodes``,
 # and the sink is the last node.  All evaluators but LinearizationExists, which
 # reads the sink and ignores ``start``, are node-local: the verdict at node n
-# reads only nodes, states, events and masks at or below n.  So each checks
+# reads only nodes, states, events, masks and past at or below n.  So each checks
 # only the nodes (merge nodes for the merge laws) from ``start`` on; the sweep
 # passes its cut mark (``_PartialGraph.unchecked``).  The ``PASSED_ONCE`` laws
 # also take ``passed``.
@@ -482,7 +473,7 @@ def _independent(spec: RdtSpec, h, e: Event, hist_b: int, concurrent: int,
     """Whether ``e`` may be peeled past the b-events in ``concurrent`` (see
     ``_peels``); the commute probes are the initial state and the states at
     ``probe_nodes``."""
-    masks, events, event_nodes = h.event_masks, h.events, h.event_nodes
+    past, events = h.past, h.events
     rc = spec.rc
     applied = None  # (probe, apply(probe, e)), built at the first commute check
     for j in iter_bits(concurrent):
@@ -492,7 +483,7 @@ def _independent(spec: RdtSpec, h, e: Event, hist_b: int, concurrent: int,
             # Every b-event after o is concurrent with e too, so none of them
             # lies in the LCA's history.
             if ahead and not any(
-                masks[event_nodes[k]] >> j & 1 and conflicting(rc, o.op, events[k].op)
+                past[k] >> j & 1 and conflicting(rc, o.op, events[k].op)
                 for k in iter_bits(hist_b & ~(1 << j))
             ):
                 return False

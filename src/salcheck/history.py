@@ -1,55 +1,25 @@
 """Version histories: recipes, graph construction, execution, enumeration.
 
-A ``Recipe`` is a replayable description of a fork/merge run: a fixed number
-of replicas, each holding a head version, plus a sequence of steps.  An apply
-step advances one replica's head by one event; a join step folds another
-replica's head into the target (fast-forwarding when one head is an ancestor
-of the other, merging otherwise).  After the last step every replica is folded
-into a single sink version, so each run has one final fully-merged state.
+A ``Recipe`` replays a fork/merge run: a fixed number of replicas, each
+holding a head version, and a sequence of steps.  An apply step advances one
+replica's head by one event; a join folds another replica's head into the
+target's (a fast-forward when one head is an ancestor of the other, else a
+merge over their lowest common ancestor).  After the last step every head is
+folded into the sink, the last node.  With three or more replicas a merge
+can have several maximal common ancestors; ``build`` then raises
+``NoUniqueLcaError``.  Timestamps follow step order, so they extend
+happens-before.
 
-The version graph this produces is series-parallel by construction: with two
-replicas every merge has a unique lowest common ancestor, recorded on the
-merge edge at build time.  With three or more, a merge can have several
-maximal common ancestors; ``build`` then raises ``NoUniqueLcaError``.
-Timestamps are assigned globally in step order, which makes them consistent
-with happens-before.
-
-``build`` also indexes the graph's events once.  ``VersionGraph.events`` lists
-them in timestamp order, and the event with timestamp ``t`` sits at index
-``t - 1``.  Every node carries an int bitmask of its history: bit ``i`` is set
-when ``events[i]`` is the node's own event or an ancestor's: ``events[i]``
-happens before ``events[j]`` when bit ``i`` of the mask of ``events[j]``'s
-node (``event_nodes[j]``) is set.  ``past[j]``, the mask of the node's
-parent, holds the events that happen before ``events[j]``.  The peel check
-reads happens-before from the masks, and the linearization oracle from
-``past``.
+``VersionGraph.events`` lists the events in timestamp order (timestamp ``t``
+at index ``t - 1``).  Bit ``i`` of a node's ``event_masks`` entry is set when
+``events[i]`` is in its history, and ``past[j]`` holds the events that
+happen before ``events[j]``.
 
 The fold and LCA rules live in ``_PartialGraph`` alone.  ``build`` pushes a
-whole recipe onto one, and ``execute`` computes the states of a finished
-graph, checking each payload against the spec.  The exhaustive sweep
-(``sweep_walk``) builds and executes incrementally instead: it walks the
-prefix tree of canonical recipes depth-first, pushing one apply or join per
-tree edge together with its state and popping it on the way back.  So each
-tree node's ``apply`` or merge runs once, and a leaf, yielded from the apply
-loop that pushes its last event, only folds the heads into the sink, which
-is always the last node (``_PartialGraph.sink``).  The walk yields its live
-graph, on which ``run_suite`` (from the cut mark, ``_PartialGraph.unchecked``)
-and ``oracle_sweep`` check each history; only a failing one is copied out, as
-a recipe or an ``Execution`` equal to ``execute(spec, build(recipe))``.
-``oracle_sweep``'s walk also keeps, per event prefix, the replay of its
-events in timestamp order, pushed and cut back with the events.  Every
-merge, in ``execute`` and on a partial graph alike, is the spec's ``merge3``
-of the LCA's state and the two heads' states; a CRDT's ``merge3`` ignores
-the LCA.
-
-A random history is made in one flat pass.  ``draw_history``, the only draw,
-runs ``rng.randrange``'s rejection loop inline and pushes each step, with
-its state, onto a partial graph as it is drawn: ``run_suite`` reuses one
-graph for all its draws, and ``random_recipe`` draws without one.  The
-walk and the draws take their steps and events from ``StepTables``, built
-once per suite (and once per walk), from a pool made from the spec's payload
-types; so they skip ``check_payload``, which a recipe from outside (a shrink
-candidate, a replayed report) still gets from ``execute``.
+whole recipe onto one and ``execute`` computes its states, checking each
+payload against the spec; the sweep (``sweep_walk``) and the random draw
+(``draw_history``) push pool steps with their states and hand out the live
+graph.  README tells how they share work.
 """
 
 from __future__ import annotations
@@ -116,7 +86,6 @@ class VersionGraph:
     recipe: Recipe
     nodes: tuple[NodeInfo, ...]
     events: tuple[Event, ...]  # timestamp order: the event with ts t is events[t - 1]
-    event_nodes: tuple[int, ...]  # per event index, the apply node holding it
     event_masks: tuple[int, ...]  # per node, bit i set when events[i] is in its history
     past: tuple[int, ...]  # per event index, bit i set when events[i] happens before it
 
@@ -154,28 +123,27 @@ class _PartialGraph:
     """A version graph under construction, kept on stacks that can be cut back.
 
     ``build`` and the random draws push a whole recipe.  The sweep walk pushes
-    one step per edge of the enumeration tree and cuts back to a ``mark`` on
-    the way up.  Given a ``spec``, every node gets its state as it is pushed,
-    so a finished graph is already executed.  Those states skip
-    ``check_payload``: the walk and the draws push only pool events.  The
-    spec's ``apply`` and ``merge3`` are bound per graph, so a copy of a spec
-    with other functions gets its own calls.  The merge nodes are listed as
-    they are folded, so ``merge_nodes`` reads that list rather than scanning
-    the nodes.
+    one step per edge of the enumeration tree, cuts back to a ``mark`` on the
+    way up, and turns a leaf into its sibling with ``swap_last``.  Given a
+    ``spec``, every node gets its state as it is pushed, so a finished graph
+    is already executed.  Those states skip ``check_payload``: the walk and
+    the draws push only pool events.  The spec's ``apply`` and ``merge3`` are
+    bound per graph, so a copy of a spec with other functions gets its own
+    calls.  The merge nodes are listed as they are folded, so ``merge_nodes``
+    reads that list rather than scanning the nodes.
 
     Given a ``replay_step`` (``oracle_sweep``'s walk alone passes one), the
     graph also keeps ``replays``, one entry per event prefix: ``replays[0]``
     is the spec's initial state, and each pushed event pushes
     ``replay_step(replays[-1], events, past)``, read once the event is on
-    ``events`` and ``past``.  ``restore`` cuts it back with them, so its top
-    always belongs to the events on the graph.
+    ``events`` and ``past``.  ``restore`` cuts it back with them and
+    ``swap_last`` remakes its top, so it always belongs to the graph's events.
     """
 
     def __init__(self, replicas: int, spec: RdtSpec | None = None, replay_step=None):
         self.nodes: list[NodeInfo] = [("root",)]
         self.ancestors: list[int] = [1]  # per node, bit n set when node n is an ancestor (reflexive)
         self.events: list[Event] = []
-        self.event_nodes: list[int] = []
         self.event_masks: list[int] = [0]
         self.past: list[int] = []
         self.states: list = [] if spec is None else [spec.initial]
@@ -183,7 +151,7 @@ class _PartialGraph:
         self.heads = [0] * replicas
         self.spec_apply = None if spec is None else spec.apply
         self.merge3 = None if spec is None else spec.merge3
-        self.low = 0  # the lowest node count cut back to since ``unchecked``
+        self.low = 0  # the cut mark, see ``unchecked``
         self.replay_step = replay_step
         self.replays: list = [] if replay_step is None else [spec.initial]
 
@@ -199,10 +167,28 @@ class _PartialGraph:
         if self.spec_apply is not None:
             self.states.append(self.spec_apply(self.states[parent], ev))
         self.events.append(ev)
-        self.event_nodes.append(n)
         self.heads[ev.replica] = n
         if self.replay_step is not None:
             self.replays.append(self.replay_step(self.replays[-1], self.events, self.past))
+
+    def swap_last(self, n: int, ev: Event) -> None:
+        """Put ``ev``, on the same replica, in place of the last event, held
+        by apply node ``n`` below the folded sink.  The layout stays, so only
+        the states from ``n`` up and the top replay are made again, by the
+        calls a push and fold would make; the cut mark drops to ``n``."""
+        nodes, states = self.nodes, self.states
+        parent = nodes[n][1]
+        nodes[n] = ("apply", parent, ev)
+        self.events[-1] = ev
+        if self.spec_apply is not None:
+            states[n] = self.spec_apply(states[parent], ev)
+            for m in range(n + 1, len(nodes)):  # the sink fold's merges
+                _, x, y, lca = nodes[m]
+                states[m] = self.merge3(states[lca], states[x], states[y])
+        if self.replay_step is not None:
+            self.replays[-1] = self.replay_step(self.replays[-2], self.events, self.past)
+        if n < self.low:
+            self.low = n
 
     def fold(self, x: int, y: int) -> int:
         """The head that folding head ``y`` into head ``x`` gives: ``x`` when it
@@ -250,8 +236,8 @@ class _PartialGraph:
         if n_nodes < self.low:
             self.low = n_nodes
         del self.nodes[n_nodes:], self.ancestors[n_nodes:], self.event_masks[n_nodes:]
-        del self.states[n_nodes:], self.events[n_events:], self.event_nodes[n_events:]
-        del self.past[n_events:], self.replays[n_events + 1:]
+        del self.states[n_nodes:], self.events[n_events:], self.past[n_events:]
+        del self.replays[n_events + 1:]
         del self.merges[bisect_left(self.merges, n_nodes):]
         self.heads[:] = heads
 
@@ -260,18 +246,19 @@ class _PartialGraph:
         return self.merges[bisect_left(self.merges, start):]
 
     def unchecked(self) -> int:
-        """The cut mark: the lowest node count ``restore`` cut back to since
-        the last call (0 at the first), or the node count at the last call if
-        nothing was cut.  The nodes below it, and their states, are the very
-        objects the graph held at the last call, so a node-local check that
-        passed them then need not look at them again.  A node pushed back
-        equal to one cut is checked again: that costs time, not soundness."""
+        """The cut mark: the lowest node count ``restore`` cut back to, or
+        apply node ``swap_last`` remade (it changes nothing below it), since
+        the last call (0 at the first); else the node count then.  The nodes
+        below it, and their states, are the very objects the graph held at
+        the last call, so a node-local check that passed them then need not
+        look at them again.  A node pushed back equal to one cut is checked
+        again: that costs time, not soundness."""
         n, self.low = self.low, len(self.nodes)
         return n
 
     def graph(self, recipe: Recipe) -> VersionGraph:
         return VersionGraph(recipe, tuple(self.nodes), tuple(self.events),
-                            tuple(self.event_nodes), tuple(self.event_masks), tuple(self.past))
+                            tuple(self.event_masks), tuple(self.past))
 
 
 def build(recipe: Recipe) -> VersionGraph:
@@ -309,7 +296,6 @@ class Execution:
     # The graph's fields, named as on a live ``_PartialGraph``: the evaluators read either.
     nodes = property(lambda self: self.graph.nodes)
     events = property(lambda self: self.graph.events)
-    event_nodes = property(lambda self: self.graph.event_nodes)
     event_masks = property(lambda self: self.graph.event_masks)
     past = property(lambda self: self.graph.past)
     merge_nodes = property(lambda self: self.graph.merge_nodes)
@@ -369,50 +355,73 @@ def enumerate_recipes(pool: tuple[OpPayload, ...], max_events: int,
 
 
 def sweep_walk(pool, max_events, replicas, max_joins, spec=None, replay_step=None):
-    """Walk the prefix tree of canonical recipes depth-first, keeping one
-    partial graph ``g`` at the current prefix (made with ``spec`` and
-    ``replay_step``, see ``_PartialGraph``), and yield ``(g, steps)``, its
-    sink folded, per recipe in ``enumerate_recipes``'s order.  ``g`` and
-    ``steps`` are live: they hold the recipe until the walk resumes, and the
-    recipes below one prefix share its state objects, so the spec's
-    functions must not mutate their inputs.  No recipe ends on a join, so
-    each leaf but the empty recipe (yielded first) is yielded from the apply
-    loop that pushes its last event, and ``rec`` runs only at inner nodes.
-    A merge with no unique LCA cuts its branch: no recipe below it builds."""
+    """Walk the prefix tree of canonical recipes depth-first on one partial
+    graph ``g`` (made with ``spec`` and ``replay_step``, see
+    ``_PartialGraph``) and yield ``(g, steps)``, its sink folded, per recipe
+    in ``enumerate_recipes``'s order.  ``g`` and ``steps`` are live until the
+    walk resumes, and the recipes below a prefix share its state objects, so
+    the spec's functions must not mutate their inputs.  No recipe ends on a
+    join, so each leaf but the empty recipe (yielded first) comes from the
+    last apply loop.  There the leaves on one replica share their layout: the
+    first is pushed and folded, and ``swap_last`` turns it into each next
+    one, lowering the cut mark to its apply node.  A merge with no unique LCA
+    cuts its branch, or its layout's leaves: no recipe there builds."""
     tables = StepTables(pool, replicas, max_events)
+    # The literal rule, applied once: with literals up to ``seen`` in use,
+    # ``applies[seen]`` lists the (replica, payload, step, new ``seen``)
+    # candidates that keep literals in first-use order, replica-major.
     literals = [p.literals() for p in pool]
-    applies = [(r, p, tables.applies[r][p], literals[p])
-               for r in range(replicas) for p in range(len(pool))]
-    first_applies = applies[:len(pool)]  # the first apply runs on replica 0
+    applies = []
+    for seen in range(max((lit for lits in literals for lit in lits), default=0) + 1):
+        row = []
+        for p, lits in enumerate(literals):
+            after = seen
+            for lit in lits:
+                if lit > after + 1:
+                    break
+                after = max(after, lit)
+            else:
+                row.append((p, after))
+        applies.append([(r, p, tables.applies[r][p], after)
+                        for r in range(replicas) for p, after in row])
+    first_applies = [c for c in applies[0] if c[0] == 0]  # the first apply runs on replica 0
     joins = [step for row in tables.joins for step in row]
     g = _PartialGraph(replicas, spec, replay_step)
     steps: list[Step] = []
 
-    def rec(seen_max, events_left, joins_left):  # events_left >= 1
+    def rec(seen, events_left, joins_left):  # events_left >= 1
         mark = g.mark()
         # A trailing join duplicates the final fold, so the last step is an
         # event, pushed only once every join of the size is spent.
         if events_left > 1 or not joins_left:
             events = tables.events[len(g.events)]
-            for r, p, step, lits in applies if g.events else first_applies:
-                seen = seen_max
-                for lit in lits:
-                    if lit > seen + 1:
-                        break
-                    seen = max(seen, lit)
-                else:
+            candidates = applies[seen] if g.events else first_applies
+            if events_left > 1:
+                for r, p, step, after in candidates:
                     g.apply(events[r][p])
                     steps.append(step)
-                    if events_left > 1:
-                        yield from rec(seen, events_left - 1, joins_left)
-                    else:
+                    yield from rec(after, events_left - 1, joins_left)
+                    steps.pop()
+                    g.restore(mark)
+            else:  # the leaves: each next one on a replica is swapped in
+                replica = folded = None
+                for r, p, step, _ in candidates:
+                    if r != replica:
+                        if replica is not None:
+                            g.restore(mark)
+                        replica, folded = r, True
+                        g.apply(events[r][p])
                         try:
                             g.sink()
                         except NoUniqueLcaError:
-                            pass
-                        else:
-                            yield g, steps
-                    steps.pop()
+                            folded = False
+                    elif folded:
+                        g.swap_last(mark[0], events[r][p])
+                    if folded:
+                        steps.append(step)
+                        yield g, steps
+                        steps.pop()
+                if replica is not None:
                     g.restore(mark)
         if joins_left:
             for step in joins:
@@ -423,7 +432,7 @@ def sweep_walk(pool, max_events, replicas, max_joins, spec=None, replay_step=Non
                 if not moved:
                     continue  # no-op join
                 steps.append(step)
-                yield from rec(seen_max, events_left, joins_left - 1)
+                yield from rec(seen, events_left, joins_left - 1)
                 steps.pop()
                 g.restore(mark)
 

@@ -19,6 +19,7 @@ from salcheck.checker import (
     bottom_up_instances, run_suite, oracle_sweep, shrink,
     ORACLE_EVENT_CAP, EVALUATORS, _conflict_diamonds, _stream_seed,
 )
+from walkers import apply_nodes
 
 CORRECT = [e for e in CATALOG if not e.known_buggy]
 DEEP_SWEEPS = os.environ.get("SALCHECK_DEEP_SWEEPS") == "1"
@@ -81,7 +82,7 @@ def test_oracle_witness_extends_happens_before():
     pos = {e: i for i, e in enumerate(res.witness)}
     for j, e2 in enumerate(g.events):
         # events[i] happens before e2 when bit i of e2's node's history is set.
-        for i in iter_bits(g.event_masks[g.event_nodes[j]] & ~(1 << j)):
+        for i in iter_bits(g.event_masks[apply_nodes(g)[j]] & ~(1 << j)):
             assert pos[g.events[i]] < pos[e2]
 
 

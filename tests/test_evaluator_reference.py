@@ -27,6 +27,7 @@ from salcheck.history import (
 from salcheck.model import (
     Inc, MrdtSpec, RcOrder, Write, conflicting, is_crdt, rc_empty, rc_order,
 )
+from walkers import apply_nodes
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 
@@ -87,6 +88,7 @@ def _commute_on_probes(spec, e1, e2, probes) -> bool:
 def reference_bottom_up_instances(spec, ex):
     g = ex.graph
     masks = g.event_masks
+    event_nodes = apply_nodes(g)
     ops = [ev.op for ev in g.events]
     out = []
     for m in g.merge_nodes():
@@ -106,7 +108,7 @@ def reference_bottom_up_instances(spec, ex):
                 if conflicting(spec.rc, e.op, ops[j]):
                     if spec.rc(e.op, ops[j]):
                         screened = any(
-                            masks[g.event_nodes[k]] >> j & 1
+                            masks[event_nodes[k]] >> j & 1
                             and conflicting(spec.rc, ops[j], ops[k])
                             for k in iter_bits(hist_b & ~(1 << j))
                         )

@@ -13,7 +13,7 @@ from salcheck.history import (
     Recipe, ApplyOp, JoinOp, NoUniqueLcaError, RecipeError, StepTables, build, execute,
     run_recipe, diamond, enumerate_recipes, iter_bits, random_recipe,
 )
-from walkers import draw_execution, enumerate_executions
+from walkers import apply_nodes, draw_execution, enumerate_executions
 
 
 def test_linear_history_three_nodes():
@@ -100,13 +100,13 @@ def test_join_self_rejected():
 def past(g, j: int) -> int:
     """The events that happen before ``g.events[j]``, as the mask the oracle
     reads: the history of its apply node without the event itself."""
-    return g.event_masks[g.event_nodes[j]] & ~(1 << j)
+    return g.event_masks[apply_nodes(g)[j]] & ~(1 << j)
 
 
 def test_happens_before_strict_partial_order():
     g = build(diamond((Add(1), Rem(2)), (Add(2),)))
     for j in range(len(g.events)):
-        assert g.event_masks[g.event_nodes[j]] >> j & 1  # a node's history holds its event
+        assert g.event_masks[apply_nodes(g)[j]] >> j & 1  # a node's history holds its event
         assert past(g, j) < 1 << j  # timestamps extend happens-before
         for i in iter_bits(past(g, j)):
             assert not past(g, i) >> j & 1  # antisymmetric
@@ -124,9 +124,10 @@ def test_same_replica_events_ordered():
     assert not past(g, 0) >> 1 & 1
 
 
-def test_event_nodes_locate_each_event():
+def test_apply_nodes_locate_each_event():
     g = build(diamond((Add(1),), (Rem(1),)))
-    assert g.event_nodes == (1, 2)
+    assert apply_nodes(g) == [1, 2]
+    assert g.past == tuple(past(g, j) for j in range(len(g.events)))
 
 
 def test_events_of_accumulates_history():
@@ -322,6 +323,21 @@ def test_the_sink_is_the_last_node(monkeypatch):
                   (ApplyOp(2, Inc()), JoinOp(0, 2), ApplyOp(0, Inc()), ApplyOp(2, Inc()))):
         g = build(Recipe(steps, 3))
         assert folded[-1] == g.sink == len(g.nodes) - 1
+    # On a multi-payload entry the walk swaps a leaf's last event in place of
+    # folding again: after each swap the last node still knows every node,
+    # and every history's last state is the sink state of its recipe.
+    swapped = []
+    swap_last = history._PartialGraph.swap_last
+
+    def swap(g, n, ev):
+        swap_last(g, n, ev)
+        assert g.ancestors[-1] == (1 << len(g.nodes)) - 1
+        swapped.append(n)
+
+    monkeypatch.setattr(history._PartialGraph, "swap_last", swap)
+    for g, steps in history.sweep_walk(payload_pool(or_set_mrdt), 3, 3, 1, or_set_mrdt):
+        assert g.states[-1] == run_recipe(or_set_mrdt, Recipe(tuple(steps), 3)).sink_state()
+    assert swapped
 
 
 def counted(spec):
@@ -384,8 +400,10 @@ def test_builders_call_the_spec_they_are_given(rdt, monkeypatch):
             assert made == {"apply": 0, "merge": node_kinds(ex.graph)["merge"]}
 
     # The walk shares prefixes, so count its pushes rather than its nodes.
+    # A swap of the last event is a push: one apply, one merge per sink merge.
     pushed = {"apply": 0, "merge": 0}
     push_apply, fold = history._PartialGraph.apply, history._PartialGraph.fold
+    swap_last = history._PartialGraph.swap_last
 
     def counting_push_apply(self, ev):
         pushed["apply"] += 1
@@ -397,8 +415,14 @@ def test_builders_call_the_spec_they_are_given(rdt, monkeypatch):
         pushed["merge"] += len(self.nodes) - nodes
         return head
 
+    def counting_swap_last(self, n, ev):
+        pushed["apply"] += 1
+        pushed["merge"] += len(self.nodes) - n - 1
+        swap_last(self, n, ev)
+
     monkeypatch.setattr(history._PartialGraph, "apply", counting_push_apply)
     monkeypatch.setattr(history._PartialGraph, "fold", counting_fold)
+    monkeypatch.setattr(history._PartialGraph, "swap_last", counting_swap_last)
     walked, made = spec_calls(lambda: [ex.states for ex in enumerate_executions(spec, pool, 3)])
     assert made == pushed and pushed["apply"] > 0 and pushed["merge"] > 0
     assert walked == [ex.states for ex in enumerate_executions(plain, pool, 3)]

@@ -37,7 +37,7 @@ from salcheck.history import (
     execute, iter_bits, random_recipe, sweep_walk,
 )
 from salcheck.model import Event, RdtSpec, conflicting, is_crdt, rc_empty
-from walkers import draw_execution, enumerate_executions
+from walkers import apply_nodes, draw_execution, enumerate_executions
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 DEEP_SWEEPS = os.environ.get("SALCHECK_DEEP_SWEEPS") == "1"
@@ -163,7 +163,7 @@ def previous_oracle(spec: RdtSpec, graph, target=None) -> OracleResult:
         target = execute(spec, graph).sink_state()
     # past[i]: the events that happen before events[i]; later[i]: those after.
     # Timestamps extend happens-before, so past[i] holds only indices below i.
-    past = [graph.event_masks[node] & ~(1 << i) for i, node in enumerate(graph.event_nodes)]
+    past = [graph.event_masks[node] & ~(1 << i) for i, node in enumerate(apply_nodes(graph))]
     later = [0] * n
     for i in range(n):
         for j in range(i):
@@ -481,7 +481,7 @@ def dfs_first_leaf(spec: RdtSpec, graph) -> tuple[tuple[int, ...] | None, bool]:
     order as event indices (``None`` if it has none), and whether the DFS
     backtracked before reaching it.  Happens-before comes from the node masks."""
     n = len(graph.events)
-    past = [graph.event_masks[node] & ~(1 << i) for i, node in enumerate(graph.event_nodes)]
+    past = [graph.event_masks[node] & ~(1 << i) for i, node in enumerate(apply_nodes(graph))]
     later = [sum(1 << i for i in range(n) if past[i] >> j & 1) for j in range(n)]
     ops = [ev.op for ev in graph.events]
     backtracked = False
@@ -507,7 +507,7 @@ def dfs_first_leaf(spec: RdtSpec, graph) -> tuple[tuple[int, ...] | None, bool]:
 def assert_past(graph) -> None:
     """``graph.past[i]`` is the mask of ``events[i]``'s node without ``i``."""
     assert list(graph.past) == [graph.event_masks[node] & ~(1 << i)
-                                for i, node in enumerate(graph.event_nodes)]
+                                for i, node in enumerate(apply_nodes(graph))]
 
 
 def assert_greedy_is_first_leaf(spec: RdtSpec, graph) -> None:

@@ -48,7 +48,7 @@ def reference_oracle_sweep(target, max_events, literals=LITERAL_POOL, replicas=2
 
 def _fields(ex):
     g = ex.graph
-    return (g.recipe, g.nodes, g.sink, g.events, g.event_nodes, g.event_masks, ex.states)
+    return (g.recipe, g.nodes, g.sink, g.events, g.event_masks, g.past, ex.states)
 
 
 def assert_sweep_agrees(entry, max_events, replicas=2, max_joins=1) -> None:

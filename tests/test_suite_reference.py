@@ -27,14 +27,14 @@ import random
 import pytest
 
 from salcheck import checker, history
-from salcheck.catalog import CATALOG, catalog_get, payload_pool
+from salcheck.catalog import CATALOG, CatalogEntry, catalog_get, g_set_mrdt, payload_pool
 from salcheck.checker import (
     EVALUATORS, ORACLE_EVENT_CAP, CheckConfig, PropertyId, SuiteReport, Verdict,
     _stream_seed, properties_for, rc_is_vacuous, run_suite, shrink,
 )
 from salcheck.history import StepTables, sweep_walk
 from salcheck.model import is_crdt
-from walkers import draw_execution, enumerate_executions
+from walkers import draw_execution, enumerate_executions, reference_walk
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 
@@ -83,7 +83,9 @@ ONCE = {PropertyId.MERGE_IDEM: idem_once, PropertyId.LATTICE_IDEM: idem_once,
         PropertyId.MERGE_WITH_LCA: lca_once}
 
 
-def reference_suite(entry, cfg: CheckConfig) -> SuiteReport:
+def reference_suite(entry, cfg: CheckConfig, walk=None) -> SuiteReport:
+    """``run_suite`` as it was, its sweep over ``walk`` (``sweep_walk`` by
+    default, see ``enumerate_executions``)."""
     spec = entry.spec
     props = properties_for(spec)
     pool = payload_pool(spec, cfg.literal_pool)
@@ -101,7 +103,7 @@ def reference_suite(entry, cfg: CheckConfig) -> SuiteReport:
     if live:
         previous: tuple = ()
         for ex in enumerate_executions(spec, pool, cfg.exhaustive_below - 1,
-                                       cfg.replica_count, cfg.max_joins):
+                                       cfg.replica_count, cfg.max_joins, walk):
             start = _same_prefix(previous, ex.graph.nodes)
             for p in live:
                 if fails(p, ex, start):
@@ -155,11 +157,11 @@ def counted(entry):
     return dataclasses.replace(entry, spec=dataclasses.replace(spec, **changes)), calls
 
 
-def assert_same_suite(entry, cfg: CheckConfig) -> SuiteReport:
+def assert_same_suite(entry, cfg: CheckConfig, walk=None) -> SuiteReport:
     ours, our_calls = counted(entry)
     theirs, their_calls = counted(entry)
     got = run_suite(ours, cfg)
-    assert got == reference_suite(theirs, cfg)
+    assert got == reference_suite(theirs, cfg, walk)
     assert our_calls == their_calls
     return got
 
@@ -199,6 +201,24 @@ def test_random_phase_agrees_on_dropped_draws(rdt):
     cfg = CheckConfig(tests_per_property=200, exhaustive_below=2, max_events=12,
                       replica_count=3, max_joins=2, seed=7)
     assert_same_suite(entry, cfg)
+
+
+def _drops_a_right_only_2(l, a, b):
+    """g-set's merge, but it drops element 2 when only the right head has it."""
+    return (a | b) - {2} if 2 in b and 2 not in a else a | b
+
+
+def test_a_bug_at_a_swapped_leaf_is_reported_where_the_pushing_walk_finds_it():
+    # The first history this merge breaks is [add 1 on 0, add 2 on 1], the
+    # second leaf of its prefix on replica 1: the walk makes it by swapping
+    # the last event of [add 1 on 0, add 1 on 1].  Every property must fail
+    # at the history, node and shrunk counterexample of a walk that pushes
+    # every leaf, which a swap that kept the cut mark above it would miss.
+    spec = dataclasses.replace(g_set_mrdt, name="g-set-right-2", merge3=_drops_a_right_only_2)
+    entry = CatalogEntry(spec.name, spec, True, "merge drops a right-only 2")
+    report = assert_same_suite(entry, sweep_config(3, 2), reference_walk)
+    fails = {v.property: v.tests for v in report.verdicts if v.status == "fail"}
+    assert fails[PropertyId.MERGE_COMM] == fails[PropertyId.MERGE_WITH_LCA] == 6
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,25 @@ yields every canonical recipe, including those whose ``build`` raises
 graph stacks that ``enumerate_executions`` shares with ``build``.  Each
 history the walk yields must equal ``execute(spec, build(recipe))`` for the
 next reference recipe that builds, field for field and in the same order.
+
+``reference_walk`` (in ``walkers.py``) is the walk before the leaves of one
+prefix on one replica shared their layout: it pushes, folds and cuts back
+every leaf.  The walk, which swaps each next sibling's last event in place
+(``_PartialGraph.swap_last``), must yield the same live graph at every
+history: steps, nodes, states, replays, ``past``, masks and cut mark.
 """
+
+from itertools import zip_longest
 
 import pytest
 
 from salcheck.catalog import CATALOG, ctr_inc_mrdt, payload_pool
-from salcheck.checker import linearization_oracle
+from salcheck.checker import _INADMISSIBLE, _timestamp_step, linearization_oracle
 from salcheck.history import (
-    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, build, enumerate_recipes, execute,
+    ApplyOp, JoinOp, NoUniqueLcaError, Recipe, build, enumerate_recipes, execute, sweep_walk,
 )
 from salcheck.model import Add, Delete, Insert, MapSet, Rem, Write
-from walkers import enumerate_executions
+from walkers import enumerate_executions, reference_walk
 
 LARGE_ALPHABET = {"or-set-mrdt", "or-set-eff-mrdt", "g-map-mrdt", "rga-mrdt", "or-set-crdt"}
 
@@ -88,7 +96,7 @@ def _reference_size(pool, replicas, n_events, n_joins):
 
 def _fields(ex):
     g = ex.graph
-    return (g.recipe, g.nodes, g.sink, g.events, g.event_nodes, g.event_masks, ex.states)
+    return (g.recipe, g.nodes, g.sink, g.events, g.event_masks, g.past, ex.states)
 
 
 def assert_sweep_matches(spec, max_events, replicas, max_joins, check_oracle=False) -> int:
@@ -132,3 +140,32 @@ def test_ctr_three_replica_two_join_sweep_skips_merges_without_unique_lca():
     assert assert_sweep_matches(ctr_inc_mrdt, 4, 3, 2) == 150
     assert sum(1 for _ in enumerate_recipes(pool, 4, 3, 2)) == 2027
     assert sum(1 for _ in enumerate_executions(ctr_inc_mrdt, pool, 4, 3, 2)) == 2027
+
+
+def _live(g, steps) -> tuple:
+    """What a consumer reads off the walk's live graph at one history; the
+    cut mark is read as ``run_suite`` reads it, once per history."""
+    replays = tuple((r is _INADMISSIBLE, None if r is _INADMISSIBLE else r) for r in g.replays)
+    return (tuple(steps), tuple(g.nodes), tuple(g.states), replays, tuple(g.past),
+            tuple(g.event_masks), g.unchecked())
+
+
+# (events, replicas, joins): the large alphabets (6-9 payloads per replica
+# group) at 3 events keep the test to about two seconds.
+SWAP_BOUNDS = [(4, 2, 1), (3, 3, 2), (4, 2, 2)]
+
+
+@pytest.mark.parametrize("bounds", SWAP_BOUNDS, ids=lambda b: "-".join(map(str, b)))
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.id)
+def test_swapped_leaves_match_pushed_ones(entry, bounds):
+    spec = entry.spec
+    if entry.id in LARGE_ALPHABET:
+        bounds = (3,) + bounds[1:]
+    walks = [walk(payload_pool(spec), *bounds, spec, _timestamp_step(spec))
+             for walk in (sweep_walk, reference_walk)]
+    histories = 0
+    for got, want in zip_longest(*walks):
+        assert got is not None and want is not None  # as many histories
+        assert _live(*got) == _live(*want)
+        histories += 1
+    assert histories > 1

@@ -35,20 +35,22 @@ from salcheck.checker import (
 from salcheck.history import Recipe, build, execute
 from salcheck.model import Inc, MrdtSpec, Write, rc_empty
 from test_oracle_sweep_reference import LARGE_ALPHABET, _params, reference_oracle_sweep
+from walkers import apply_nodes
 
 
 def watched_sweep(entry, max_events, monkeypatch, replicas=2, max_joins=1):
     """Run ``oracle_sweep`` on a copy of the spec whose ``apply`` and
     ``replay_apply`` count their calls, and return its result; per history
     in walk order, ``(recipe, whether the oracle ran)``; and per event the
-    walk pushed, ``(events, whether their timestamp order is admissible,
-    apply calls, replay_apply calls)`` made by the push.  An ``apply`` or
+    walk pushed or swapped in (``swap_last``), ``(events, whether their
+    timestamp order is admissible, apply calls, replay_apply calls)`` made
+    by the push.  An ``apply`` or
     ``replay_apply`` call outside a push and the oracle fails."""
     spec = checker._as_entry(entry).spec
     leaves, pushes = [], []
     calls = {"apply": 0, "replay_apply": 0, "push": False, "oracle": False}
     walk, oracle = checker.sweep_walk, checker.linearization_oracle
-    apply = history._PartialGraph.apply
+    apply, swap_last = history._PartialGraph.apply, history._PartialGraph.swap_last
 
     def counting(name, fn):
         def counted(*args):
@@ -66,16 +68,18 @@ def watched_sweep(entry, max_events, monkeypatch, replicas=2, max_joins=1):
             leaves.append([Recipe(tuple(steps), replicas), False])
             yield g, steps
 
-    def recording_apply(g, ev):
-        if g.replay_step is None:
-            return apply(g, ev)
-        before = calls["apply"], calls["replay_apply"]
-        calls["push"] = True
-        apply(g, ev)
-        calls["push"] = False
-        admissible = admissible_prefix(spec, g) == len(g.events)
-        pushes.append((tuple(g.events), admissible,
-                       calls["apply"] - before[0], calls["replay_apply"] - before[1]))
+    def recording(push):  # a swap of the last event is a push too
+        def recorded(g, *args):
+            if g.replay_step is None:
+                return push(g, *args)
+            before = calls["apply"], calls["replay_apply"]
+            calls["push"] = True
+            push(g, *args)
+            calls["push"] = False
+            admissible = admissible_prefix(spec, g) == len(g.events)
+            pushes.append((tuple(g.events), admissible,
+                           calls["apply"] - before[0], calls["replay_apply"] - before[1]))
+        return recorded
 
     def recording_oracle(*args):
         leaves[-1][1] = calls["oracle"] = True
@@ -85,7 +89,8 @@ def watched_sweep(entry, max_events, monkeypatch, replicas=2, max_joins=1):
             calls["oracle"] = False
 
     monkeypatch.setattr(checker, "sweep_walk", recording_walk)
-    monkeypatch.setattr(history._PartialGraph, "apply", recording_apply)
+    monkeypatch.setattr(history._PartialGraph, "apply", recording(apply))
+    monkeypatch.setattr(history._PartialGraph, "swap_last", recording(swap_last))
     monkeypatch.setattr(checker, "linearization_oracle", recording_oracle)
     result = oracle_sweep(counted, max_events, replicas=replicas, max_joins=max_joins)
     monkeypatch.undo()
@@ -96,7 +101,7 @@ def happens_before(graph) -> list[frozenset[int]]:
     """Per event index, the indices of the events that happen before it."""
     return [frozenset(i for i in range(len(graph.events))
                       if i != j and graph.event_masks[node] >> i & 1)
-            for j, node in enumerate(graph.event_nodes)]
+            for j, node in enumerate(apply_nodes(graph))]
 
 
 def admissible_prefix(spec, graph) -> int:
