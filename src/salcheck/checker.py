@@ -11,13 +11,12 @@ executable verification conditions:
 * ``LinearizationExists`` — the semantic ground truth: some total order of
   the history's events that respects happens-before and the conflict policy
   replays, sequentially from the initial state, to the final merged state,
-* lattice laws for converged (two-way merge) types.
+* ``LatticeAssoc`` — two-way merge is associative, for converged types.
 
 Every merge is computed as the spec's ``merge3``, and a CRDT's ``merge3``
-ignores the ancestor.  So ``LatticeComm`` and ``LatticeIdem`` run the
-``MergeComm`` and ``MergeIdem`` evaluators under their own names, and only
-``LatticeAssoc`` calls ``merge2`` itself.  The spec's class decides nothing
-else but which properties apply (``properties_for``).
+ignores the ancestor.  So both kinds check the first six laws, and a spec
+with ``merge2`` also checks ``LatticeAssoc``, the one law that calls it
+(``properties_for``).
 
 A pass is bounded evidence over the generated histories, not a proof.  Every
 suite sweeps all canonical recipes below ``exhaustive_below`` events, each
@@ -27,8 +26,8 @@ seeded stream per (seed, entry, property), so verdicts are deterministic and
 the sweep's first failure is event-minimal.  A draw with no unique LCA, or
 above ``ORACLE_EVENT_CAP`` events for ``LinearizationExists``, is redrawn
 and counts as no test.  Only a property's first failing history becomes a
-``Recipe``, which ``shrink`` builds and executes.  MergeIdem, LatticeIdem
-and MergeWithLca check each distinct input once per suite (``PASSED_ONCE``).
+``Recipe``, which ``shrink`` builds and executes.  MergeIdem and
+MergeWithLca check each distinct input once per suite (``PASSED_ONCE``).
 ``oracle_sweep`` (``salcheck oracle``) runs ``LinearizationExists`` alone
 over the sweep.
 """
@@ -53,6 +52,10 @@ ORACLE_EVENT_CAP = 9
 
 
 class PropertyId(enum.Enum):
+    # No suite checks LATTICE_COMM or LATTICE_IDEM: on a CRDT's merge3 they
+    # are MergeComm and MergeIdem.  They stay because ``salcheck/2`` reports
+    # written while suites still checked them name them and must validate,
+    # and because the benchmark's per-layer metric list names them.
     MERGE_IDEM = "MergeIdem"
     MERGE_COMM = "MergeComm"
     MERGE_WITH_LCA = "MergeWithLca"
@@ -73,20 +76,9 @@ MRDT_PROPERTIES = (
     PropertyId.LINEARIZATION_EXISTS,
 )
 
-CRDT_PROPERTIES = (
-    PropertyId.MERGE_IDEM,
-    PropertyId.MERGE_COMM,
-    PropertyId.BOTTOM_UP_STEP,
-    PropertyId.RC_POLICY,
-    PropertyId.LINEARIZATION_EXISTS,
-    PropertyId.LATTICE_COMM,
-    PropertyId.LATTICE_ASSOC,
-    PropertyId.LATTICE_IDEM,
-)
-
 
 def properties_for(spec: RdtSpec) -> tuple[PropertyId, ...]:
-    return CRDT_PROPERTIES if is_crdt(spec) else MRDT_PROPERTIES
+    return MRDT_PROPERTIES + ((PropertyId.LATTICE_ASSOC,) if is_crdt(spec) else ())
 
 
 @dataclass(frozen=True)
@@ -403,8 +395,8 @@ def _viol(spec: RdtSpec, prop: PropertyId, lhs, rhs,
     return Violation(prop, lhs, rhs, spec.format_state(lhs), spec.format_state(rhs), node, event)
 
 
-def eval_merge_idem(spec: RdtSpec, h, start: int = 0, passed: set | None = None,
-                    prop: PropertyId = PropertyId.MERGE_IDEM) -> Violation | None:
+def eval_merge_idem(spec: RdtSpec, h, start: int = 0,
+                    passed: set | None = None) -> Violation | None:
     for n, s in enumerate(h.states[start:], start):
         if passed is not None:
             try:
@@ -414,21 +406,20 @@ def eval_merge_idem(spec: RdtSpec, h, start: int = 0, passed: set | None = None,
                 passed = None
         merged = spec.merge3(s, s, s)
         if merged != s:
-            return _viol(spec, prop, merged, s, node=n)
+            return _viol(spec, PropertyId.MERGE_IDEM, merged, s, node=n)
         if passed is not None:
             passed.add(s)
     return None
 
 
-def eval_merge_comm(spec: RdtSpec, h, start: int = 0,
-                    prop: PropertyId = PropertyId.MERGE_COMM) -> Violation | None:
+def eval_merge_comm(spec: RdtSpec, h, start: int = 0) -> Violation | None:
     nodes, states = h.nodes, h.states
     for m in h.merge_nodes(start):
         _, left, right, lca = nodes[m]
         ab = states[m]  # the history's merge3(lca, left, right)
         ba = spec.merge3(states[lca], states[right], states[left])
         if ab != ba:
-            return _viol(spec, prop, ab, ba, node=m)
+            return _viol(spec, PropertyId.MERGE_COMM, ab, ba, node=m)
     return None
 
 
@@ -625,9 +616,7 @@ EVALUATORS: dict[PropertyId, Callable[..., Violation | None]] = {
     PropertyId.BOTTOM_UP_STEP: eval_bottom_up_step,
     PropertyId.RC_POLICY: eval_rc_policy,
     PropertyId.LINEARIZATION_EXISTS: eval_linearization_exists,
-    PropertyId.LATTICE_COMM: functools.partial(eval_merge_comm, prop=PropertyId.LATTICE_COMM),
     PropertyId.LATTICE_ASSOC: eval_lattice_assoc,
-    PropertyId.LATTICE_IDEM: functools.partial(eval_merge_idem, prop=PropertyId.LATTICE_IDEM),
 }
 
 # The state-only laws, whose evaluators take ``passed``: for one ``run_suite``
@@ -640,8 +629,7 @@ EVALUATORS: dict[PropertyId, Callable[..., Violation | None]] = {
 # again.  The first failing history, node and counterexample are those of a
 # check without the sets.  ``shrink``, ``oracle_sweep`` and a direct
 # ``EVALUATORS[p](spec, h)`` call use none.
-PASSED_ONCE = frozenset({PropertyId.MERGE_IDEM, PropertyId.LATTICE_IDEM,
-                         PropertyId.MERGE_WITH_LCA})
+PASSED_ONCE = frozenset({PropertyId.MERGE_IDEM, PropertyId.MERGE_WITH_LCA})
 
 
 def rc_is_vacuous(spec: RdtSpec, literals: tuple[int, ...]) -> bool:
@@ -872,7 +860,7 @@ def oracle_sweep(target: CatalogEntry | RdtSpec, max_events: int,
 
 
 __all__ = [
-    "PropertyId", "MRDT_PROPERTIES", "CRDT_PROPERTIES", "properties_for",
+    "PropertyId", "MRDT_PROPERTIES", "properties_for",
     "CheckConfig", "Violation", "CounterexampleReport", "Verdict", "SuiteReport",
     "OracleScopeError", "BoundError", "OracleResult", "linearization_oracle",
     "BottomUpInstance", "bottom_up_instances",

@@ -1,5 +1,6 @@
 """Property evaluators, the linearization oracle, suites, and shrinking."""
 
+import dataclasses
 import functools
 import gc
 import os
@@ -8,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from salcheck.model import Inc, Add, Rem, Enable, Disable, Event
+from salcheck.model import Inc, Dec, Add, Rem, Enable, Disable, Event
 from salcheck.catalog import CATALOG, catalog_get, payload_pool, ctr_inc_mrdt, or_set_mrdt
 from salcheck.history import (
     Recipe, ApplyOp, JoinOp, NoUniqueLcaError, build, execute, run_recipe, diamond,
@@ -294,14 +295,43 @@ def test_buggy_flag_counterexample_is_small_and_refails():
 
 
 def test_crdt_suite_includes_lattice_laws():
+    # A CRDT checks the six MRDT laws, in their order, then LatticeAssoc:
+    # LatticeComm and LatticeIdem would repeat MergeComm and MergeIdem.
     cfg = CheckConfig(tests_per_property=100, seed=3, max_events=4, exhaustive_below=4)
     rep = run_suite(catalog_get("ctr-inc-crdt"), cfg)
-    props = [v.property for v in rep.verdicts]
-    assert PropertyId.LATTICE_COMM in props
-    assert PropertyId.LATTICE_ASSOC in props
-    assert PropertyId.LATTICE_IDEM in props
-    assert PropertyId.MERGE_WITH_LCA not in props
+    assert [v.property for v in rep.verdicts] == [
+        PropertyId.MERGE_IDEM, PropertyId.MERGE_COMM, PropertyId.MERGE_WITH_LCA,
+        PropertyId.BOTTOM_UP_STEP, PropertyId.RC_POLICY, PropertyId.LINEARIZATION_EXISTS,
+        PropertyId.LATTICE_ASSOC,
+    ]
     assert all(v.status in ("pass", "vacuous") for v in rep.verdicts)
+
+
+def test_crdt_whose_update_deflates_fails_merge_with_lca():
+    # For a join, merge3(l, l, s) == s says l <= s: every update inflates the
+    # state.  A pn-ctr-crdt whose dec also lowers the inc vector at its
+    # replica breaks that.  Its merge is still a join, so the lattice laws
+    # pass; MergeWithLca fails, as do BottomUpStep and LinearizationExists.
+    spec = catalog_get("pn-ctr-crdt").spec
+
+    def apply(s, ev):
+        pos, neg = spec.apply(s, ev)
+        if isinstance(ev.op, Dec) and ev.replica < len(pos):
+            counts = [*pos]
+            counts[ev.replica] = max(counts[ev.replica] - 1, 0)
+            while counts and not counts[-1]:
+                counts.pop()
+            pos = tuple(counts)
+        return pos, neg
+
+    mutant = dataclasses.replace(spec, name="deflating-pn-ctr", apply=apply)
+    rep = run_suite(mutant, CheckConfig(seed=42))
+    v = rep.verdict(PropertyId.MERGE_WITH_LCA)
+    assert v.status == "fail"
+    assert (v.counterexample.violation.lhs_str, v.counterexample.violation.rhs_str) == (
+        "({1: 1}, {1: 1})", "({}, {1: 1})")
+    for p in (PropertyId.MERGE_IDEM, PropertyId.MERGE_COMM, PropertyId.LATTICE_ASSOC):
+        assert rep.verdict(p).status == "pass"
 
 
 def test_mrdt_suite_property_order():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import salcheck
+from salcheck.catalog import CATALOG
 from salcheck.cli import main
 from salcheck.report import SCHEMA, first_failing_verdict, parse_report
 from test_report_digests import salcheck1_document
@@ -132,11 +133,12 @@ def test_check_duplicated_property_is_a_usage_error(capsys, in_tmp):
     assert "MergeIdem" not in out
 
 
-@pytest.mark.parametrize("rdt, prop", [("ctr-inc-mrdt", "LatticeAssoc"),
-                                       ("ctr-inc-crdt", "MergeWithLca")])
+@pytest.mark.parametrize("rdt, prop", [("ctr-inc-mrdt", "LatticeAssoc")] + [
+    (e.id, p) for e in CATALOG for p in ("LatticeComm", "LatticeIdem")])
 def test_check_refuses_a_property_the_kind_does_not_have(capsys, in_tmp, rdt, prop):
     # Exit 1 is kept for a replayed counterexample: an MRDT has no merge2 to
-    # check, and a CRDT's merge ignores the ancestor MergeWithLca is about.
+    # check, and no suite checks LatticeComm or LatticeIdem, which on a
+    # CRDT's merge3 are MergeComm and MergeIdem.
     assert main(["check", rdt, "--seed", "1", "--props", prop]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -144,6 +146,13 @@ def test_check_refuses_a_property_the_kind_does_not_have(capsys, in_tmp, rdt, pr
     applicable = err.split("applicable: ")[1].strip().split(", ")
     assert prop not in applicable and "MergeIdem" in applicable
     assert not list(in_tmp.glob("*.json"))
+
+
+def test_check_runs_merge_with_lca_on_a_crdt(capsys, in_tmp):
+    assert main(["check", "ctr-inc-crdt", "--seed", "1", "--tests", "50",
+                 "--props", "MergeWithLca", "--out", "lca.json"]) == 0
+    doc = parse_report((in_tmp / "lca.json").read_text())
+    assert [(v["property"], v["status"]) for v in doc["verdicts"]] == [("MergeWithLca", "pass")]
 
 
 def test_check_seed_from_environment(capsys, in_tmp, monkeypatch):

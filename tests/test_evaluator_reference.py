@@ -169,17 +169,6 @@ def reference_linearization_exists(spec, ex):
     return None
 
 
-def reference_lattice_comm(spec, ex):
-    g = ex.graph
-    for m in g.merge_nodes():
-        _, left, right, _ = g.nodes[m]
-        ab = spec.merge2(ex.states[left], ex.states[right])
-        ba = spec.merge2(ex.states[right], ex.states[left])
-        if ab != ba:
-            return _viol(spec, PropertyId.LATTICE_COMM, ex, ab, ba, node=m)
-    return None
-
-
 def reference_lattice_assoc(spec, ex):
     g = ex.graph
     for m in g.merge_nodes():
@@ -193,14 +182,6 @@ def reference_lattice_assoc(spec, ex):
     return None
 
 
-def reference_lattice_idem(spec, ex):
-    for n, s in enumerate(ex.states):
-        joined = spec.merge2(s, s)
-        if joined != s:
-            return _viol(spec, PropertyId.LATTICE_IDEM, ex, joined, s, node=n)
-    return None
-
-
 REFERENCE = {
     PropertyId.MERGE_IDEM: reference_merge_idem,
     PropertyId.MERGE_COMM: reference_merge_comm,
@@ -208,9 +189,7 @@ REFERENCE = {
     PropertyId.BOTTOM_UP_STEP: reference_bottom_up_step,
     PropertyId.RC_POLICY: reference_rc_policy,
     PropertyId.LINEARIZATION_EXISTS: reference_linearization_exists,
-    PropertyId.LATTICE_COMM: reference_lattice_comm,
     PropertyId.LATTICE_ASSOC: reference_lattice_assoc,
-    PropertyId.LATTICE_IDEM: reference_lattice_idem,
 }
 
 

@@ -369,14 +369,13 @@ def test_builders_call_the_spec_they_are_given(rdt, monkeypatch):
     # One apply per apply node and one merge per merge node, on the spec
     # passed in: a binding cached across specs would hide calls from a
     # tracer that counts them on a replaced copy.  Every merge goes through
-    # ``merge3``, so the commutativity checks make one merge per merge node
-    # too, under MergeComm and, for a CRDT, under LatticeComm.
+    # ``merge3``, so MergeComm makes one merge per merge node too, for a CRDT
+    # as for an MRDT.
     plain = catalog_get(rdt).spec
     spec, calls = counted(plain)
     pool = payload_pool(plain)
     tables = StepTables(pool, 2, 8)
     rng = random.Random(rdt)
-    comms = (PropertyId.MERGE_COMM,) + ((PropertyId.LATTICE_COMM,) if is_crdt(plain) else ())
 
     def spec_calls(run):
         before = dict(calls)
@@ -394,10 +393,9 @@ def test_builders_call_the_spec_they_are_given(rdt, monkeypatch):
         rebuilt, made = spec_calls(lambda: execute(spec, build(ex.graph.recipe)))
         assert made == node_kinds(ex.graph)
         assert rebuilt == ex
-        for prop in comms:
-            violation, made = spec_calls(lambda: EVALUATORS[prop](spec, ex))
-            assert violation is None
-            assert made == {"apply": 0, "merge": node_kinds(ex.graph)["merge"]}
+        violation, made = spec_calls(lambda: EVALUATORS[PropertyId.MERGE_COMM](spec, ex))
+        assert violation is None
+        assert made == {"apply": 0, "merge": node_kinds(ex.graph)["merge"]}
 
     # The walk shares prefixes, so count its pushes rather than its nodes.
     # A swap of the last event is a push: one apply, one merge per sink merge.

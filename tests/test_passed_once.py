@@ -1,8 +1,8 @@
 """The state-only laws check each distinct input once per suite.
 
-``run_suite`` hands MergeIdem, LatticeIdem and MergeWithLca each its own set
-of the inputs they already passed (``PASSED_ONCE``): states for the two
-idempotence laws, ``(LCA state, branch state)`` pairs for MergeWithLca.  They
+``run_suite`` hands MergeIdem and MergeWithLca each its own set of the inputs
+they already passed (``PASSED_ONCE``): states for MergeIdem,
+``(LCA state, branch state)`` pairs for MergeWithLca.  They
 skip an input equal to one in their set, and add one only once it passes.
 
 The memo must hide no violation.  Every ``SuiteReport`` here is compared
@@ -160,10 +160,9 @@ def test_mutant_fails_alike(spec, prop, cfg):
     assert report.verdict(prop).tests > 1 and remembered
 
 
-def test_crdt_mutant_fails_both_idempotence_laws_alike():
+def test_crdt_mutant_fails_merge_idem_alike():
     # A vector counter whose merge of a state with itself gains an increment
-    # once the state has counted 3: MergeIdem and LatticeIdem each fail on it,
-    # each with its own set.
+    # once the state has counted 3: MergeIdem fails on it, with its own set.
     spec = catalog_get("ctr-inc-crdt").spec
 
     def merge2(a, b):
@@ -172,8 +171,7 @@ def test_crdt_mutant_fails_both_idempotence_laws_alike():
 
     mutant = dataclasses.replace(spec, name="size-gated-idem-vector", merge2=merge2)
     report, _ = assert_memo_hides_nothing(mutant, CheckConfig(seed=42))
-    for p in (PropertyId.MERGE_IDEM, PropertyId.LATTICE_IDEM):
-        assert report.verdict(p).status == "fail"
+    assert report.verdict(PropertyId.MERGE_IDEM).status == "fail"
 
 
 @pytest.mark.parametrize("cfg", [CheckConfig(seed=42), CheckConfig(exhaustive_below=2, seed=5)],

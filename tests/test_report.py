@@ -477,6 +477,33 @@ def test_model_from_report_dict_passing():
     assert model.nodes == () and model.edges == ()
 
 
+# A ctr-inc-crdt report as written while CRDT suites also checked LatticeComm
+# and LatticeIdem (``salcheck check ctr-inc-crdt --seed 42``).
+CRDT_REPORT_WITH_LATTICE_COMM_AND_IDEM = {
+    "schema": "salcheck/2",
+    "rdt": "ctr-inc-crdt",
+    "config": {"exhaustive_below": 5, "literal_pool": [1, 2, 3], "max_events": 8,
+               "max_joins": 1, "replica_count": 2, "seed": 42, "shrink_budget": 500,
+               "tests_per_property": 1000},
+    "verdicts": [{"property": p, "status": status, "tests": tests} for p, status, tests in (
+        ("MergeIdem", "pass", 1000), ("MergeComm", "pass", 1000),
+        ("BottomUpStep", "pass", 1000), ("RcPolicy", "vacuous", 0),
+        ("LinearizationExists", "pass", 1000), ("LatticeComm", "pass", 1000),
+        ("LatticeAssoc", "pass", 1000), ("LatticeIdem", "pass", 1000))],
+}
+
+
+def test_a_report_naming_lattice_comm_and_idem_still_loads():
+    doc = parse_report(json.dumps(CRDT_REPORT_WITH_LATTICE_COMM_AND_IDEM, indent=2))
+    assert doc == CRDT_REPORT_WITH_LATTICE_COMM_AND_IDEM
+    model = model_from_report_dict(doc)
+    assert "suite passed" in model.title
+    assert not model.mismatch
+    assert "LatticeComm: pass (1000 tests)" in render_text(model)
+    assert "LatticeIdem: pass (1000 tests)" in render_text(model)
+    assert render_dot(model) and render_html(model)
+
+
 def test_model_from_report_dict_rejects_invalid():
     with pytest.raises(ReportFormatError):
         model_from_report_dict({"schema": SCHEMA})

@@ -9,7 +9,8 @@ report is written, not what it says.
 
 Each case's report is rendered once per session by ``document`` and shared
 with ``test_view_digests``.  Run this file as a script to rewrite
-``report-digests.json`` (only when a report change is intended and recorded):
+``report-digests.json`` and ``report-digests-v1.json`` (only when a report
+change is intended and recorded):
 
     PYTHONPATH=src python tests/test_report_digests.py --write
 """
@@ -91,3 +92,7 @@ if __name__ == "__main__":
         sys.exit("usage: test_report_digests.py --write")
     GOLDEN.write_text(json.dumps({c: sha256(document(c)) for c in sorted(CASES)},
                                  indent=2, sort_keys=True) + "\n")
+    GOLDEN_V1.write_text(json.dumps(
+        {c: sha256(json.dumps(salcheck1_document(json.loads(document(c))), sort_keys=True,
+                              indent=2)) for c in sorted(CASES)},
+        indent=2, sort_keys=True) + "\n")

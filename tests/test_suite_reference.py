@@ -14,8 +14,8 @@ must also make the same number of ``apply``, merge and ``replay_apply``
 calls on a spec copied with ``dataclasses.replace``, as a tracer copies it.
 
 The one rule ``reference_suite`` shares with ``run_suite`` is that each
-state-only law checks an input once per suite: MergeIdem and LatticeIdem
-skip a state equal to one they passed, and MergeWithLca an equal
+state-only law checks an input once per suite: MergeIdem skips a state
+equal to one it passed, and MergeWithLca an equal
 ``(LCA state, branch state)`` pair (``idem_once`` and ``lca_once``, written
 here over the ``Execution`` copies).  Without it the merge counts could not
 agree.
@@ -79,8 +79,7 @@ def lca_once(spec, ex, start, passed) -> bool:
     return False
 
 
-ONCE = {PropertyId.MERGE_IDEM: idem_once, PropertyId.LATTICE_IDEM: idem_once,
-        PropertyId.MERGE_WITH_LCA: lca_once}
+ONCE = {PropertyId.MERGE_IDEM: idem_once, PropertyId.MERGE_WITH_LCA: lca_once}
 
 
 def reference_suite(entry, cfg: CheckConfig, walk=None) -> SuiteReport:
