@@ -223,16 +223,16 @@ def linearization_oracle(spec: RdtSpec, graph, target=_EXECUTE) -> OracleResult:
     admissible order was tried and none matched.
 
     The search is a depth-first walk that fills the order from its last
-    position back, trying the frontier's allowed events lowest index first.
-    Its first complete order takes the first allowed event at every position,
-    so it is computed directly (``_greedy_order``) and replayed before any
-    search, which then resumes at the second order only if the replay
-    misses.  For a conflict-free spec (``rc`` is ``rc_empty``) no candidate
-    is ever pruned, so that order depends on happens-before alone.  It is
-    memoized per happens-before shape in the oracle's one bounded memo
-    (``_shape``), which also holds the ``later`` masks the search reads.  When some
-    position has no allowed event, the walk backtracks before its first
-    complete order, and the search runs from the start.
+    position back, trying the frontier's allowed events lowest index first
+    (``_allowed``, which reads happens-before only as ``past``).  Its first
+    complete order takes the first allowed event at every position, so it is
+    computed directly (``_greedy_order``) and replayed before any search,
+    which then resumes at the second order only if the replay misses.  For a
+    conflict-free spec (``rc`` is ``rc_empty``) no candidate is ever pruned,
+    so that order depends on happens-before alone, and it is memoized per
+    happens-before shape in the oracle's one bounded memo (``_first_order``).
+    When some position has no allowed event, the walk backtracks before its
+    first complete order, and the search runs from the start.
     """
     events = graph.events
     n = len(events)
@@ -251,7 +251,7 @@ def linearization_oracle(spec: RdtSpec, graph, target=_EXECUTE) -> OracleResult:
     if rc is None:
         first = _first_order(past)
     else:
-        first = _greedy_order(_later(past), [ev.op for ev in events], rc)
+        first = _greedy_order(events, past, rc)
     if first is not None and _replay(spec, spec.initial, events, past, first) == target:
         return OracleResult(tuple([events[i] for i in first]), 1)
     order, tried = _search(spec, events, past, target, rc, 0 if first is None else 1)
@@ -279,38 +279,43 @@ def _replay(spec: RdtSpec, s, events, past, order):
     return s
 
 
-def _allowed(remaining: int, later, ops, rc) -> list[int]:
+def _allowed(remaining: int, events, past, rc) -> list[int]:
     """The events that may take the last of the positions the events in
     ``remaining`` fill, lowest index first: those that no remaining event
-    happens after, less any that must precede (per ``rc``) another of them."""
-    frontier = []
+    happens after (the frontier, ``remaining`` less every remaining event's
+    ``past``), less any that must precede (per ``rc``) another of them."""
+    seen = 0
     m = remaining
     while m:
         low = m & -m
-        i = low.bit_length() - 1
-        if not later[i] & remaining:
-            frontier.append(i)
+        seen |= past[low.bit_length() - 1]
+        m ^= low
+    frontier = []
+    m = remaining & ~seen
+    while m:
+        low = m & -m
+        frontier.append(low.bit_length() - 1)
         m ^= low
     if rc is None or len(frontier) < 2:
         return frontier
     allowed = []
     for i in frontier:
-        op = ops[i]
+        op = events[i].op
         for j in frontier:
-            if j != i and rc(op, ops[j]):
+            if j != i and rc(op, events[j].op):
                 break
         else:
             allowed.append(i)
     return allowed
 
 
-def _greedy_order(later, ops, rc) -> tuple[int, ...] | None:
+def _greedy_order(events, past, rc) -> tuple[int, ...] | None:
     """The search's first complete order: each position, from the last back,
     takes the first of its ``_allowed`` events; ``None`` where one has none."""
-    remaining = (1 << len(later)) - 1
+    remaining = (1 << len(past)) - 1
     order = []
     while remaining:
-        allowed = _allowed(remaining, later, ops, rc)
+        allowed = _allowed(remaining, events, past, rc)
         if not allowed:
             return None
         order.append(allowed[0])
@@ -319,25 +324,10 @@ def _greedy_order(later, ops, rc) -> tuple[int, ...] | None:
 
 
 @functools.lru_cache(maxsize=1024)
-def _shape(past: tuple[int, ...], conflict_free: bool) -> tuple[int, ...]:
-    """The oracle's one memo, per happens-before shape and kind of spec: the
-    first order (``_greedy_order`` when ``rc`` prunes nothing) for a
-    conflict-free spec, else ``later``.  A shape holds only what its callers
-    read: a spec with an ``rc`` never reads the first order, and a
-    conflict-free spec reads ``later`` only when that order misses."""
-    later = [0] * len(past)  # later[j]: the events that happen after events[j]
-    for i, before in enumerate(past):
-        for j in iter_bits(before):
-            later[j] |= 1 << i
-    return _greedy_order(later, None, None) if conflict_free else tuple(later)
-
-
 def _first_order(past: tuple[int, ...]) -> tuple[int, ...]:
-    return _shape(past, True)
-
-
-def _later(past: tuple[int, ...]) -> tuple[int, ...]:
-    return _shape(past, False)
+    """The oracle's one memo: a conflict-free spec's first order, which
+    depends on happens-before alone, per happens-before shape."""
+    return _greedy_order(None, past, None)
 
 
 def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int):
@@ -346,8 +336,6 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
     ``skip`` complete orders are counted but not replayed (they already were).
     ``rc`` is ``None`` for a conflict-free spec."""
     n = len(events)
-    later = _later(past)
-    ops = [ev.op for ev in events]
     order = [0] * n  # filled from position n - 1 down to 0
     cands: list[list[int]] = [[]] * n  # per position, its allowed events
     at = [-1] * n  # per position, the next candidate to try; -1: not listed yet
@@ -356,7 +344,7 @@ def _search(spec: RdtSpec, events, past: tuple[int, ...], target, rc, skip: int)
     pos = n - 1
     while True:
         if at[pos] < 0:
-            cands[pos] = _allowed(remaining, later, ops, rc)
+            cands[pos] = _allowed(remaining, events, past, rc)
             at[pos] = 0
         k = at[pos]
         if k == len(cands[pos]):  # exhausted: undo the choice one position up
@@ -790,25 +778,12 @@ class SweepResult:
 _INADMISSIBLE = object()
 
 
-def _takes_last(k: int, events, past, rc) -> bool:
-    """Whether event ``k`` may take the last position among events ``0..k``:
-    ``k in _allowed((2 << k) - 1, later, ops, rc)``, read from ``past``.
-    Timestamps extend happens-before, so no event of ``0..k`` happens after
-    ``k``.  So ``k`` is refused only by ``rc`` against another maximal event:
-    an earlier ``j`` that neither ``k`` nor any event between them observed."""
-    op = events[k].op
-    for j in iter_bits(((1 << k) - 1) & ~past[k]):
-        if rc(op, events[j].op) and not any(past[i] >> j & 1 for i in range(j + 1, k)):
-            return False
-    return True
-
-
 def _timestamp_step(spec: RdtSpec):
     """The ``replay_step`` of ``oracle_sweep``'s walk: given the replay of the
     events before the one just pushed, the replay of the whole timestamp
     prefix, made by one call as ``_replay`` makes it, or ``_INADMISSIBLE``
-    once some event cannot take the last position among the events up to
-    it (``_takes_last``)."""
+    once some event is not ``_allowed`` the last position among the events
+    up to it."""
     rc = None if spec.rc is rc_empty else spec.rc
     apply, replay = spec.apply, spec.replay_apply
 
@@ -816,7 +791,7 @@ def _timestamp_step(spec: RdtSpec):
         if s is _INADMISSIBLE:
             return s
         k = len(events) - 1
-        if rc is not None and not _takes_last(k, events, past, rc):
+        if rc is not None and k not in _allowed((2 << k) - 1, events, past, rc):
             return _INADMISSIBLE
         if replay is None:
             return apply(s, events[k])

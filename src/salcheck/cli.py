@@ -65,7 +65,7 @@ def _parse_props(raw: str | None, entry) -> tuple[PropertyId, ...] | None:
     for name in raw.split(","):
         name = name.strip()
         if name not in by_name:
-            valid = ", ".join(sorted(by_name))
+            valid = ", ".join(sorted(p.value for p in applicable))
             raise UsageError(f"unknown property {name!r}; valid: {valid}")
         if by_name[name] in props:
             raise UsageError(f"property {name} listed twice")

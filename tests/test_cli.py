@@ -125,6 +125,15 @@ def test_check_unknown_property(capsys, in_tmp):
     assert "unknown property" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rdt", ["ctr-inc-crdt", "g-set-mrdt"])
+def test_unknown_property_lists_only_the_entrys_properties(capsys, in_tmp, rdt):
+    assert main(["check", rdt, "--seed", "1", "--props", "Bogus"]) == 2
+    valid = capsys.readouterr().err.split("valid: ")[1].strip().split(", ")
+    assert "MergeWithLca" in valid
+    assert "LatticeComm" not in valid and "LatticeIdem" not in valid
+    assert ("LatticeAssoc" in valid) == (rdt == "ctr-inc-crdt")
+
+
 def test_check_duplicated_property_is_a_usage_error(capsys, in_tmp):
     args = ["check", "ctr-inc-mrdt", "--seed", "1", "--props", "MergeIdem,MergeIdem"]
     assert main(args) == 2

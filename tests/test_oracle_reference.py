@@ -17,6 +17,10 @@ that ``_greedy_order`` computes without a search, and ``None`` exactly when
 the DFS backtracks before it.  Those tests also check the ``past`` masks
 that the graphs carry, on every ``VersionGraph`` and on the live partial
 graph after each cut back.
+
+``previous_allowed`` is the peel rule as it was, kept verbatim: it reads the
+frontier from per-event ``later`` masks (``later_masks``), where ``_allowed``
+reads it from ``past``.  The two must agree on every ``remaining`` mask.
 """
 
 import dataclasses
@@ -29,8 +33,8 @@ import pytest
 from salcheck.catalog import CATALOG, payload_pool
 from salcheck import checker
 from salcheck.checker import (
-    ORACLE_EVENT_CAP, BottomUpInstance, OracleResult, OracleScopeError, _first_order,
-    _greedy_order, _later, _shape, bottom_up_instances, linearization_oracle,
+    ORACLE_EVENT_CAP, BottomUpInstance, OracleResult, OracleScopeError, _allowed,
+    _first_order, _greedy_order, bottom_up_instances, linearization_oracle,
 )
 from salcheck.history import (
     NoUniqueLcaError, Recipe, StepTables, _PartialGraph, build, draw_history, enumerate_recipes,
@@ -461,15 +465,93 @@ def test_conflict_free_specs_never_call_rc():
 
 
 def test_first_order_memo_stays_within_its_bound():
-    bound = _shape.cache_info().maxsize
+    bound = _first_order.cache_info().maxsize
     assert bound is not None
     rng = random.Random("memo")
     for _ in range(2 * bound):
         past = tuple(rng.getrandbits(i) for i in range(ORACLE_EVENT_CAP))
         order = _first_order(past)
         assert sorted(order) == list(range(ORACLE_EVENT_CAP))
-    info = _shape.cache_info()
+    info = _first_order.cache_info()
     assert info.currsize <= bound
+
+
+def test_rc_specs_never_touch_the_first_order_memo():
+    # Every rc spec at 3 events, and the buggy flag at 4, where some history
+    # has no witness, so the search runs past the first order too.
+    buggy = next(e for e in CATALOG if e.id == "ew-flag-buggy").spec
+    specs = [(e.spec, 4 if e.spec is buggy else 3) for e in CATALOG if e.spec.rc is not rc_empty]
+    histories = [(spec, ex) for spec, size in specs
+                 for ex in enumerate_executions(spec, payload_pool(spec), size)]
+    before = _first_order.cache_info()
+    results = [linearization_oracle(spec, ex.graph, ex.sink_state()) for spec, ex in histories]
+    assert _first_order.cache_info() == before
+    assert any(r.witness is None for r in results)
+
+
+# ---------------------------------------------------------------------------
+# The peel rule against the verbatim previous one.
+
+
+def later_masks(past) -> tuple[int, ...]:
+    """``later[j]``: the events whose ``past`` holds ``j``."""
+    later = [0] * len(past)
+    for i, before in enumerate(past):
+        for j in iter_bits(before):
+            later[j] |= 1 << i
+    return tuple(later)
+
+
+def previous_allowed(remaining: int, later, ops, rc) -> list[int]:
+    """The events that may take the last of the positions the events in
+    ``remaining`` fill, lowest index first: those that no remaining event
+    happens after, less any that must precede (per ``rc``) another of them."""
+    frontier = []
+    m = remaining
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        if not later[i] & remaining:
+            frontier.append(i)
+        m ^= low
+    if rc is None or len(frontier) < 2:
+        return frontier
+    allowed = []
+    for i in frontier:
+        op = ops[i]
+        for j in frontier:
+            if j != i and rc(op, ops[j]):
+                break
+        else:
+            allowed.append(i)
+    return allowed
+
+
+def test_allowed_is_the_previous_rule():
+    # past drawn as the memo test draws it: any bits below each index, so
+    # not closed under happens-before.  Each rc is checked on events drawn
+    # from its own spec's payloads.
+    rng = random.Random("allowed")
+    flag, orset, mvreg = (next(e for e in CATALOG if e.id == rid).spec
+                          for rid in ("ew-flag-fixed", "or-set-mrdt", "mv-reg-mrdt"))
+    values = payload_pool(mvreg)
+    pairs = frozenset((a, b) for a in values for b in values if rng.random() < 0.4)
+    relations = [(mvreg, None), (flag, flag.rc), (orset, orset.rc),
+                 (mvreg, lambda a, b: (a, b) in pairs)]
+    pruned = 0  # calls where rc refused some frontier event
+    for n in range(ORACLE_EVENT_CAP + 1):
+        for _ in range(3):
+            past = tuple(rng.getrandbits(i) for i in range(n))
+            later = later_masks(past)
+            for spec, rc in relations:
+                pool = payload_pool(spec)
+                events = tuple(Event(i + 1, 0, rng.choice(pool)) for i in range(n))
+                ops = [ev.op for ev in events]
+                for remaining in range(1 << n):
+                    got = _allowed(remaining, events, past, rc)
+                    assert got == previous_allowed(remaining, later, ops, rc), (past, remaining)
+                    pruned += got != _allowed(remaining, events, past, None)
+    assert pruned
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +596,7 @@ def assert_greedy_is_first_leaf(spec: RdtSpec, graph) -> None:
     assert_past(graph)
     past = tuple(graph.past)
     leaf, backtracked = dfs_first_leaf(spec, graph)
-    got = _greedy_order(_later(past), [ev.op for ev in graph.events], spec.rc)
+    got = _greedy_order(graph.events, past, spec.rc)
     assert got == (None if backtracked else leaf), graph.events
     if spec.rc is rc_empty:
         assert _first_order(past) == got

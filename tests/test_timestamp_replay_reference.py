@@ -7,9 +7,7 @@ event that the next history did not share, compared by ``Event`` identity and
 by ``past``.  Its inadmissible marker is the state ``None``, which no catalog
 entry's state is.  At every history of the walk, the top of the graph's
 ``replays`` must decide as ``reaches`` does, and be inadmissible exactly
-where the reference's last state is ``None``, and else equal it.  For a spec
-with an ``rc``, ``_takes_last`` must agree with ``_allowed`` on every event
-of every history.  The walks are the ones ``test_oracle_sweep_reference.py``
+where the reference's last state is ``None``, and else equal it.  The walks are the ones ``test_oracle_sweep_reference.py``
 runs; the large alphabets at 5 events, and every 3-replica sweep of them, run
 only with ``SALCHECK_DEEP_SWEEPS=1``.
 """
@@ -17,11 +15,10 @@ only with ``SALCHECK_DEEP_SWEEPS=1``.
 import pytest
 
 from salcheck.catalog import payload_pool
-from salcheck.checker import (
-    _INADMISSIBLE, _allowed, _later, _replay, _takes_last, _timestamp_step,
-)
+from salcheck.checker import _INADMISSIBLE, _replay, _timestamp_step
 from salcheck.history import sweep_walk
 from salcheck.model import Event, RdtSpec, rc_empty
+from test_oracle_reference import later_masks, previous_allowed
 from test_oracle_sweep_reference import LARGE_ALPHABET, _params
 
 
@@ -31,7 +28,7 @@ class TimestampReplay:
 
     Timestamps extend happens-before, so that order is a linear extension;
     for a spec with an ``rc`` it is admissible when each event ``k`` may take
-    the last position among events ``0..k`` (``_allowed``).  ``events`` and
+    the last position among events ``0..k`` (``previous_allowed``).  ``events`` and
     ``past`` hold the replayed prefix, and ``states[k]`` the replay of its
     first ``k`` events.  The prefix is cut back to the first event that the
     next history does not share: a different ``Event`` object (the walk takes
@@ -66,8 +63,8 @@ class TimestampReplay:
             kept_past.append(past[k])
             if self.rc is not None:
                 if later is None:
-                    later, ops = _later(tuple(past)), [ev.op for ev in events]
-                if k not in _allowed((2 << k) - 1, later, ops, self.rc):
+                    later, ops = later_masks(past), [ev.op for ev in events]
+                if k not in previous_allowed((2 << k) - 1, later, ops, self.rc):
                     states.append(None)
                     return False
             s = _replay(self.spec, s, events, past, (k,))
@@ -88,11 +85,6 @@ def assert_stack_agrees(entry, max_events, replicas=2, max_joins=1) -> None:
         assert (top is _INADMISSIBLE) == (reference.states[-1] is None), steps
         if top is not _INADMISSIBLE:
             assert top == reference.states[-1], steps
-        if spec.rc is not rc_empty:
-            later, ops = _later(tuple(g.past)), [ev.op for ev in g.events]
-            for k in range(len(g.events)):
-                assert (_takes_last(k, g.events, g.past, spec.rc)
-                        == (k in _allowed((2 << k) - 1, later, ops, spec.rc))), (steps, k)
     assert histories > 1
 
 
