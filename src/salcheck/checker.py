@@ -23,9 +23,11 @@ suite sweeps all canonical recipes below ``exhaustive_below`` events, each
 checked on the walk's live graph from its cut mark
 (``_PartialGraph.unchecked``), then tops up with random histories, one
 seeded stream per (seed, entry, property), so verdicts are deterministic and
-the sweep's first failure is event-minimal.  A draw with no unique LCA, or
-above ``ORACLE_EVENT_CAP`` events for ``LinearizationExists``, is redrawn
-and counts as no test.  Only a property's first failing history becomes a
+the sweep's first failure is event-minimal.  A draw with no unique LCA is
+redrawn and counts as no test.  A history above ``ORACLE_EVENT_CAP`` events
+is no ``LinearizationExists`` test, a rule that ``run_suite`` alone applies:
+that property's sweep ends at the first such history, and such a draw is
+redrawn.  Only a property's first failing history becomes a
 ``Recipe``, which ``shrink`` builds and executes.  MergeIdem and
 MergeWithLca check each distinct input once per suite (``PASSED_ONCE``).
 ``oracle_sweep`` (``salcheck oracle``) runs ``LinearizationExists`` alone
@@ -572,8 +574,6 @@ def eval_rc_policy(spec: RdtSpec, h, start: int = 0) -> Violation | None:
 
 
 def eval_linearization_exists(spec: RdtSpec, h, start: int = 0) -> Violation | None:
-    if len(h.events) > ORACLE_EVENT_CAP:
-        return None  # out of oracle scope; covered only by smaller histories
     final = h.states[-1]
     result = linearization_oracle(spec, h, final)
     if result.witness is None:
@@ -642,7 +642,14 @@ def _as_entry(target: CatalogEntry | RdtSpec) -> CatalogEntry:
 
 def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
               properties: tuple[PropertyId, ...] | None = None) -> SuiteReport:
-    """Check every applicable property; deterministic for a given config."""
+    """Check every applicable property; deterministic for a given config.
+
+    Each property is checked on the sweep, then on random draws until it has
+    ``tests_per_property`` tests or a failure.  A history above
+    ``ORACLE_EVENT_CAP`` events is no ``LinearizationExists`` test, here
+    alone: sweep sizes ascend, so that property's sweep ends at the first
+    such history and its random phase tops it up; such a draw is executed
+    like any other, then redrawn."""
     cfg.validate()
     entry = _as_entry(target)
     spec = entry.spec
@@ -652,22 +659,32 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
 
     # Per-property state, indexed like ``props``; ``found`` holds the first failing recipe,
     # and ``memos`` the evaluator's extra arguments: a ``PASSED_ONCE`` law's own set.
+    # ``caps`` is the oracle's scope, the one place it is applied: a history
+    # above ``caps[i]`` events is no test of ``props[i]``, in either phase.
     evaluators = [EVALUATORS[p] for p in props]
     memos = [(set(),) if p in PASSED_ONCE else () for p in props]
+    caps = [ORACLE_EVENT_CAP if p is PropertyId.LINEARIZATION_EXISTS else cfg.max_events
+            for p in props]
     tests = [0] * len(props)
     found: list[Recipe | None] = [None] * len(props)
     live = [i for i, p in enumerate(props) if not (p is PropertyId.RC_POLICY and vacuous_rc)]
 
     if live:
+        sweeping, size = live, 0
         for g, steps in sweep_walk(pool, cfg.exhaustive_below - 1, cfg.replica_count,
                                    cfg.max_joins, spec):
-            start = g.unchecked()  # every live property passed the nodes below it
-            for i in live:
+            if len(g.events) > size:  # sizes ascend: a property's sweep ends above its cap
+                size = len(g.events)
+                sweeping = [i for i in sweeping if caps[i] >= size]
+                if not sweeping:
+                    break
+            start = g.unchecked()  # every sweeping property passed the nodes below it
+            for i in sweeping:
                 if evaluators[i](spec, g, start, *memos[i]) is not None:
                     found[i] = Recipe(tuple(steps), cfg.replica_count)
                 tests[i] += 1
-            live = [i for i in live if found[i] is None]
-            if not live:
+            sweeping = [i for i in sweeping if found[i] is None]
+            if not sweeping:
                 break
 
     tables = StepTables(pool, cfg.replica_count, cfg.max_events)
@@ -675,13 +692,12 @@ def run_suite(target: CatalogEntry | RdtSpec, cfg: CheckConfig,
     root = g.mark()
     for i in live:
         p = props[i]
-        cap = ORACLE_EVENT_CAP if p is PropertyId.LINEARIZATION_EXISTS else None
         rng = random.Random(_stream_seed(cfg.seed, entry.id, p))
         while tests[i] < cfg.tests_per_property and found[i] is None:
             g.restore(root)
-            steps, drawn = draw_history(rng, tables, cfg.max_events, cfg.max_joins + 1, g, cap)
-            if drawn is None:
-                continue  # above the cap, or a criss-cross merge (3+ replicas): redraw, not a test
+            steps, drawn = draw_history(rng, tables, cfg.max_events, cfg.max_joins + 1, g)
+            if drawn is None or len(drawn.events) > caps[i]:
+                continue  # a criss-cross merge (3+ replicas), or above the cap: redraw, not a test
             if evaluators[i](spec, g, 0, *memos[i]) is not None:
                 found[i] = Recipe(steps, cfg.replica_count)
             tests[i] += 1

@@ -96,24 +96,23 @@ def cmd_list(args) -> int:
     return 0
 
 
+# ``salcheck check``'s settings: each flag by the ``CheckConfig`` field it
+# sets, in ``--help`` order.  A flag not given leaves the field's default.
+CHECK_FLAGS = {"tests_per_property": "--tests", "seed": "--seed", "max_events": "--max-events",
+               "replica_count": "--replicas", "shrink_budget": "--shrink-budget"}
+
+
 def cmd_check(args) -> int:
     entry = _entry(args.rdt)
     seed = _given_seed(args.seed)
     props = _parse_props(args.props, entry)
-    cfg = CheckConfig(
-        tests_per_property=args.tests,
-        seed=random.SystemRandom().randrange(2**32) if seed is None else seed,
-        max_events=args.max_events,
-        replica_count=args.replicas,
-        exhaustive_below=min(5, args.max_events),
-        shrink_budget=args.shrink_budget,
-    )
+    cfg = CheckConfig(**{f: v for f in CHECK_FLAGS if (v := getattr(args, f)) is not None})
+    cfg = replace(cfg, seed=random.SystemRandom().randrange(2**32) if seed is None else seed,
+                  exhaustive_below=min(cfg.exhaustive_below, cfg.max_events))
     try:  # before run_suite, so that a spec's own ValueError keeps its text
         cfg.validate()
     except BoundError as exc:
-        flags = {"tests_per_property": "--tests", "max_events": "--max-events",
-                 "replica_count": "--replicas", "shrink_budget": "--shrink-budget",
-                 "seed": "--seed" if args.seed is not None else "SALCHECK_SEED"}
+        flags = {**CHECK_FLAGS, "seed": "--seed" if args.seed is not None else "SALCHECK_SEED"}
         raise UsageError(f"{flags.get(exc.name, exc.name)} {exc.rule}, got {exc.value}") from None
     if seed is None:  # printed only for a run that goes ahead, so that it can be repeated
         print(f"picked seed: {cfg.seed}")
@@ -243,11 +242,8 @@ def _parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("check", help="run the property suite on one entry")
     cp.add_argument("rdt")
-    cp.add_argument("--tests", type=int, default=1000)
-    cp.add_argument("--seed", type=int, default=None)
-    cp.add_argument("--max-events", type=int, default=8)
-    cp.add_argument("--replicas", type=int, default=2)
-    cp.add_argument("--shrink-budget", type=int, default=500)
+    for field, flag in CHECK_FLAGS.items():
+        cp.add_argument(flag, type=int, dest=field, metavar=flag[2:].upper().replace("-", "_"))
     cp.add_argument("--props", default=None,
                     help="comma-separated property names (default: all)")
     cp.add_argument("--out", default=None, help="write the JSON report here")

@@ -444,15 +444,15 @@ def sweep_walk(pool, max_events, replicas, max_joins, spec=None, replay_step=Non
 
 
 def draw_history(rng: random.Random, tables: StepTables, max_events: int, max_joins: int,
-                 g: _PartialGraph | None = None, event_cap: int | None = None):
+                 g: _PartialGraph | None = None):
     """Draw one random recipe's steps, pushing each onto ``g`` as it is
     drawn and then folding its sink; ``g`` must be at its root.  Each choice
     is ``rng.randrange(n)``'s rejection loop on ``getrandbits``, inline; it
     would never end for ``n < 1``, so an empty choice raises ``ValueError``
     instead.  Returns the steps and ``g``, or ``None`` for ``g`` when none
-    was given or the draw is dropped: more than ``event_cap`` events, or a
-    merge with no unique LCA.  A dropped draw still draws all its steps, so
-    the stream moves on as for a kept one."""
+    was given or the draw is dropped: a merge with no unique LCA.  A dropped
+    draw still draws all its steps, so the stream moves on as for a kept
+    one."""
     replicas, n_pool = tables.replicas, len(tables.pool)
     if max_events < 1 or max_joins < 0 or replicas < 1 or n_pool < 1:
         raise ValueError("empty range: no event count, replica or payload to draw")
@@ -474,8 +474,6 @@ def draw_history(rng: random.Random, tables: StepTables, max_events: int, max_jo
             pass
         is_join[positions[j]] = True
         positions[j] = positions[n - 1]
-    if event_cap is not None and n_events > event_cap:
-        g = None
     k_replica, k_source, k_pool = replicas.bit_length(), (replicas - 1).bit_length(), n_pool.bit_length()
     applies, joins, events = tables.applies, tables.joins, tables.events
     steps: list[Step] = []

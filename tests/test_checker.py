@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from salcheck import checker
 from salcheck.model import Inc, Dec, Add, Rem, Enable, Disable, Event
 from salcheck.catalog import CATALOG, catalog_get, payload_pool, ctr_inc_mrdt, or_set_mrdt
 from salcheck.history import (
@@ -411,6 +412,44 @@ def test_oracle_scope_redraws_histories_above_the_cap(monkeypatch):
     assert max(sizes[prop]) == ORACLE_EVENT_CAP
     assert rep.verdict(other).tests == len(sizes[other]) == 200
     assert max(sizes[other]) > ORACLE_EVENT_CAP
+
+
+def test_oracle_scope_ends_the_sweep_at_the_cap(monkeypatch):
+    # ctr-inc-mrdt's sweep below 11 events has 15,386 histories, 6,680 of
+    # them with at most ORACLE_EVENT_CAP events.  LinearizationExists sweeps
+    # those, then its random phase tops it up to 7,000 with 320 draws; every
+    # test it counts is an oracle call.  MergeComm keeps the whole sweep.
+    sizes, drawn = [], []
+    oracle, draw = checker.linearization_oracle, checker.draw_history
+
+    def checking(spec, graph, *rest):
+        sizes.append(len(graph.events))
+        return oracle(spec, graph, *rest)
+
+    def drawing(*args):
+        steps, g = draw(*args)
+        drawn.append(len(g.events))  # two replicas: no draw lacks a unique LCA
+        return steps, g
+
+    monkeypatch.setattr(checker, "linearization_oracle", checking)
+    monkeypatch.setattr(checker, "draw_history", drawing)
+    prop, other = PropertyId.LINEARIZATION_EXISTS, PropertyId.MERGE_COMM
+    cfg = CheckConfig(max_events=11, exhaustive_below=11, tests_per_property=7000)
+    rep = run_suite(ctr_inc_mrdt, cfg, properties=(prop, other))
+    assert rep.passed()
+    assert rep.verdict(prop).tests == len(sizes) == 7000
+    assert max(sizes) == sizes[6679] == ORACLE_EVENT_CAP
+    assert sizes[:6680] == sorted(sizes[:6680])  # the sweep's, sizes ascending
+    kept = [n for n in drawn if n <= ORACLE_EVENT_CAP]  # only LinearizationExists draws
+    assert len(kept) == 320 < len(drawn)
+    assert rep.verdict(other).tests == 15386
+
+
+def test_linearization_evaluator_refuses_a_history_above_the_cap():
+    steps = tuple(ApplyOp(i % 2, Inc()) for i in range(ORACLE_EVENT_CAP + 1))
+    ex = run_recipe(ctr_inc_mrdt, Recipe(steps))
+    with pytest.raises(OracleScopeError):
+        EVALUATORS[PropertyId.LINEARIZATION_EXISTS](ctr_inc_mrdt, ex)
 
 
 def test_exhaustive_phase_counts_toward_test_budget():

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import salcheck
-from salcheck.catalog import CATALOG
+from salcheck.catalog import CATALOG, catalog_get
+from salcheck.checker import CheckConfig, run_suite
 from salcheck.cli import main
-from salcheck.report import SCHEMA, first_failing_verdict, parse_report
+from salcheck.report import SCHEMA, first_failing_verdict, parse_report, render_json
 from test_report_digests import salcheck1_document
 
 
@@ -113,6 +114,13 @@ def test_check_out_flag_always_writes(capsys, in_tmp):
     assert code == 0
     doc = parse_report((in_tmp / "ok.json").read_text())
     assert [v["status"] for v in doc["verdicts"]] == ["pass"]
+
+
+def test_check_default_run_is_the_librarys_default_suite(capsys, in_tmp):
+    # Every flag not given leaves CheckConfig's default, exhaustive_below too.
+    assert main(["check", "g-set-mrdt", "--seed", "42", "--out", "r.json"]) == 0
+    expected = render_json(run_suite(catalog_get("g-set-mrdt"), CheckConfig(seed=42))) + "\n"
+    assert (in_tmp / "r.json").read_text() == expected
 
 
 def test_check_unknown_rdt(capsys, in_tmp):

@@ -8,11 +8,18 @@ fail only in a traced benchmark run.
 A traced run also reports a ``checker.eval.<property>`` time and count for
 every ``PropertyId`` member, and ``BENCHMARK.json``'s per-layer list must name
 exactly those, so a member cannot be deleted or renamed on its own either.
+The benchmark command itself runs once in each mode: its last line must be a
+result with every verdict correct and exactly the metrics BENCHMARK.json
+names for that mode.
 """
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from salcheck import checker, report
 from salcheck.checker import PropertyId
@@ -39,3 +46,17 @@ def test_every_property_has_its_benchmark_metrics():
     named = {m["name"].rsplit(".", 1)[0] for m in per_layer
              if m["name"].startswith("checker.eval.")}
     assert {f"checker.eval.{p.value}" for p in PropertyId} == named
+
+
+@pytest.mark.parametrize("trace,metrics", [(0, "end_to_end"), (1, "per_layer")])
+def test_benchmark_command_prints_a_correct_result(trace, metrics):
+    # One short bug-hunt run, from the repository root as BENCHMARK.json runs it.
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    run = subprocess.run(
+        [sys.executable, *benchmark["command"][1:], "--workload", "bug-hunt", "--seed", "3",
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert set(result["metrics"]) == {m["name"] for m in benchmark[metrics]}

@@ -28,8 +28,8 @@ def draw_execution(rng, tables, spec, max_events, max_joins=2, event_cap=None):
     dropped: ``recipe`` has more than ``event_cap`` events, or
     ``build(recipe)`` would raise ``NoUniqueLcaError``."""
     steps, g = draw_history(rng, tables, max_events, max_joins,
-                            _PartialGraph(tables.replicas, spec), event_cap)
-    if g is None:
+                            _PartialGraph(tables.replicas, spec))
+    if g is None or event_cap is not None and len(g.events) > event_cap:
         return None
     return Execution(spec, g.graph(Recipe(steps, tables.replicas)), tuple(g.states))
 
